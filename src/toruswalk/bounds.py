@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .diophantine import nearest_integer_distance
-from .errors import CapExceededError, InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check_box_size
 from .fourier import FREQ_BOX_CAP, frequency_box, weight_R
 from .generators import GeneratorMatrix
 
@@ -72,10 +72,7 @@ def cohort_sum_S(
         raise ValidationError("M must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    if (2 * M + 1) ** G.d > box_cap:
-        raise CapExceededError(
-            f"frequency box has {(2 * M + 1) ** G.d} vectors (cap {box_cap})"
-        )
+    check_box_size("frequency", M, G.d, box_cap)
     A = G.as_array()
     terms = []
     for h in frequency_box(G.d, M):
@@ -118,18 +115,7 @@ class BoundReport:
     lemma_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "lower": self.lower,
-            "upper": self.upper,
-            "c_a": self.c_a,
-            "c_a_certified_up_to": self.c_a_certified_up_to,
-            "M": self.M,
-            "s_value": self.s_value,
-            "lemma_ok": self.lemma_ok,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

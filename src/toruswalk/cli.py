@@ -16,8 +16,7 @@ from . import __version__
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
-from .errors import ToruswalkError, ValidationError
-from .generators import builtin_generators, read_matrix
+from .errors import ToruswalkError
 from .scan import (
     ScanConfig,
     parse_k_schedule,
@@ -40,14 +39,6 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin family, e.g. golden, sqrt_primes, rational:3")
     p.add_argument("--n", type=int, default=1, help="generator count for --builtin")
     p.add_argument("--d", type=int, default=1, help="torus dimension for --builtin")
-
-
-def _load_matrix(args):
-    if args.matrix:
-        return read_matrix(args.matrix)
-    if args.builtin:
-        return builtin_generators(args.builtin, args.n, args.d, seed=getattr(args, "seed", None))
-    raise ValidationError("no generator source: pass --matrix or --builtin")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist(args) -> int:
-    G = _load_matrix(args)
+    G = resolve_matrix(args)[0]
     if args.trials:
         P = simulate_walk(G, args.k, trials=args.trials, seed=args.seed)
     else:
@@ -136,7 +127,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    G = _load_matrix(args)
+    G = resolve_matrix(args)[0]
     report = bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax)
     out = report.to_dict()
     if args.etk_m:
@@ -149,7 +140,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    G = _load_matrix(args)
+    G = resolve_matrix(args)[0]
     h = dirichlet_search(G, args.q)
     A = G.as_array()
     sup, euc = nearest_integer_distance(A.dot(list(h)))
@@ -163,7 +154,7 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_badapprox(args) -> int:
-    G = _load_matrix(args)
+    G = resolve_matrix(args)[0]
     est = estimate_bad_constant(G, args.hmax)
     out = dataclasses.asdict(est)
     out["argmin_h"] = list(out["argmin_h"])

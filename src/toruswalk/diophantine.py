@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, check_box_size
 from .generators import GeneratorMatrix
 
 SEARCH_BOX_CAP = 4_000_000
@@ -100,10 +100,7 @@ def estimate_bad_constant(
     """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n)."""
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
-    if (2 * hmax + 1) ** G.d > box_cap:
-        raise CapExceededError(
-            f"search box has {(2 * hmax + 1) ** G.d} vectors (cap {box_cap})"
-        )
+    check_box_size("search", hmax, G.d, box_cap)
     A = G.as_array()
     exponent = G.d / G.n
 

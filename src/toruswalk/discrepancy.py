@@ -1,19 +1,21 @@
 """Box discrepancy of a weighted point set against the uniform measure.
 
 The exact path realizes the supremum over axis-parallel boxes as a max
-over critical boxes: candidate face coordinates are the atom coordinates
-(plus the cube boundary), the excess branch evaluates closed boxes and
-the deficit branch open boxes, so non-attained suprema are captured as
-limits without epsilon hacking.  Boxes never wrap around the torus.
+over critical boxes (Dobkin, Eppstein & Mitchell): candidate face
+coordinates are the atom coordinates (plus the cube boundary), the excess
+branch evaluates closed boxes and the deficit branch open boxes, so
+non-attained suprema are captured as limits without epsilon hacking.
+Boxes never wrap around the torus.  A uniform-grid estimator provides an
+independent lower oracle for larger inputs.
 
-For d = 1 this is a single O(N log N) sweep; for d >= 2 the first d-1
-axes are enumerated over candidate interval pairs with a final-axis
-sweep.  A uniform-grid estimator provides an independent lower oracle
-for larger inputs.
+Both estimators run on one enumerator, `_blocks`: it walks face pairs on
+the first d-1 axes and hands each block of boxes' final-axis masses, as a
+padded prefix sum, to the estimator's own final-axis reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,106 +82,90 @@ def box_mass(P: WeightedPointSet, B: Box, mode: str = "closure") -> float:
     return math.fsum(total)
 
 
-def _closure_sweep(ys: np.ndarray, ws: np.ndarray, width: float):
-    """Best closed interval on the final axis: max of mass - width*length.
+# Element budget of one block (rows x final-axis faces): it bounds the
+# enumerator's temporaries, where a dense c^d table would not fit a scan row.
+_BLOCK = 1 << 13
 
-    ys must be sorted (duplicates allowed).  Returns (value, lo, hi) or
-    None when there are no atoms.  Degenerate intervals are allowed.
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of x (np.unique imports numpy.ma on first use)."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _blocks(pts, wts, faces, rule):
+    """Yield (lo, hi, H, P, W) for each block of boxes with faces from `faces`.
+
+    An atom's index on an axis is that of the last face at or below it;
+    under rule = (a, b, jmin) the face pair (i, j), j >= i + jmin, holds
+    indices i + a .. j - b.  Axes 0..d-3 take every pair; a block fixes the
+    left face lo[-1] on axis d-2, and its row r takes the right face
+    hi[-1] + r.  H[r, t + 1] is the row's mass at final-axis face t, P its
+    padded prefix sum along the final axis, W[r] its volume on axes 0..d-2.
     """
-    if ys.size == 0:
-        return None
-    # merge equal coordinates
-    keep = np.empty(ys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ys[1:], ys[:-1], out=keep[1:])
-    y = ys[keep]
-    grp = np.cumsum(keep) - 1
-    w = np.zeros(y.size)
-    np.add.at(w, grp, ws)
+    a, b, jmin = rule
+    idx = np.column_stack(
+        [np.searchsorted(f, pts[:, ax], side="right") - 1 for ax, f in enumerate(faces)]
+    )
+    cols, width = idx[:, -1] + 1, faces[-1].size + 1
+    if len(faces) == 1:
+        H = np.zeros((1, width))
+        np.add.at(H[0], cols, wts)
+        yield (), (), H, np.cumsum(H, axis=1), np.ones(1)
+        return
+    *outer, u = faces[:-1]
+    pairs = [[(i, j) for i in range(f.size) for j in range(i + jmin, f.size)] for f in outer]
+    rows = max(1, _BLOCK // width)
+    for box in itertools.product(*pairs):
+        m, W = np.ones(wts.size, dtype=bool), 1.0
+        for ax, (i, j) in enumerate(box):
+            m &= (idx[:, ax] >= i + a) & (idx[:, ax] <= j - b)
+            W *= outer[ax][j] - outer[ax][i]
+        q, col, w = idx[m, -2], cols[m], wts[m]
+        lo, hi = tuple(i for i, _ in box), tuple(j for _, j in box)
+        for i in range(u.size):
+            held = q >= i + a
+            enter, c, v = q[held] + b, col[held], w[held]  # in every box with j >= enter
+            for j0 in range(i + jmin, u.size, rows):
+                n = min(rows, u.size - j0)
+                r = np.maximum(enter - j0, 0)
+                k = r < n
+                H = np.zeros((n, width))
+                np.add.at(H, (r[k], c[k]), v[k])
+                np.cumsum(H, axis=0, out=H)
+                yield lo + (i,), hi + (j0,), H, np.cumsum(H, axis=1), W * (u[j0 : j0 + n] - u[i])
 
-    c = np.cumsum(w)
-    f_hi = c - width * y
-    f_lo = (c - w) - width * y
-    runmin = np.minimum.accumulate(f_lo)
-    vals = f_hi - runmin
-    t = int(np.argmax(vals))
-    s = int(np.argmin(f_lo[: t + 1]))
-    return float(vals[t]), float(y[s]), float(y[t])
 
+def _exact_branch(pts: np.ndarray, wts: np.ndarray, excess: bool):
+    """Max over candidate boxes of one branch; returns (value, lo, hi).
 
-def _interior_sweep(ys: np.ndarray, ws: np.ndarray, width: float):
-    """Best open interval on the final axis: max of width*length - mass.
-
-    ys sorted; the cube boundary 0 and 1 always acts as candidate ends.
+    Excess boxes are closed with faces at atom coordinates, deficit boxes
+    open with the cube boundary added; on the final axis the best interval
+    of each row comes from one running-min sweep.
     """
-    z = np.concatenate((ys, [0.0, 1.0]))
-    w = np.concatenate((ws, [0.0, 0.0]))
-    order = np.argsort(z, kind="stable")
-    z, w = z[order], w[order]
-    keep = np.empty(z.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(z[1:], z[:-1], out=keep[1:])
-    zz = z[keep]
-    grp = np.cumsum(keep) - 1
-    ww = np.zeros(zz.size)
-    np.add.at(ww, grp, w)
-
-    c = np.cumsum(ww)
-    g_hi = width * zz - (c - ww)  # mass strictly below zz[t]
-    g_lo = width * zz - c  # mass up to and including zz[s]
-    runmin = np.minimum.accumulate(g_lo)
-    # pair s < t
-    vals = g_hi[1:] - runmin[:-1]
-    t = int(np.argmax(vals)) + 1
-    s = int(np.argmin(g_lo[:t]))
-    return float(vals[t - 1]), float(zz[s]), float(zz[t])
-
-
-def _branch_search(pts: np.ndarray, wts: np.ndarray, d: int, branch: str):
-    """Max over candidate boxes for one branch; returns (value, lo, hi)."""
-    order = np.argsort(pts[:, d - 1], kind="stable")
-    pts = pts[order]
-    wts = wts[order]
-    n_atoms = pts.shape[0]
-
-    best = [-math.inf, None, None]
-
-    def record(val, lo, hi):
-        if val > best[0]:
-            best[0], best[1], best[2] = val, tuple(lo), tuple(hi)
-
-    def rec(axis, mask, lo, hi, width):
-        if axis == d - 1:
-            if branch == "excess":
-                res = _closure_sweep(pts[mask, d - 1], wts[mask], width)
-                if res is not None:
-                    val, y0, y1 = res
-                    record(val, lo + [y0], hi + [y1])
-            else:
-                val, y0, y1 = _interior_sweep(pts[mask, d - 1], wts[mask], width)
-                record(val, lo + [y0], hi + [y1])
-            return
-        x = pts[:, axis]
-        if branch == "excess":
-            cands = np.unique(x[mask]) if mask.any() else np.empty(0)
-            for i in range(cands.size):
-                a = cands[i]
-                m1 = mask & (x >= a)
-                for j in range(i, cands.size):
-                    b = cands[j]
-                    m = m1 & (x <= b)
-                    if m.any():
-                        rec(axis + 1, m, lo + [a], hi + [b], width * (b - a))
+    extra = [] if excess else [0.0, 1.0]
+    faces = [_distinct(np.concatenate((pts[:, ax], extra))) for ax in range(pts.shape[1])]
+    jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
+    u = faces[-1]
+    best = (-math.inf, None, None)
+    for lo, hi, H, P, W in _blocks(pts, wts, faces, (jmin, jmin, jmin)):
+        wu = W[:, None] * u
+        c, w = P[:, 1:], H[:, 1:]  # mass up to and including face t, mass at face t
+        if excess:
+            top, bot = c - wu, (c - w) - wu
         else:
-            cands = np.unique(np.concatenate((x, [0.0, 1.0])))
-            for i in range(cands.size):
-                a = cands[i]
-                m1 = mask & (x > a)
-                for j in range(i + 1, cands.size):
-                    b = cands[j]
-                    rec(axis + 1, m1 & (x < b), lo + [a], hi + [b], width * (b - a))
-
-    rec(0, np.ones(n_atoms, dtype=bool), [], [], 1.0)
+            top, bot = wu - (c - w), wu - c
+        # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
+        vals = top[:, jmin:] - np.minimum.accumulate(bot, axis=1)[:, : u.size - jmin]
+        r, t = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[r, t] > best[0]:
+            s = int(np.argmin(bot[r, : t + 1]))
+            hi = hi[:-1] + (hi[-1] + r,) if hi else ()
+            best = (
+                float(vals[r, t]),
+                tuple(float(f[i]) for f, i in zip(faces, lo + (s,))),
+                tuple(float(f[j]) for f, j in zip(faces, hi + (t + jmin,))),
+            )
     return best
 
 
@@ -203,8 +189,8 @@ def discrepancy_exact(P: WeightedPointSet) -> DiscrepancyResult:
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
 
-    exc = _branch_search(pts, wts, d, "excess")
-    def_ = _branch_search(pts, wts, d, "deficit")
+    exc = _exact_branch(pts, wts, excess=True)
+    def_ = _exact_branch(pts, wts, excess=False)
     if exc[0] >= def_[0]:
         val, lo, hi = exc
         direction = "excess"
@@ -228,8 +214,7 @@ def _grid_candidates(coords: np.ndarray, resolution: int) -> np.ndarray:
     """
     f = np.floor(coords * resolution).astype(np.int64)
     idx = np.concatenate([f - 1, f, f + 1, f + 2, [0, resolution]])
-    idx = np.unique(np.clip(idx, 0, resolution))
-    return idx
+    return _distinct(np.clip(idx, 0, resolution))
 
 
 def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
@@ -240,37 +225,13 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     """
     if resolution < 2:
         raise ValidationError("grid resolution must be >= 2")
-    d = P.d
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
-    order = np.argsort(pts[:, d - 1], kind="stable")
-    pts, wts = pts[order], wts[order]
-
-    cands = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(d)]
-    best = [0.0]
-
-    def sweep(mask, width):
-        g = cands[d - 1]
-        ys = pts[mask, d - 1]
-        cum = np.concatenate(([0.0], np.cumsum(wts[mask])))
-        w_lt = cum[np.searchsorted(ys, g, side="left")]
-        f = w_lt - width * g
-        spread = float(f.max() - f.min())
-        if spread > best[0]:
-            best[0] = spread
-
-    def rec(axis, mask, width):
-        if axis == d - 1:
-            sweep(mask, width)
-            return
-        g = cands[axis]
-        x = pts[:, axis]
-        for i in range(g.size):
-            a = g[i]
-            m1 = mask & (x >= a)
-            for j in range(i + 1, g.size):
-                b = g[j]
-                rec(axis + 1, m1 & (x < b), width * (b - a))
-
-    rec(0, np.ones(pts.shape[0], dtype=bool), 1.0)
-    return best[0]
+    faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
+    g = faces[-1]
+    best = 0.0
+    # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
+    for _, _, _, prefix, W in _blocks(pts, wts, faces, (0, 1, 1)):
+        F = prefix[:, :-1] - W[:, None] * g  # mass below g_t minus the volume there
+        best = max(best, float((F.max(axis=1) - F.min(axis=1)).max()))
+    return best

@@ -28,3 +28,11 @@ class InternalConsistencyError(ToruswalkError):
     """A result contradicts an inequality that must hold; indicates a bug."""
 
     exit_code = 4
+
+
+def check_box_size(kind: str, bound: int, d: int, cap: int) -> None:
+    """Raise CapExceededError when the (2*bound+1)^d integer vectors of sup
+    norm <= bound exceed cap; kind names the box in the message."""
+    size = (2 * bound + 1) ** d
+    if size > cap:
+        raise CapExceededError(f"{kind} box has {size} vectors (cap {cap})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError, check_box_size
 from .generators import GeneratorMatrix
 
 FREQ_BOX_CAP = 2_000_000
@@ -107,9 +107,6 @@ def etk_upper_bound(
         raise ValidationError("M must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    if (2 * M + 1) ** G.d > box_cap:
-        raise CapExceededError(
-            f"frequency box has {(2 * M + 1) ** G.d} vectors (cap {box_cap})"
-        )
+    check_box_size("frequency", M, G.d, box_cap)
     terms = [abs(qhat(G, h)) ** k / weight_R(h) for h in frequency_box(G.d, M)]
     return (1.5 ** G.d) * (2.0 / (M + 1) + math.fsum(terms))

@@ -15,7 +15,7 @@ import datetime
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
@@ -105,13 +105,16 @@ def read_config(path) -> ScanConfig:
 
 
 def resolve_matrix(cfg: ScanConfig) -> tuple[GeneratorMatrix, str]:
-    """Load the generator matrix named by a config, with a descriptor string."""
+    """Load the generator matrix named by a config, with a descriptor string.
+
+    The CLI passes its parsed arguments, which carry the same names.
+    """
     if cfg.matrix is not None:
         return read_matrix(cfg.matrix), f"file:{os.path.basename(cfg.matrix)}"
     if cfg.builtin is not None:
         G = builtin_generators(cfg.builtin, cfg.n, cfg.d, seed=cfg.seed)
         return G, f"builtin:{cfg.builtin}:n={G.n}:d={G.d}"
-    raise ValidationError("no generator source: set builtin or matrix")
+    raise ValidationError("no generator source: set builtin or matrix (--builtin or --matrix)")
 
 
 @dataclass
@@ -143,21 +146,7 @@ class ScanReport:
     generated_at: str
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix,
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "method": self.method,
-            "resolution": self.resolution,
-            "trials": self.trials,
-            "ca": self.ca,
-            "ca_hmax": self.ca_hmax,
-            "rows": [vars(r).copy() for r in self.rows],
-            "fitted_exponent": self.fitted_exponent,
-            "version": self.version,
-            "generated_at": self.generated_at,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -184,6 +173,15 @@ class ScanReport:
 
 def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
     n, d = G.n, G.d
+    # The bounds come first: an infeasible c_a (M < 1) or an oversize
+    # frequency box then fails before the walk and discrepancy run.
+    lower = theorem1_lower_bound(n, d, k)
+    upper = etk = M = None
+    if cfg.ca is not None:
+        M = choose_M(n, d, cfg.ca, k)
+        upper = theorem2_upper_bound(n, d, cfg.ca, k)
+        etk = etk_upper_bound(G, k, M)
+
     use_exact = cfg.method in ("auto", "exact")
     if cfg.method == "auto" and (2 * k + 1) ** n > WALK_STATE_CAP:
         use_exact = False
@@ -201,13 +199,6 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
         D, disc_method = res.value, "exact"
     else:
         D, disc_method = discrepancy_grid(P, cfg.resolution), f"grid({cfg.resolution})"
-
-    lower = theorem1_lower_bound(n, d, k)
-    upper = etk = M = None
-    if cfg.ca is not None:
-        M = choose_M(n, d, cfg.ca, k)
-        upper = theorem2_upper_bound(n, d, cfg.ca, k)
-        etk = etk_upper_bound(G, k, M)
 
     # A violated bound would falsify a theorem or reveal a bug.  Exact
     # rows are checked tight; grid/MC rows get the estimator's slack.

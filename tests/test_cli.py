@@ -95,6 +95,21 @@ def test_exit_code_infeasible(capsys, tmp_path):
     assert "too small" in err
 
 
+def test_infeasible_ca_fails_before_the_walk(capsys, tmp_path, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran before the bounds were checked")
+
+    monkeypatch.setattr("toruswalk.scan.exact_walk_distribution", no_walk)
+    code, _, err = run_cli(
+        capsys,
+        "scan", "--builtin", "sqrt_primes", "--n", "2", "--d", "2",
+        "--k-schedule", "20,21", "--ca", "0.1", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "truncation index" in err and "k=20 too small" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_scan_writes_reports(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -13,6 +13,7 @@ from toruswalk import (
     exact_walk_distribution,
     project_to_torus,
 )
+from toruswalk import discrepancy as discrepancy_module
 from toruswalk.walk import WeightedPointSet
 
 
@@ -98,11 +99,13 @@ class TestExact:
 
     def test_witness_evaluates_to_value(self):
         rng = np.random.Generator(np.random.PCG64(99))
-        P = random_point_set(rng, 12, 1)
-        res = discrepancy_exact(P)
-        mode = "closure" if res.direction == "excess" else "interior"
-        mass = box_mass(P, res.witness, mode)
-        assert abs(mass - res.witness.volume()) == pytest.approx(res.value, abs=1e-12)
+        for d, n_atoms in ((1, 12), (2, 12), (3, 8)):
+            P = random_point_set(rng, n_atoms, d)
+            res = discrepancy_exact(P)
+            assert res.witness.d == d
+            mode = "closure" if res.direction == "excess" else "interior"
+            mass = box_mass(P, res.witness, mode)
+            assert abs(mass - res.witness.volume()) == pytest.approx(res.value, abs=1e-12)
 
     def test_order_invariance(self):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -130,12 +133,12 @@ class TestGrid:
         with pytest.raises(ValidationError):
             discrepancy_grid(point_mass(0.0), 1)
 
-    @pytest.mark.parametrize("trial", range(8))
+    @pytest.mark.parametrize("trial", range(12))
     def test_matches_brute_force(self, trial):
         rng = np.random.Generator(np.random.PCG64(3000 + trial))
-        d = int(rng.integers(1, 3))
+        d = int(rng.integers(1, 4))
         P = random_point_set(rng, int(rng.integers(1, 10)), d)
-        res = int(rng.integers(2, 9))
+        res = int(rng.integers(2, 9 if d < 3 else 4))
         assert discrepancy_grid(P, res) == pytest.approx(
             brute_discrepancy_grid(P, res), abs=1e-12
         )
@@ -145,6 +148,35 @@ class TestGrid:
         P = project_to_torus(exact_walk_distribution(G, 1), G)
         g = discrepancy_grid(P, 512)
         assert abs(g - 0.7639320225) <= 2.0 / 512
+
+
+class TestTiedCoordinates:
+    """Walk point sets whose atoms share coordinates along an axis (or, on
+    the diagonal, share their order on every axis); random sets never do.
+    A one-row block budget also splits every row of boxes into blocks."""
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize(
+        "family, n, d, k",
+        [
+            ("rational:5", 2, 2, 2),
+            ("rational:5", 2, 2, 3),
+            ("rational:3", 1, 3, 4),
+            ("diagonal:0.32", 1, 3, 3),
+        ],
+    )
+    def test_matches_brute_force(self, family, n, d, k, one_row_blocks, monkeypatch):
+        if one_row_blocks:
+            monkeypatch.setattr(discrepancy_module, "_BLOCK", 1)
+        G = builtin_generators(family, n, d)
+        P = project_to_torus(exact_walk_distribution(G, k), G)
+        assert discrepancy_exact(P).value == pytest.approx(
+            brute_discrepancy_exact(P), abs=1e-12
+        )
+        res = 8 if d < 3 else 4
+        assert discrepancy_grid(P, res) == pytest.approx(
+            brute_discrepancy_grid(P, res), abs=1e-12
+        )
 
 
 class TestSandwich:

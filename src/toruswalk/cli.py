@@ -16,7 +16,7 @@ from . import __version__
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
-from .errors import ToruswalkError
+from .errors import ToruswalkError, read_input_text
 from .scan import (
     ScanConfig,
     parse_k_schedule,
@@ -107,8 +107,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    with open(args.points, "r", encoding="utf-8") as fh:
-        P = pointset_from_csv_text(fh.read())
+    P = pointset_from_csv_text(read_input_text(args.points, "point-set file"))
     if args.resolution:
         out = {
             "value": discrepancy_grid(P, args.resolution),

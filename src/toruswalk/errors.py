@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the input
+guards that raise it.
 
 Each class carries the process exit code the CLI maps it to.
 """
@@ -36,3 +37,13 @@ def check_box_size(kind: str, bound: int, d: int, cap: int) -> None:
     size = (2 * bound + 1) ** d
     if size > cap:
         raise CapExceededError(f"{kind} box has {size} vectors (cap {cap})")
+
+
+def read_input_text(path, kind: str) -> str:
+    """Contents of a UTF-8 input file.  A file that cannot be opened (missing,
+    a directory, unreadable) raises ValidationError naming kind and path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValidationError(f"cannot read {kind} {str(path)!r}: {e.strerror}") from None

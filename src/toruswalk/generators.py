@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_input_text
 
 
 def frac(x: float) -> float:
@@ -157,8 +157,7 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
 
 
 def read_matrix(path) -> GeneratorMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    return parse_matrix_text(read_input_text(path, "matrix file"))
 
 
 def write_matrix(path, G: GeneratorMatrix) -> None:

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
 from .discrepancy import EXACT_CAPS, discrepancy_exact, discrepancy_grid
-from .errors import CapExceededError, InternalConsistencyError, ValidationError
+from .errors import CapExceededError, InternalConsistencyError, ValidationError, read_input_text
 from .fourier import etk_upper_bound
 from .generators import GeneratorMatrix, builtin_generators, read_matrix
 from .svgplot import loglog_svg
-from .walk import WALK_STATE_CAP, exact_walk_distribution, project_to_torus, simulate_walk
+from .walk import exact_walk_distribution, project_to_torus, simulate_walk
 
 
 @dataclass
@@ -100,8 +100,7 @@ def parse_config_text(text: str) -> ScanConfig:
 
 
 def read_config(path) -> ScanConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_input_text(path, "config file"))
 
 
 def resolve_matrix(cfg: ScanConfig) -> tuple[GeneratorMatrix, str]:
@@ -182,12 +181,17 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
         upper = theorem2_upper_bound(n, d, cfg.ca, k)
         etk = etk_upper_bound(G, k, M)
 
-    use_exact = cfg.method in ("auto", "exact")
-    if cfg.method == "auto" and (2 * k + 1) ** n > WALK_STATE_CAP:
-        use_exact = False
-
-    if use_exact:
-        P = project_to_torus(exact_walk_distribution(G, k), G)
+    L = None
+    if cfg.method != "mc":
+        # exact_walk_distribution checks its caps before it counts; auto
+        # falls back to Monte Carlo when one trips.
+        try:
+            L = exact_walk_distribution(G, k)
+        except CapExceededError:
+            if cfg.method == "exact":
+                raise
+    if L is not None:
+        P = project_to_torus(L, G)
         method = "exact"
     else:
         P = simulate_walk(G, k, trials=cfg.trials, seed=cfg.seed + k)

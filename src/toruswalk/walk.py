@@ -19,6 +19,11 @@ from .generators import GeneratorMatrix, frac
 
 # Reachable-state guard for the exact convolution, ~(2k+1)^n states.
 WALK_STATE_CAP = 5_000_000
+# Big-integer guard for the n = 1 binomial counts: the k+1 counts C(k, j)
+# hold at most k bits each (about 0.72 k^2 in total), so k(k+1) bounds the
+# total.  2^33 admits k <= 92 681; a golden walk plus projection at
+# k = 2^16 peaks near 840 MB.
+WALK_BITS_CAP = 2**33
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,7 @@ def exact_walk_distribution(G: GeneratorMatrix, k: int, state_cap: int = WALK_ST
 
     For a single generator the counts are binomial and computed directly;
     otherwise a dynamic program adds +-e_j per step over the reachable box.
+    Both caps are checked before any count is built.
     """
     if k < 0:
         raise ValidationError("step count k must be >= 0")
@@ -65,6 +71,11 @@ def exact_walk_distribution(G: GeneratorMatrix, k: int, state_cap: int = WALK_ST
     if (2 * k + 1) ** n > state_cap:
         raise CapExceededError(
             f"exact convolution needs up to {(2 * k + 1) ** n} states (cap {state_cap}); "
+            "use simulate_walk instead"
+        )
+    if n == 1 and k * (k + 1) > WALK_BITS_CAP:
+        raise CapExceededError(
+            f"exact binomial counts need up to {k * (k + 1)} bits (cap {WALK_BITS_CAP}); "
             "use simulate_walk instead"
         )
     denom = (2 * n) ** k
@@ -95,33 +106,40 @@ def _project_m(m, A_cols) -> tuple:
     return tuple(frac(math.fsum(mi * a for mi, a in zip(m, col))) for col in A_cols)
 
 
-def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
-    """Push the lattice distribution to [0,1)^d, merging bit-identical points.
+def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str) -> WeightedPointSet:
+    """Push integer counts on coefficient vectors to [0,1)^d.
 
-    Counts are merged as integers and divided by the denominator once, so
-    the float weights of merged atoms carry a single rounding each.
+    Bit-identical points are merged as integers and divided by the
+    denominator once, so each float weight carries a single rounding.
     Atoms whose weight underflows to 0.0 are dropped.
     """
-    if L.n != G.n:
-        raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
     A_cols = [tuple(G.entries[j][i] for j in range(G.n)) for i in range(G.d)]
     merged: dict = defaultdict(int)
-    for m, c in L.counts.items():
+    for m, c in zip(rows, counts):
         merged[_project_m(m, A_cols)] += c
     atoms = []
     for pt in sorted(merged):
-        w = merged[pt] / L.denominator
+        w = merged[pt] / denominator
         if w > 0.0:
             atoms.append((pt, w))
-    return WeightedPointSet(d=G.d, atoms=tuple(atoms), provenance="exact")
+    return WeightedPointSet(d=G.d, atoms=tuple(atoms), provenance=provenance)
+
+
+def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
+    """Push the lattice distribution to [0,1)^d, merging bit-identical points."""
+    if L.n != G.n:
+        raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
+    return _projected(G, L.counts.keys(), L.counts.values(), L.denominator, "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
     """Empirical k-step distribution from independent seeded walks.
 
-    Random choices come from a counter-based Philox stream keyed by the
-    seed; trial t consumes a fixed counter block, so the output depends
-    only on (seed, trials, k), never on scheduling.
+    Each trial draws its 2n per-direction step counts at once, from
+    Multinomial(k, 1/(2n), ..., 1/(2n)) -- the law of the direction counts
+    of k i.i.d. uniform steps -- on a counter-based Philox stream keyed by
+    the seed.  Time and memory are O(trials * n) whatever k is, and the
+    output depends only on (seed, trials, k), never on scheduling.
     """
     if k < 0:
         raise ValidationError("step count k must be >= 0")
@@ -132,19 +150,11 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
         return WeightedPointSet(d=d, atoms=(((0.0,) * d, 1.0),), provenance="empirical")
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.integers(0, 2 * n, size=(trials, k), dtype=np.int64)
-    # draw value 2j is +alpha_j, 2j+1 is -alpha_j
-    m = np.zeros((trials, n), dtype=np.int64)
-    for j in range(n):
-        m[:, j] = (draws == 2 * j).sum(axis=1) - (draws == 2 * j + 1).sum(axis=1)
+    # direction 2j is +alpha_j, 2j+1 is -alpha_j
+    steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
+    m = steps[:, 0::2] - steps[:, 1::2]
     uniq, counts = np.unique(m, axis=0, return_counts=True)
-
-    A_cols = [tuple(G.entries[j][i] for j in range(n)) for i in range(d)]
-    merged: dict = defaultdict(int)
-    for row, c in zip(uniq.tolist(), counts.tolist()):
-        merged[_project_m(row, A_cols)] += c
-    atoms = tuple((pt, merged[pt] / trials) for pt in sorted(merged))
-    return WeightedPointSet(d=d, atoms=atoms, provenance="empirical")
+    return _projected(G, uniq.tolist(), counts.tolist(), trials, "empirical")
 
 
 def pointset_to_csv_text(P: WeightedPointSet) -> str:

@@ -85,6 +85,43 @@ def test_exit_code_validation(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--matrix", "{missing}", "--k", "2"],
+        ["disc", "{missing}"],
+        ["scan", "--config", "{missing}"],
+    ],
+    ids=["dist", "disc", "scan"],
+)
+def test_missing_input_file(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.txt")
+    code, _, err = run_cli(capsys, *[a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert missing in err
+
+
+def test_scan_auto_falls_back_to_mc_past_the_bit_cap(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys,
+        "scan", "--builtin", "golden", "--method", "auto", "--k-schedule", "1000000",
+        "--trials", "1000", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [(r["k"], r["method"]) for r in rows] == [(1000000, "mc")]
+
+
+def test_scan_exact_past_the_bit_cap_exits_3(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        "scan", "--builtin", "golden", "--method", "exact", "--k-schedule", "1000000",
+        "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "simulate_walk" in err
+
+
 def test_exit_code_infeasible(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import enumerate_walk_counts
+from toruswalk import walk
 from toruswalk import (
     CapExceededError,
+    LatticeDistribution,
     ValidationError,
     builtin_generators,
     exact_walk_distribution,
@@ -51,6 +54,22 @@ def test_state_cap_guard():
     G = load_generators([[0.1], [0.2], [0.3], [0.4], [0.5]])
     with pytest.raises(CapExceededError, match="simulate_walk"):
         exact_walk_distribution(G, 100)
+
+
+def test_bit_cap_guard_refuses_before_counting():
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        exact_walk_distribution(GOLDEN, 10**6)
+
+
+def test_bit_cap_guard_boundary(monkeypatch):
+    # the guard compares the bound k(k+1) on the count bits with the cap,
+    # and the cap admits k = 2^16
+    assert 2**16 * (2**16 + 1) <= walk.WALK_BITS_CAP
+    monkeypatch.setattr(walk, "WALK_BITS_CAP", 3 * 4)
+    assert exact_walk_distribution(GOLDEN, 3).counts == enumerate_walk_counts(1, 3)
+    monkeypatch.setattr(walk, "WALK_BITS_CAP", 3 * 4 - 1)
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        exact_walk_distribution(GOLDEN, 3)
 
 
 def test_negative_k_rejected():
@@ -111,6 +130,37 @@ def test_simulate_matches_exact_distribution():
     assert set(emp) == set(exact)
     for pt, w in exact.items():
         assert emp[pt] == pytest.approx(w, abs=3e-3)
+
+
+@pytest.mark.parametrize("n,k", [(2, 5), (3, 4)])
+def test_simulate_matches_path_enumeration(n, k):
+    # sqrt_primes with d = 1 projects distinct coefficient vectors to
+    # distinct points, so each atom's weight is one coefficient vector's.
+    G = builtin_generators("sqrt_primes", n, 1)
+    counts = enumerate_walk_counts(n, k)
+    L = LatticeDistribution(k=k, n=n, counts=counts, denominator=(2 * n) ** k)
+    exact = dict(project_to_torus(L, G).atoms)
+    assert len(exact) == len(counts)
+    trials, delta = 10**6, 1e-9
+    emp = dict(simulate_walk(G, k, trials=trials, seed=2024).atoms)
+    assert set(emp) <= set(exact)
+    # Hoeffding for each atom's frequency, union bound over the atoms
+    radius = math.sqrt(math.log(2 * len(exact) / delta) / (2 * trials))
+    for pt, w in exact.items():
+        assert abs(emp.get(pt, 0.0) - w) <= radius
+
+
+def test_simulate_memory_does_not_grow_with_k():
+    peaks = []
+    for k in (20, 20_000):
+        tracemalloc.start()
+        try:
+            simulate_walk(GOLDEN, k, trials=1000, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a trials x k draw matrix at k = 20 000 would be 160 MB
+    assert peaks[1] < peaks[0] + 2**20
 
 
 def test_simulate_deterministic():

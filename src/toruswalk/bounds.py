@@ -13,9 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diophantine import nearest_integer_distance
 from .errors import InfeasibleError, ValidationError, check_box_size
-from .fourier import FREQ_BOX_CAP, frequency_box, weight_R
+from .fourier import FREQ_BOX_CAP, _phases, _weight_rows, frequency_box
 from .generators import GeneratorMatrix
 
 
@@ -74,11 +73,14 @@ def cohort_sum_S(
         raise ValidationError("k must be >= 0")
     check_box_size("frequency", M, G.d, box_cap)
     A = G.as_array()
+    scale = -(4.0 * k / G.n)
     terms = []
-    for h in frequency_box(G.d, M):
-        x = 2.0 * A.dot(np.asarray(h, dtype=float))
-        _, euc = nearest_integer_distance(x)
-        terms.append(math.exp(-(4.0 * k / G.n) * euc * euc) / weight_R(h))
+    for H in frequency_box(G.d, M):
+        X = 2.0 * _phases(A, H)
+        dist = np.abs(X - np.rint(X))
+        euc = np.fromiter(map(math.hypot, *dist.T.tolist()), dtype=float, count=len(H))
+        gauss = np.fromiter(map(math.exp, (scale * euc * euc).tolist()), dtype=float, count=len(H))
+        terms.extend((gauss / _weight_rows(H)).tolist())
     s = math.fsum(terms)
     return s, s <= 0.5 / (M + 1)
 

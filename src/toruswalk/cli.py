@@ -12,11 +12,14 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
 from .errors import ToruswalkError, read_input_text
+from .fourier import _phases
 from .scan import (
     ScanConfig,
     parse_k_schedule,
@@ -141,8 +144,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_dirichlet(args) -> int:
     G = resolve_matrix(args)[0]
     h = dirichlet_search(G, args.q)
-    A = G.as_array()
-    sup, euc = nearest_integer_distance(A.dot(list(h)))
+    sup, euc = nearest_integer_distance(_phases(G.as_array(), np.array([h]))[0])
     print(
         json.dumps(
             {"h": list(h), "sup_distance": sup, "euclidean_distance": euc, "q": args.q},

@@ -8,13 +8,15 @@ is only ever certified over the range that was actually scanned.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError, check_box_size
+from .fourier import _box_rows, _digits, _phases
 from .generators import GeneratorMatrix
 
 SEARCH_BOX_CAP = 4_000_000
@@ -29,26 +31,39 @@ def nearest_integer_distance(x) -> tuple[float, float]:
     return max(dists), math.hypot(*dists)
 
 
-def _coord_values(s: int):
+def _coord_values(s: int) -> np.ndarray:
     """Per-coordinate scan order 0, 1, -1, 2, -2, ..., s, -s."""
-    yield 0
-    for v in range(1, s + 1):
-        yield v
-        yield -v
+    values = np.zeros(2 * s + 1, dtype=np.int64)
+    values[1::2] = np.arange(1, s + 1)
+    values[2::2] = -values[1::2]
+    return values
 
 
-def shell_vectors(d: int, s: int):
-    """Integer vectors with sup norm exactly s, positive-before-negative
-    order with the leading coordinate varying fastest (unit vector e_1
-    comes first in shell 1)."""
-    for h in itertools.product(_coord_values(s), repeat=d):
-        if max(abs(v) for v in h) == s:
-            yield h[::-1]
+def _shell(d: int, s: int) -> np.ndarray:
+    """Integer vectors with sup norm exactly s, in the scan order of
+    estimate_bad_constant restricted to the shell: the first coordinate
+    varies fastest, so the unit vector e_1 comes first in shell 1."""
+    values = _coord_values(s)
+    base = len(values)  # digits base-2 and base-1 hold +-s
+    prefix = _digits(np.arange(base ** (d - 1)), base, d - 1)
+    on = (prefix >= base - 2).any(axis=1)  # such a prefix takes every last digit
+    width = np.where(on, base, 2)
+    rows = np.repeat(np.arange(len(prefix)), width)
+    last = np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)
+    last += np.where(on, 0, base - 2)[rows]
+    return values[np.column_stack([prefix[rows], last])[:, ::-1]]
 
 
-def _sup_dist_Ah(A: np.ndarray, h) -> float:
-    x = A.dot(np.asarray(h, dtype=float))
-    return float(np.max(np.abs(x - np.rint(x))))
+def _row_max(X: np.ndarray) -> np.ndarray:
+    """Maximum of each row, taken over the columns: np.max(X, axis=1) is many
+    times slower on the few columns these arrays have."""
+    return reduce(np.maximum, X.T)
+
+
+def _sup_distance(A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """{Ah}_inf of each integer row h of H."""
+    X = _phases(A, H)
+    return _row_max(np.abs(X - np.rint(X)))
 
 
 def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
@@ -68,12 +83,14 @@ def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
     target = 1.0 / q
     best_h, best_dist = None, math.inf
     for s in range(1, H + 1):
-        for h in shell_vectors(G.d, s):
-            dist = _sup_dist_Ah(A, h)
-            if dist < target:
-                return h
-            if dist < best_dist:
-                best_h, best_dist = h, dist
+        shell = _shell(G.d, s)
+        dist = _sup_distance(A, shell)
+        i = int(np.argmax(dist < target))
+        if dist[i] < target:
+            return tuple(int(v) for v in shell[i])
+        i = int(np.argmin(dist))
+        if dist[i] < best_dist:
+            best_h, best_dist = tuple(int(v) for v in shell[i]), float(dist[i])
     raise InternalConsistencyError(
         f"no h with {{Ah}}_inf < 1/q found up to ||h||_inf = {H}; "
         f"best candidate {best_h} at distance {best_dist}"
@@ -97,32 +114,25 @@ class BadApproxEstimate:
 def estimate_bad_constant(
     G: GeneratorMatrix, hmax: int, box_cap: int = SEARCH_BOX_CAP
 ) -> BadApproxEstimate:
-    """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n)."""
+    """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n).
+
+    The box is scanned with coordinate values 0, 1, -1, ..., hmax, -hmax and
+    the first coordinate varying fastest, in blocks of at most _BLOCK rows;
+    the first minimum in that order is kept.  Time is proportional to the
+    box size, memory to one block.
+    """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
     check_box_size("search", hmax, G.d, box_cap)
     A = G.as_array()
     exponent = G.d / G.n
-
-    if G.d == 1:
-        hs = np.empty(2 * hmax, dtype=np.int64)
-        hs[0::2] = np.arange(1, hmax + 1)
-        hs[1::2] = -np.arange(1, hmax + 1)
-        X = np.outer(hs.astype(float), A[:, 0])
-        sup = np.max(np.abs(X - np.rint(X)), axis=1)
-        vals = sup * np.abs(hs).astype(float) ** exponent
-        idx = int(np.argmin(vals))
-        return BadApproxEstimate(
-            c_est=float(vals[idx]), argmin_h=(int(hs[idx]),), hmax=hmax, certified_up_to=hmax
-        )
-
-    hs = [h[::-1] for h in itertools.product(_coord_values(hmax), repeat=G.d) if any(h)]
-    H = np.array(hs, dtype=float)
-    X = H.dot(A.T)
-    sup = np.max(np.abs(X - np.rint(X)), axis=1)
-    norms = np.max(np.abs(H), axis=1)
-    vals = sup * norms ** exponent
-    idx = int(np.argmin(vals))
-    return BadApproxEstimate(
-        c_est=float(vals[idx]), argmin_h=hs[idx], hmax=hmax, certified_up_to=hmax
-    )
+    # ||h||_inf^(d/n) by CPython's float power, whose bits numpy's does not always match
+    scale = np.fromiter(map(pow, range(hmax + 1), repeat(exponent)), dtype=float, count=hmax + 1)
+    best_val, best_h = math.inf, None
+    for T in _box_rows(_coord_values(hmax), G.d):
+        H = T[:, ::-1]
+        vals = _sup_distance(A, H) * scale[_row_max(np.abs(H))]
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_h = float(vals[i]), tuple(int(v) for v in H[i])
+    return BadApproxEstimate(c_est=best_val, argmin_h=best_h, hmax=hmax, certified_up_to=hmax)

@@ -2,14 +2,18 @@
 they feed: a single-frequency lower bound and the Erdos-Turan-Koksma
 upper bound.
 
-Frequency boxes are always iterated in a fixed lexicographic order and
-summed with math.fsum so results are deterministic bit for bit.
+Frequency boxes are always iterated in a fixed order, in blocks of at
+most _BLOCK rows, and summed with math.fsum so results are deterministic
+bit for bit and do not depend on the block size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import reduce
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ValidationError, check_box_size
 from .generators import GeneratorMatrix
@@ -17,6 +21,85 @@ from .generators import GeneratorMatrix
 FREQ_BOX_CAP = 2_000_000
 
 TWO_PI = 2.0 * math.pi
+
+# Rows per block of a frequency box: bounds the memory of every box pass.
+_BLOCK = 2**16
+
+
+def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each index below base^width, most significant
+    first, one row each."""
+    out = np.empty((len(idx), width), dtype=np.int64)
+    for j in range(width - 1, 0, -1):
+        idx, out[:, j] = np.divmod(idx, base)
+    if width:
+        out[:, 0] = idx
+    return out
+
+
+def _box_rows(values: np.ndarray, d: int):
+    """The nonzero rows of values^d, the last coordinate varying fastest, as
+    int64 arrays of at most _BLOCK rows.  values holds 0 once."""
+    base = len(values)
+    size = base ** d
+    zero = int(np.flatnonzero(values == 0)[0]) * (size - 1) // (base - 1)  # all digits on 0
+    for start in range(0, size, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, size))
+        if start <= zero < start + len(idx):
+            idx = np.delete(idx, zero - start)
+        if len(idx):
+            yield values[_digits(idx, base, d)]
+
+
+def frequency_box(d: int, bound: int):
+    """Nonzero integer vectors with sup norm <= bound, lexicographic order,
+    as int64 arrays of at most _BLOCK rows."""
+    return _box_rows(np.arange(-bound, bound + 1), d)
+
+
+def _fsum_rows(X: np.ndarray) -> np.ndarray:
+    """math.fsum of each row (up to the sign of a zero sum).  One addition is
+    already the correctly rounded sum of two terms."""
+    if X.shape[1] == 1:
+        return X[:, 0]
+    if X.shape[1] == 2:
+        return X[:, 0] + X[:, 1]
+    return np.fromiter(map(math.fsum, X.tolist()), dtype=float, count=len(X))
+
+
+def _phases(A: np.ndarray, H: np.ndarray, exact: bool = False) -> np.ndarray:
+    """h . alpha_j for each integer-valued row h of H and each row alpha_j of A.
+
+    The products are summed left to right with elementwise operations, never
+    BLAS, whose rounding depends on the block size.  exact=True sums them
+    with math.fsum, as qhat defines the phase; the two agree for d <= 2.
+    """
+    n, d = A.shape
+    if exact and d > 2:
+        products = H[:, None, :] * A[None, :, :]
+        return _fsum_rows(products.reshape(-1, d)).reshape(len(H), n)
+    X = H[:, :1] * A[:, 0]
+    for i in range(1, d):
+        X = X + H[:, i : i + 1] * A[:, i]
+    return X
+
+
+def _weight_rows(H: np.ndarray) -> np.ndarray:
+    """weight_R of each row (a product over columns: a reduction along a
+    short axis 1 is many times slower in numpy)."""
+    return reduce(np.multiply, np.maximum(1, np.abs(H)).T).astype(float)
+
+
+def _qhat_rows(A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """qhat of each row of H, with math.cos and the fsum order of its definition."""
+    X = (TWO_PI * _phases(A, H, exact=True)).ravel()
+    cosines = np.fromiter(map(math.cos, X.tolist()), dtype=float, count=len(X))
+    return _fsum_rows(cosines.reshape(len(H), A.shape[0])) / A.shape[0]
+
+
+def _abs_pow(q: np.ndarray, k: int) -> np.ndarray:
+    """|q|^k by CPython's float power, whose bits numpy's does not always match."""
+    return np.fromiter(map(pow, np.abs(q).tolist(), repeat(k)), dtype=float, count=len(q))
 
 
 def _check_h(G: GeneratorMatrix, h) -> tuple:
@@ -32,9 +115,7 @@ def qhat(G: GeneratorMatrix, h) -> float:
     Real by the +-alpha symmetry; exactly 1 at h = 0.
     """
     h = _check_h(G, h)
-    return math.fsum(
-        math.cos(TWO_PI * math.fsum(hi * a for hi, a in zip(h, row))) for row in G.entries
-    ) / G.n
+    return float(_qhat_rows(G.as_array(), np.array([h], dtype=float))[0])
 
 
 def weight_R(h) -> int:
@@ -75,13 +156,6 @@ def single_h_lower_bound(G: GeneratorMatrix, k: int, h, r=None) -> float:
     return math.sqrt(q ** (2 * k) * prod)
 
 
-def frequency_box(d: int, bound: int):
-    """Nonzero integer vectors with sup norm <= bound, lexicographic order."""
-    for h in itertools.product(range(-bound, bound + 1), repeat=d):
-        if any(v != 0 for v in h):
-            yield h
-
-
 def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """Max of the default single-frequency bound over 0 < ||h||_inf <= hmax.
 
@@ -89,11 +163,15 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
+    if k < 0:
+        raise ValidationError("k must be >= 0")
+    A = G.as_array()
     best_val, best_h = -math.inf, None
-    for h in frequency_box(G.d, hmax):
-        v = single_h_lower_bound(G, k, h)
-        if v > best_val:
-            best_val, best_h = v, h
+    for H in frequency_box(G.d, hmax):
+        vals = _abs_pow(_qhat_rows(A, H), k) / (math.pi ** G.d * _weight_rows(H))
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_h = float(vals[i]), tuple(int(v) for v in H[i])
     return best_val, best_h
 
 
@@ -108,5 +186,8 @@ def etk_upper_bound(
     if k < 0:
         raise ValidationError("k must be >= 0")
     check_box_size("frequency", M, G.d, box_cap)
-    terms = [abs(qhat(G, h)) ** k / weight_R(h) for h in frequency_box(G.d, M)]
+    A = G.as_array()
+    terms = []
+    for H in frequency_box(G.d, M):
+        terms.extend((_abs_pow(_qhat_rows(A, H), k) / _weight_rows(H)).tolist())
     return (1.5 ** G.d) * (2.0 / (M + 1) + math.fsum(terms))

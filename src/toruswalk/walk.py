@@ -153,8 +153,12 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     # direction 2j is +alpha_j, 2j+1 is -alpha_j
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
     m = steps[:, 0::2] - steps[:, 1::2]
-    uniq, counts = np.unique(m, axis=0, return_counts=True)
-    return _projected(G, uniq.tolist(), counts.tolist(), trials, "empirical")
+    del steps  # not held through the projection
+    # distinct rows and their counts: sort the rows, then cut at each change
+    m = m[np.lexsort(m.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(m[1:] != m[:-1], axis=1))))
+    counts = np.diff(np.append(starts, trials))
+    return _projected(G, m[starts].tolist(), counts.tolist(), trials, "empirical")
 
 
 def pointset_to_csv_text(P: WeightedPointSet) -> str:
@@ -168,11 +172,15 @@ def pointset_to_csv_text(P: WeightedPointSet) -> str:
 def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPointSet:
     atoms = []
     d = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [float(f) for f in line.split(",")]
+        try:
+            fields = [float(f) for f in line.split(",")]
+        except ValueError:
+            msg = f"point-set line {lineno} has a non-numeric field: {line!r}"
+            raise ValidationError(msg) from None
         if len(fields) < 2:
             raise ValidationError(f"point-set line needs >= 2 fields: {line!r}")
         if d is None:

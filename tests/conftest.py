@@ -6,6 +6,7 @@ library paths are checked against independent code.
 """
 
 import itertools
+import math
 import re
 from collections import defaultdict
 
@@ -85,6 +86,99 @@ def brute_discrepancy_grid(P: WeightedPointSet, res: int) -> float:
         )
         best = max(best, abs(mass - vol))
     return best
+
+
+def scan_order_box(d: int, hmax: int):
+    """Nonzero integer vectors with sup norm <= hmax in the search's scan
+    order: coordinate values 0, 1, -1, ..., hmax, -hmax, the first
+    coordinate varying fastest."""
+    values = [0] + [v for s in range(1, hmax + 1) for v in (s, -s)]
+    for t in itertools.product(values, repeat=d):
+        if any(t):
+            yield t[::-1]
+
+
+def lex_box(d: int, bound: int):
+    """Nonzero integer vectors with sup norm <= bound, lexicographic order."""
+    for h in itertools.product(range(-bound, bound + 1), repeat=d):
+        if any(h):
+            yield h
+
+
+def _weight(h) -> int:
+    r = 1
+    for v in h:
+        r *= max(1, abs(v))
+    return r
+
+
+def _sup_dist_left_to_right(G, h) -> float:
+    """{Ah}_inf with each h . alpha_j summed left to right in CPython floats."""
+    sup = 0.0
+    for row in G.entries:
+        x = h[0] * row[0]
+        for hi, a in zip(h[1:], row[1:]):
+            x = x + hi * a
+        sup = max(sup, abs(x - round(x)))
+    return sup
+
+
+def brute_bad_constant(G, hmax: int):
+    """(first minimum, its h) of {Ah}_inf * ||h||_inf^(d/n) in scan order."""
+    best_val, best_h = math.inf, None
+    for h in scan_order_box(G.d, hmax):
+        val = _sup_dist_left_to_right(G, h) * float(max(abs(v) for v in h)) ** (G.d / G.n)
+        if val < best_val:
+            best_val, best_h = val, h
+    return best_val, best_h
+
+
+def brute_dirichlet(G, q: float):
+    """First h in shell order (sup norm 1, 2, ..., scan order within a
+    shell) with {Ah}_inf < 1/q."""
+    bound = int(math.floor(q ** (G.n / G.d)))
+    for s in range(1, bound + 1):
+        for h in scan_order_box(G.d, s):
+            if max(abs(v) for v in h) == s and _sup_dist_left_to_right(G, h) < 1.0 / q:
+                return h
+    return None
+
+
+def brute_qhat(G, h) -> float:
+    """(1/n) sum_j cos(2 pi h . alpha_j), each sum taken with math.fsum."""
+    return math.fsum(
+        math.cos(2.0 * math.pi * math.fsum(hi * a for hi, a in zip(h, row)))
+        for row in G.entries
+    ) / G.n
+
+
+def brute_etk(G, k: int, M: int) -> float:
+    terms = [abs(brute_qhat(G, h)) ** k / _weight(h) for h in lex_box(G.d, M)]
+    return 1.5 ** G.d * (2.0 / (M + 1) + math.fsum(terms))
+
+
+def brute_best_fourier(G, k: int, hmax: int):
+    """(first maximum, its h) of |qhat|^k / (pi^d R(h)) in lexicographic order."""
+    best_val, best_h = -math.inf, None
+    for h in lex_box(G.d, hmax):
+        val = abs(brute_qhat(G, h)) ** k / (math.pi ** G.d * _weight(h))
+        if val > best_val:
+            best_val, best_h = val, h
+    return best_val, best_h
+
+
+def brute_cohort_sum(G, k: int, M: int) -> float:
+    """sum of exp(-(4k/n) {2Ah}^2) / R(h), {.} the Euclidean distance to the
+    nearest integer vector, each h . alpha_j taken with math.fsum."""
+    terms = []
+    for h in lex_box(G.d, M):
+        dists = []
+        for row in G.entries:
+            x = 2.0 * math.fsum(hi * a for hi, a in zip(h, row))
+            dists.append(abs(x - round(x)))
+        euc = math.hypot(*dists)
+        terms.append(math.exp(-(4.0 * k / G.n) * euc * euc) / _weight(h))
+    return math.fsum(terms)
 
 
 def random_point_set(rng: np.random.Generator, n_atoms: int, d: int) -> WeightedPointSet:

@@ -101,6 +101,14 @@ def test_missing_input_file(capsys, tmp_path, argv):
     assert missing in err
 
 
+def test_disc_non_numeric_field_exits_2(capsys, tmp_path):
+    pts = tmp_path / "bad.csv"
+    pts.write_text("0.5,0.5\n0.1,abc\n")
+    code, _, err = run_cli(capsys, "disc", str(pts))
+    assert code == 2
+    assert "line 2" in err and "0.1,abc" in err
+
+
 def test_scan_auto_falls_back_to_mc_past_the_bit_cap(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,

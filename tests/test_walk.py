@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import enumerate_walk_counts
@@ -161,6 +163,18 @@ def test_simulate_memory_does_not_grow_with_k():
             tracemalloc.stop()
     # a trials x k draw matrix at k = 20 000 would be 160 MB
     assert peaks[1] < peaks[0] + 2**20
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2)])
+def test_simulate_aggregates_each_distinct_draw(n, d):
+    # the same Philox draw, aggregated independently with a Counter
+    G = builtin_generators("sqrt_primes", n, d)
+    k, trials, seed = 40, 5000, 3
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
+    counts = Counter(map(tuple, (steps[:, 0::2] - steps[:, 1::2]).tolist()))
+    expected = walk._projected(G, counts.keys(), counts.values(), trials, "empirical")
+    assert simulate_walk(G, k, trials, seed) == expected
 
 
 def test_simulate_deterministic():

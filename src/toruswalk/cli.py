@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dist(args) -> int:
     G = resolve_matrix(args)[0]
-    if args.trials:
+    if args.trials is not None:
         P = simulate_walk(G, args.k, trials=args.trials, seed=args.seed)
     else:
         P = project_to_torus(exact_walk_distribution(G, args.k), G)
@@ -132,7 +132,7 @@ def _cmd_bounds(args) -> int:
     G = resolve_matrix(args)[0]
     report = bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax)
     out = report.to_dict()
-    if args.etk_m:
+    if args.etk_m is not None:
         from .fourier import etk_upper_bound
 
         out["etk"] = etk_upper_bound(G, args.k, args.etk_m)

@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError, check_box_size
+from .errors import CapExceededError, InternalConsistencyError, ValidationError, check_box_size
 from .fourier import _box_rows, _digits, _phases
 from .generators import GeneratorMatrix
 
@@ -74,11 +74,15 @@ def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
     principle; a failed scan (possible only through float boundary
     effects) raises carrying the best candidate found.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValidationError("q must be >= 1")
-    H = int(math.floor(q ** (G.n / G.d)))
+    try:
+        H = int(math.floor(q ** (G.n / G.d)))
+    except OverflowError:
+        raise CapExceededError(f"search bound q^(n/d) overflows at q={q}") from None
     if H < 1:
         raise ValidationError(f"search bound floor(q^(n/d)) = {H} < 1")
+    check_box_size("Dirichlet search", H, G.d, SEARCH_BOX_CAP)
     A = G.as_array()
     target = 1.0 / q
     best_h, best_dist = None, math.inf

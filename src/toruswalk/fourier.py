@@ -165,6 +165,7 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
         raise ValidationError("hmax must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
+    check_box_size("frequency", hmax, G.d, FREQ_BOX_CAP)
     A = G.as_array()
     best_val, best_h = -math.inf, None
     for H in frequency_box(G.d, hmax):

@@ -3,27 +3,135 @@
 The walk is tracked on the coefficient lattice Z^n: after k steps the
 position is the mod-1 image of m @ A where m is the vector of net signed
 choices per generator.  Counts are exact big integers over the common
-denominator (2n)^k; floats enter only when projecting to the torus.
+denominator (2n)^k, from closed-form binomial rows: C(k, (k+m)/2) for one
+generator; C(k, (k+m1+m2)/2) C(k, (k+m1-m2)/2) for two (the 2-D simple walk
+turned by 45 degrees); for n >= 3 a sum over the number j of steps taken by
+the first generator, C(k, j) L_1(j) (x) L_{n-1}(k-j).  Floats enter only when
+projecting to the torus.
+
+A count whose weight rounds to 0.0 cannot reach a point set, so the
+projection of an exact walk builds only the counts above a threshold: for
+one generator, one big integer at a time, from the centre of the row
+outward.  The big-integer work then follows the surviving atoms, about
+sqrt(k) of them for n = 1, not the k + 1 counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .generators import GeneratorMatrix, frac
+from .fourier import _phases
+from .generators import GeneratorMatrix
 
-# Reachable-state guard for the exact convolution, ~(2k+1)^n states.
+# Reachable-state guard for the exact walk, ~(2k+1)^n states.
 WALK_STATE_CAP = 5_000_000
 # Big-integer guard for the n = 1 binomial counts: the k+1 counts C(k, j)
 # hold at most k bits each (about 0.72 k^2 in total), so k(k+1) bounds the
-# total.  2^33 admits k <= 92 681; a golden walk plus projection at
-# k = 2^16 peaks near 840 MB.
+# total.  2^33 admits k <= 92 681.  Projecting the walk holds one count at a
+# time, but looking up LatticeDistribution.counts builds all of them: about
+# 400 MB at k = 2^16.
 WALK_BITS_CAP = 2**33
+
+# A weight c / denominator rounds to 0.0 when it is at most 2^-1075, half the
+# smallest subnormal float.
+_ZERO_EXP = 1075
+
+
+def _binomial_pairs(k: int, tau: int):
+    """C(k, j) for j = floor(k/2) down to 0, each twice (for j and k - j) but
+    a centre j = k/2 once, stopping at the first count <= tau.  One big
+    integer is held at a time."""
+    j = k // 2
+    c = math.comb(k, j)
+    if k % 2 == 0:
+        if c <= tau:
+            return
+        yield c
+        c = c * j // (k - j + 1)  # C(k, j-1) = C(k, j) j / (k - j + 1)
+        j -= 1
+    while j >= 0 and c > tau:
+        yield c
+        yield c
+        c = c * j // (k - j + 1)
+        j -= 1
+
+
+def _rows(n: int, k: int, tau: int = 0):
+    """Every coefficient vector of the k-step walk with n generators, and the
+    counts of those whose count exceeds tau.
+
+    Returns (rows, counts): rows is an (N, n) int64 array holding the vectors
+    whose count exceeds tau first; counts is an iterator over their counts in
+    the same order, built as it is consumed.  Every count left out is <= tau.
+    """
+    if n == 1:
+        # centre outward: m = 0, -2, 2, ... (k even) or -1, 1, -3, 3, ... (k odd)
+        m = np.arange(k % 2, k + 1, 2)
+        m = np.column_stack([-m, m]).ravel()[1 - k % 2 :]
+        return m[:, None], _binomial_pairs(k, tau)
+    if n == 2:
+        # counts(m1, m2) = C(k, u) C(k, v) with u = (k+m1+m2)/2, v = (k+m1-m2)/2,
+        # which is b[p] b[q] for p = min(u, k-u), q = min(v, k-v) and the
+        # increasing half row b; b[p] b[q] > tau for q >= qlo[p]
+        b = [math.comb(k, j) for j in range(k // 2 + 1)]
+        qlo = np.array([bisect.bisect_right(b, tau // c) for c in b])
+        U, V = np.divmod(np.arange((k + 1) ** 2), k + 1)
+        P, Q = np.minimum(U, k - U), np.minimum(V, k - V)
+        keep = Q >= qlo[P]
+        order = np.argsort(~keep, kind="stable")
+        U, V, P, Q = U[order], V[order], P[order], Q[order]
+        kept = int(keep.sum())
+        counts = (b[p] * b[q] for p, q in zip(P[:kept].tolist(), Q[:kept].tolist()))
+        return np.column_stack([U + V - k, U - V]), counts
+    # n >= 3: split off the first generator, over a dense object array on [-k, k]^n
+    total = np.zeros((2 * k + 1,) * n, dtype=object)
+    for j in range(k + 1):
+        rest, rest_counts = _rows(n - 1, k - j)
+        rest_counts = np.fromiter(rest_counts, dtype=object, count=len(rest))
+        at = tuple((rest + k).T)
+        first, first_counts = _rows(1, j)
+        cj = math.comb(k, j)
+        for m1, c1 in zip(first[:, 0].tolist(), first_counts):
+            total[(m1 + k, *at)] += cj * c1 * rest_counts
+    rows = np.argwhere(total != 0)
+    counts = total[tuple(rows.T)]
+    order = np.argsort(counts <= tau, kind="stable")
+    kept = int(np.count_nonzero(counts > tau))
+    return rows[order] - k, iter(counts[order][:kept].tolist())
+
+
+class _Counts(Mapping):
+    """Read-only mapping m -> count of the exact walk.  Every count is built,
+    once, on the first lookup; project_to_torus asks _rows for the counts
+    that can survive instead."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+    @cached_property
+    def _dict(self) -> dict:
+        rows, counts = _rows(self.n, self.k)
+        return dict(zip(map(tuple, rows.tolist()), counts))
+
+    def __getitem__(self, m):
+        return self._dict[m]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+    def __repr__(self):
+        return f"_Counts(n={self.n}, k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -32,7 +140,7 @@ class LatticeDistribution:
 
     k: int
     n: int
-    counts: dict  # m tuple in Z^n -> positive int
+    counts: Mapping  # m tuple in Z^n -> positive int
     denominator: int  # (2n)^k
 
     def check(self) -> None:
@@ -61,9 +169,10 @@ class WeightedPointSet:
 def exact_walk_distribution(G: GeneratorMatrix, k: int, state_cap: int = WALK_STATE_CAP) -> LatticeDistribution:
     """k-fold convolution of the single-step measure on Z^n, exact integers.
 
-    For a single generator the counts are binomial and computed directly;
-    otherwise a dynamic program adds +-e_j per step over the reachable box.
-    Both caps are checked before any count is built.
+    The counts come from binomial rows (see the module docstring) and are
+    built when first looked up; project_to_torus builds only those whose
+    weight can survive.  Both caps are checked here, before any count is
+    built.
     """
     if k < 0:
         raise ValidationError("step count k must be >= 0")
@@ -78,58 +187,85 @@ def exact_walk_distribution(G: GeneratorMatrix, k: int, state_cap: int = WALK_ST
             f"exact binomial counts need up to {k * (k + 1)} bits (cap {WALK_BITS_CAP}); "
             "use simulate_walk instead"
         )
-    denom = (2 * n) ** k
-
-    if n == 1:
-        # counts(m) = C(k, (k+m)/2) for m = -k..k with m = k mod 2
-        counts = {}
-        c = 1
-        for j in range(k + 1):
-            counts[(2 * j - k,)] = c
-            c = c * (k - j) // (j + 1)
-        return LatticeDistribution(k=k, n=1, counts=counts, denominator=denom)
-
-    counts = {(0,) * n: 1}
-    for _ in range(k):
-        nxt: dict = defaultdict(int)
-        for m, c in counts.items():
-            for j in range(n):
-                for s in (1, -1):
-                    mm = m[:j] + (m[j] + s,) + m[j + 1:]
-                    nxt[mm] += c
-        counts = dict(nxt)
-    return LatticeDistribution(k=k, n=n, counts=counts, denominator=denom)
+    return LatticeDistribution(k=k, n=n, counts=_Counts(n, k), denominator=(2 * n) ** k)
 
 
-def _project_m(m, A_cols) -> tuple:
-    """Torus image of a coefficient vector: frac of m . alpha per coordinate."""
-    return tuple(frac(math.fsum(mi * a for mi, a in zip(m, col))) for col in A_cols)
-
-
-def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str) -> WeightedPointSet:
+def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str, tau: int = 0):
     """Push integer counts on coefficient vectors to [0,1)^d.
 
-    Bit-identical points are merged as integers and divided by the
-    denominator once, so each float weight carries a single rounding.
-    Atoms whose weight underflows to 0.0 are dropped.
+    rows is an (N, n) int64 array; counts iterates over the counts of its
+    first rows, and every row it does not reach has a count <= tau.  The
+    torus points of all rows are computed at once, and bit-identical points
+    are merged by a sort and run boundaries: counts are summed as integers
+    within a run and divided by the denominator once, so each float weight
+    carries a single rounding.  Atoms whose weight underflows to 0.0 are
+    dropped.
+
+    The rows left out total T <= (N - reached) tau.  A point made only of
+    them vanishes when T / denominator rounds to 0.0, and a point that
+    merges them with reached rows keeps its weight when (c + T) / denominator
+    rounds as c / denominator does; other points receive nothing from them.
+    When either test fails the result would depend on the counts left out,
+    and None is returned.
     """
-    A_cols = [tuple(G.entries[j][i] for j in range(G.n)) for i in range(G.d)]
-    merged: dict = defaultdict(int)
-    for m, c in zip(rows, counts):
-        merged[_project_m(m, A_cols)] += c
-    atoms = []
-    for pt in sorted(merged):
-        w = merged[pt] / denominator
-        if w > 0.0:
-            atoms.append((pt, w))
-    return WeightedPointSet(d=G.d, atoms=tuple(atoms), provenance=provenance)
+    X = _phases(G.as_array().T, rows, exact=True)
+    X -= np.floor(X)
+    X[X >= 1.0] = 0.0  # the guard of generators.frac
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    starts = np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(starts) - 1
+    single = (np.bincount(run) == 1).tolist()
+
+    weights = [0.0] * len(single)
+    shared: dict = defaultdict(int)  # run -> summed count, for runs of several rows
+    last = w = None
+    reached = 0
+    for r, c in zip(run.tolist(), counts):
+        reached += 1
+        if not single[r]:
+            shared[r] += c
+        elif c == last:  # +-m share one count, divided once
+            weights[r] = w
+        else:
+            last, w = c, c / denominator
+            weights[r] = w
+    tail = (len(run) - reached) * tau
+    if tail:
+        if tail / denominator != 0.0:
+            return None
+        mixed = np.zeros(len(single), dtype=bool)
+        mixed[run[reached:]] = True
+        if any(mixed[r] and (c + tail) / denominator != c / denominator for r, c in shared.items()):
+            return None
+    for r, c in shared.items():
+        weights[r] = c / denominator
+    weights = np.array(weights)
+    survive = weights > 0.0
+    atoms = tuple(zip(map(tuple, X[starts][survive].tolist()), weights[survive].tolist()))
+    return WeightedPointSet(d=G.d, atoms=atoms, provenance=provenance)
 
 
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
-    """Push the lattice distribution to [0,1)^d, merging bit-identical points."""
+    """Push the lattice distribution to [0,1)^d, merging bit-identical points.
+
+    For a distribution from exact_walk_distribution only the counts above
+    tau = denominator / ((2k+1)^n 2^1075) are built: the at most (2k+1)^n
+    counts below it total at most 2^-1075 of the denominator.  If leaving
+    them out could move a weight (see _projected), every count is built.
+    """
     if L.n != G.n:
         raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
-    return _projected(G, L.counts.keys(), L.counts.values(), L.denominator, "exact")
+    counts = L.counts
+    if isinstance(counts, _Counts):
+        tau = L.denominator // ((2 * L.k + 1) ** L.n << _ZERO_EXP)
+        P = _projected(G, *_rows(L.n, L.k, tau), L.denominator, "exact", tau)
+        if P is not None:
+            return P
+        return _projected(G, *_rows(L.n, L.k), L.denominator, "exact")
+    rows = np.array(list(counts), dtype=np.int64).reshape(-1, L.n)
+    return _projected(G, rows, counts.values(), L.denominator, "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
@@ -158,7 +294,7 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     m = m[np.lexsort(m.T[::-1])]
     starts = np.flatnonzero(np.concatenate(([True], np.any(m[1:] != m[:-1], axis=1))))
     counts = np.diff(np.append(starts, trials))
-    return _projected(G, m[starts].tolist(), counts.tolist(), trials, "empirical")
+    return _projected(G, m[starts], counts.tolist(), trials, "empirical")
 
 
 def pointset_to_csv_text(P: WeightedPointSet) -> str:

@@ -7,6 +7,7 @@ library paths are checked against independent code.
 
 import itertools
 import math
+import operator
 import re
 from collections import defaultdict
 
@@ -45,6 +46,23 @@ def enumerate_walk_counts(n: int, k: int) -> dict:
             m[v // 2] += 1 if v % 2 == 0 else -1
         counts[tuple(m)] += 1
     return dict(counts)
+
+
+def project_counts(G, counts: dict, denominator: int) -> tuple:
+    """Atoms of a complete count dict pushed to the torus, one vector at a
+    time: frac of math.fsum(m . column) per coordinate, bit-identical points
+    merged in a dict, each merged count divided once, zero weights dropped."""
+    columns = list(zip(*G.entries))
+    merged: dict = defaultdict(int)
+    for m, c in counts.items():
+        pt = []
+        for col in columns:
+            x = math.fsum(map(operator.mul, m, col))
+            f = x - math.floor(x)
+            pt.append(0.0 if f >= 1.0 else f)
+        merged[tuple(pt)] += c
+    atoms = ((pt, merged[pt] / denominator) for pt in sorted(merged))
+    return tuple((pt, w) for pt, w in atoms if w > 0.0)
 
 
 def brute_discrepancy_exact(P: WeightedPointSet) -> float:

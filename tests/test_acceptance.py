@@ -37,7 +37,7 @@ GOLDEN = builtin_generators("golden", 1, 1)
 
 def _fixture_distributions():
     """(G, L) pairs over small dimensions, step counts, and seeds."""
-    for n, d in itertools.product((1, 2), repeat=2):
+    for n, d in itertools.product((1, 2, 3), (1, 2)):
         for seed in (11, 22, 33):
             G = builtin_generators("random", n, d, seed=seed)
             for k in range(7):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,31 @@ def test_bounds_json(capsys):
     assert res["lemma_ok"] is True
     assert res["lower"] < res["upper"]
     assert "etk" in res
+
+
+def test_dist_zero_trials_exits_2(capsys):
+    code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "2", "--trials", "0")
+    assert code == 2
+    assert "trials must be >= 1" in err and out == ""
+
+
+def test_bounds_zero_etk_m_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "bounds", "--builtin", "golden", "--k", "10000", "--etk-m", "0"
+    )
+    assert code == 2
+    assert "M must be >= 1" in err and out == ""
+
+
+def test_dirichlet_oversize_box_exits_3_at_once(capsys):
+    # the search bound is floor(1000^3) = 10^9 shells
+    t0 = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "dirichlet", "--builtin", "sqrt_primes", "--n", "3", "--d", "1", "--q", "1000"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "Dirichlet search box" in err
 
 
 def test_dirichlet(capsys):

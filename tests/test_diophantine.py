@@ -66,6 +66,22 @@ class TestDirichletSearch:
     def test_q_below_one_rejected(self):
         with pytest.raises(ValidationError):
             dirichlet_search(GOLDEN, 0.5)
+        with pytest.raises(ValidationError):
+            dirichlet_search(GOLDEN, math.nan)
+
+    def test_box_cap_refuses_before_scanning(self, monkeypatch):
+        from toruswalk import diophantine
+
+        def no_scan(*args):
+            raise AssertionError("a shell was scanned")
+
+        G = builtin_generators("random", 2, 1, seed=1)
+        monkeypatch.setattr(diophantine, "_shell", no_scan)
+        monkeypatch.setattr(diophantine, "SEARCH_BOX_CAP", 2 * 9 + 1 - 1)
+        with pytest.raises(CapExceededError, match="Dirichlet search box has 19 vectors"):
+            dirichlet_search(G, 3.0)  # bound floor(3^2) = 9
+        with pytest.raises(CapExceededError, match="overflows"):
+            dirichlet_search(G, 1e300)
 
 
 class TestEstimateBadConstant:

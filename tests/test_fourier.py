@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from toruswalk import (
+    CapExceededError,
     ValidationError,
     best_fourier_lower_bound,
     builtin_generators,
@@ -125,6 +126,15 @@ class TestBestLowerBound:
         G = builtin_generators("sqrt_primes", 1, 2)
         vals = [best_fourier_lower_bound(G, 6, hmax)[0] for hmax in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_box_cap(self, monkeypatch):
+        from toruswalk import fourier
+
+        G = builtin_generators("sqrt_primes", 1, 2)
+        monkeypatch.setattr(fourier, "FREQ_BOX_CAP", 9 * 9 - 1)
+        with pytest.raises(CapExceededError, match="frequency box has 81 vectors"):
+            best_fourier_lower_bound(G, 6, 4)
+        assert best_fourier_lower_bound(G, 6, 3) == best_fourier_lower_bound(G, 6, 3)
 
 
 class TestEtk:

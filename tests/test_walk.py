@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import enumerate_walk_counts
+from conftest import enumerate_walk_counts, project_counts
 from toruswalk import walk
 from toruswalk import (
     CapExceededError,
@@ -43,13 +43,26 @@ def test_one_step_two_generators():
     assert L.denominator == 4
 
 
-@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 def test_counts_match_path_enumeration(n, d, k):
     G = builtin_generators("random", n, d, seed=100 * n + d)
     L = exact_walk_distribution(G, k)
     assert L.counts == enumerate_walk_counts(n, k)
     L.check()
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 3)])
+def test_split_counts_match_path_enumeration(n, k):
+    G = builtin_generators("random", n, 1, seed=n)
+    assert exact_walk_distribution(G, k).counts == enumerate_walk_counts(n, k)
+
+
+def test_counts_are_a_read_only_mapping():
+    L = exact_walk_distribution(GOLDEN, 4)
+    assert len(L.counts) == 5 and L.counts[(0,)] == 6 and (1,) not in L.counts
+    with pytest.raises(TypeError):
+        L.counts[(0,)] = 7
 
 
 def test_state_cap_guard():
@@ -114,6 +127,89 @@ def test_projection_weight_normalization():
         assert all(0.0 <= pt[0] < 1.0 for pt, _ in P.atoms)
 
 
+def _complete_atoms(G, k):
+    """The projection of every count of the k-step walk, by the oracle."""
+    L = exact_walk_distribution(G, k)
+    return project_counts(G, dict(L.counts), L.denominator)
+
+
+ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7"]
+
+
+# Weights 1/2^k round to 0.0 from k = 1075; tau > 0, so tails are left out,
+# from k = 1087.
+@pytest.mark.parametrize("family", ONE_GENERATOR)
+@pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1087, 2001, 4096])
+def test_windowed_projection_matches_complete_n1(family, k):
+    G = builtin_generators(family, 1, 1)
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
+
+
+# Weights 1/4^k round to 0.0 from k = 538; tails are left out from k = 548.
+@pytest.mark.parametrize(
+    "family,d,k", [("sqrt_primes", 1, 538), ("sqrt_primes", 1, 548), ("rational:3", 2, 548), ("rational:7", 2, 548)]
+)
+def test_windowed_projection_matches_complete_n2(family, d, k):
+    G = builtin_generators(family, 2, d)
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
+
+
+@pytest.mark.parametrize("family,d", [("sqrt_primes", 1), ("sqrt_primes", 2), ("rational:3", 2)])
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_projection_matches_complete_n3(family, d, k):
+    G = builtin_generators(family, 3, d)
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
+
+
+def test_window_builds_only_surviving_counts():
+    k = 2**15
+    L = exact_walk_distribution(GOLDEN, k)
+    tau = L.denominator // ((2 * k + 1) << walk._ZERO_EXP)
+    rows, counts = walk._rows(1, k, tau)
+    built = sum(1 for _ in counts)
+    atoms = len(project_to_torus(L, GOLDEN).atoms)
+    assert len(rows) == k + 1
+    assert atoms <= built < 1.02 * atoms  # 6937 atoms of 32 769 vectors
+
+
+def test_dropped_tail_that_moves_a_weight_is_refused():
+    # the vectors 0 and 2 both land on 0; only the first count is built.
+    # 3*2^25 - 1 over 2^1100 rounds down to one subnormal unit, but with a
+    # tail of up to tau = 2^25 it could round up to two.
+    G = load_generators([[0.5]])
+    rows = np.array([[0], [2]])
+    c, den = 3 * 2**25 - 1, 2**1100
+    assert walk._projected(G, rows, iter([c]), den, "exact", tau=2**25) is None
+    P = walk._projected(G, rows, iter([c, 2**25]), den, "exact")
+    assert P.atoms == (((0.0,), (c + 2**25) / den),)
+    # a tail that does not reach a rounding boundary keeps the weight
+    assert walk._projected(G, rows, iter([c - 2**25]), den, "exact", tau=2**24).atoms == (
+        ((0.0,), (c - 2**25) / den),
+    )
+
+
+@pytest.mark.parametrize("family", ["golden", "rational:2", "rational:3"])
+def test_projection_falls_back_to_every_count(monkeypatch, family):
+    # a threshold 2^1000 times too high leaves out weights that do not round
+    # to 0.0, so the projection has to build every count
+    G = builtin_generators(family, 1, 1)
+    expected = _complete_atoms(G, 1500)
+    monkeypatch.setattr(walk, "_ZERO_EXP", 75)
+    assert project_to_torus(exact_walk_distribution(G, 1500), G).atoms == expected
+
+
+def test_projection_memory_follows_the_surviving_atoms():
+    # every count at k = 2^16 would hold about 400 MB
+    tracemalloc.start()
+    try:
+        P = project_to_torus(exact_walk_distribution(GOLDEN, 2**16), GOLDEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(P.atoms) > 9000
+    assert peak <= 32 * 2**20
+
+
 def test_simulate_no_steps():
     P = simulate_walk(GOLDEN, 0, trials=100, seed=7)
     assert P.atoms == (((0.0,), 1.0),)
@@ -173,7 +269,7 @@ def test_simulate_aggregates_each_distinct_draw(n, d):
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
     counts = Counter(map(tuple, (steps[:, 0::2] - steps[:, 1::2]).tolist()))
-    expected = walk._projected(G, counts.keys(), counts.values(), trials, "empirical")
+    expected = walk._projected(G, np.array(list(counts)), counts.values(), trials, "empirical")
     assert simulate_walk(G, k, trials, seed) == expected
 
 

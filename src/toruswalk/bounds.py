@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check_box_size
-from .fourier import FREQ_BOX_CAP, _phases, _weight_rows, frequency_box
+from .errors import InfeasibleError, ValidationError, require
+from .fourier import _box_pass_cost, _phases, _weight_rows, frequency_box
 from .generators import GeneratorMatrix
 
 
@@ -57,9 +57,7 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
     return M
 
 
-def cohort_sum_S(
-    G: GeneratorMatrix, k: int, M: int, box_cap: int = FREQ_BOX_CAP
-) -> tuple[float, bool]:
+def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     """Gaussian-weighted frequency sum
     S = sum over 0 < ||h||_inf <= M of exp(-(4k/n) {2Ah}^2) / R(h)
     with {.} the Euclidean nearest-integer distance, and the check
@@ -71,7 +69,7 @@ def cohort_sum_S(
         raise ValidationError("M must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    check_box_size("frequency", M, G.d, box_cap)
+    require(f"cohort sum to M={M}", _box_pass_cost(G, M), "a smaller --k or --ca")
     A = G.as_array()
     scale = -(4.0 * k / G.n)
     terms = []

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: dist, disc, bounds, dirichlet, badapprox, scan.
-Exit codes: 0 success, 2 validation error, 3 infeasible parameters or
-resource cap, 4 internal-consistency failure.
+Exit codes: 0 success, 2 validation error, 3 infeasible parameters or a
+computation over the cost budget, 4 internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action="store_true", default=None)
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
+    p.set_defaults(n=None, d=None)  # absent, they leave the config file's values
     return ap
 
 
@@ -165,25 +166,11 @@ def _cmd_badapprox(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = read_config(args.config) if args.config else ScanConfig()
-    overrides = {
-        "builtin": args.builtin,
-        "matrix": args.matrix,
-        "method": args.method,
-        "trials": args.trials,
-        "seed": args.seed,
-        "resolution": args.resolution,
-        "ca": args.ca,
-        "ca_hmax": args.ca_hmax,
-        "out": args.out,
-        "svg": args.svg,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.builtin is not None:
-        cfg.n, cfg.d = args.n, args.d
     if args.k_schedule is not None:
-        cfg.k_schedule = parse_k_schedule(args.k_schedule)
+        args.k_schedule = parse_k_schedule(args.k_schedule)
+    # every flag given overrides its ScanConfig field; an absent flag is None
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)}
+    cfg = dataclasses.replace(cfg, **{key: v for key, v in given.items() if v is not None})
     report = run_scan(cfg)
     written = write_report(report, cfg.out, svg=cfg.svg)
     if args.format == "json":

@@ -15,11 +15,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CapExceededError, InternalConsistencyError, ValidationError, check_box_size
+from .errors import PER_CALL, InternalConsistencyError, ValidationError, require
 from .fourier import _box_rows, _digits, _phases
 from .generators import GeneratorMatrix
 
-SEARCH_BOX_CAP = 4_000_000
+
+def _search_cost(G: GeneratorMatrix, bound, calls):
+    """Element operations of an array pass over the box of sup norm bound,
+    n*d products per vector, that also makes `calls` Python-level calls."""
+    return (2 * bound + 1) ** G.d * G.n * G.d + calls * PER_CALL
 
 
 def nearest_integer_distance(x) -> tuple[float, float]:
@@ -78,11 +82,12 @@ def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
         raise ValidationError("q must be >= 1")
     try:
         H = int(math.floor(q ** (G.n / G.d)))
-    except OverflowError:
-        raise CapExceededError(f"search bound q^(n/d) overflows at q={q}") from None
+    except OverflowError:  # q^(n/d) exceeds every float: an infinite box
+        H = math.inf
     if H < 1:
         raise ValidationError(f"search bound floor(q^(n/d)) = {H} < 1")
-    check_box_size("Dirichlet search", H, G.d, SEARCH_BOX_CAP)
+    # each shell takes about 50 numpy calls on small arrays
+    require(f"Dirichlet search box for q={q}", _search_cost(G, H, 50 * H), "a smaller --q")
     A = G.as_array()
     target = 1.0 / q
     best_h, best_dist = None, math.inf
@@ -115,9 +120,7 @@ class BadApproxEstimate:
     certified_up_to: int
 
 
-def estimate_bad_constant(
-    G: GeneratorMatrix, hmax: int, box_cap: int = SEARCH_BOX_CAP
-) -> BadApproxEstimate:
+def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n).
 
     The box is scanned with coordinate values 0, 1, -1, ..., hmax, -hmax and
@@ -127,7 +130,8 @@ def estimate_bad_constant(
     """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
-    check_box_size("search", hmax, G.d, box_cap)
+    cost = _search_cost(G, hmax, hmax + 1)  # one float power per sup norm
+    require(f"search box of sup norm {hmax}", cost, "a smaller --hmax")
     A = G.as_array()
     exponent = G.d / G.n
     # ||h||_inf^(d/n) by CPython's float power, whose bits numpy's does not always match

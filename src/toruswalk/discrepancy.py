@@ -10,7 +10,9 @@ independent lower oracle for larger inputs.
 
 Both estimators run on one enumerator, `_blocks`: it walks face pairs on
 the first d-1 axes and hands each block of boxes' final-axis masses, as a
-padded prefix sum, to the estimator's own final-axis reduction.
+padded prefix sum, to the estimator's own final-axis reduction.  Each
+estimator builds its face arrays first and prices the elements `_blocks`
+would yield over them against the budget before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError, require
 from .walk import WeightedPointSet
-
-# Atom-count caps for the exact path; cost grows like N^(2(d-1)+1).
-EXACT_CAPS = {1: 20000, 2: 400, 3: 60}
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,20 @@ def _blocks(pts, wts, faces, rule):
                 yield lo + (i,), hi + (j0,), H, np.cumsum(H, axis=1), W * (u[j0 : j0 + n] - u[i])
 
 
-def _exact_branch(pts: np.ndarray, wts: np.ndarray, excess: bool):
+def _elements(faces, jmin: int) -> int:
+    """Elements _blocks yields over these faces: the face pairs j >= i + jmin
+    on axes 0..d-2 times the c + 1 columns of the final axis."""
+    pairs = [(f.size - jmin) * (f.size - jmin + 1) // 2 for f in faces[:-1]]
+    return math.prod(pairs) * (faces[-1].size + 1)
+
+
+def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool):
     """Max over candidate boxes of one branch; returns (value, lo, hi).
 
     Excess boxes are closed with faces at atom coordinates, deficit boxes
     open with the cube boundary added; on the final axis the best interval
     of each row comes from one running-min sweep.
     """
-    extra = [] if excess else [0.0, 1.0]
-    faces = [_distinct(np.concatenate((pts[:, ax], extra))) for ax in range(pts.shape[1])]
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
     best = (-math.inf, None, None)
@@ -175,22 +179,18 @@ def discrepancy_exact(P: WeightedPointSet) -> DiscrepancyResult:
     On branch ties the excess witness is reported.
     """
     d = P.d
-    cap = EXACT_CAPS.get(d)
-    if cap is None:
-        raise CapExceededError(
-            f"exact discrepancy supports d <= 3 (got d={d}); use discrepancy_grid"
-        )
-    n_atoms = len(P.atoms)
-    if n_atoms > cap:
-        raise CapExceededError(
-            f"exact discrepancy caps at {cap} atoms for d={d} (got {n_atoms}); "
-            "use discrepancy_grid"
-        )
+    fallback = "--resolution (discrepancy_grid)"
+    if d > 3:
+        require(f"exact discrepancy in d={d} (supported for d <= 3)", math.inf, fallback)
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
+    exc_faces = [_distinct(pts[:, ax]) for ax in range(d)]
+    def_faces = [_distinct(np.concatenate((f, [0.0, 1.0]))) for f in exc_faces]
+    cost = _elements(exc_faces, 0) + _elements(def_faces, 1)
+    require(f"exact discrepancy of {len(P.atoms)} atoms in d={d}", cost, fallback)
 
-    exc = _exact_branch(pts, wts, excess=True)
-    def_ = _exact_branch(pts, wts, excess=False)
+    exc = _exact_branch(pts, wts, exc_faces, excess=True)
+    def_ = _exact_branch(pts, wts, def_faces, excess=False)
     if exc[0] >= def_[0]:
         val, lo, hi = exc
         direction = "excess"
@@ -228,6 +228,8 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
+    kind = f"grid({resolution}) discrepancy of {len(P.atoms)} atoms in d={P.d}"
+    require(kind, _elements(faces, 1), "a coarser --resolution")
     g = faces[-1]
     best = 0.0
     # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j

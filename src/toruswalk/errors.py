@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by the library and the CLI, and the input
-guards that raise it.
+"""Exception hierarchy shared by the library and the CLI, the input guard
+that reads files, and the one cost budget every layer checks before it
+starts.
 
 Each class carries the process exit code the CLI maps it to.
 """
@@ -22,7 +23,7 @@ class InfeasibleError(ToruswalkError):
 
 
 class CapExceededError(InfeasibleError):
-    """A resource guard tripped; the message names the supported fallback."""
+    """A predicted cost exceeds BUDGET; the message names the supported fallback."""
 
 
 class InternalConsistencyError(ToruswalkError):
@@ -31,12 +32,25 @@ class InternalConsistencyError(ToruswalkError):
     exit_code = 4
 
 
-def check_box_size(kind: str, bound: int, d: int, cap: int) -> None:
-    """Raise CapExceededError when the (2*bound+1)^d integer vectors of sup
-    norm <= bound exceed cap; kind names the box in the message."""
-    size = (2 * bound + 1) ** d
-    if size > cap:
-        raise CapExceededError(f"{kind} box has {size} vectors (cap {cap})")
+# The work any single call may do, in array element operations: about 1.2 s
+# of the discrepancy enumerator's block elements on a 2-core machine.
+BUDGET = 80_000_000
+# Element operations charged per element of a pass that makes a Python-level
+# call for each one (math.cos, float power, a big-integer product).
+PER_CALL = 64
+
+
+def require(kind: str, cost, fallback: str) -> None:
+    """Raise CapExceededError, naming the fallback, when cost > BUDGET.
+
+    cost is the predicted number of element operations of the work named by
+    kind; math.inf stands for work whose size cannot even be represented.
+    """
+    if cost > BUDGET:
+        shown = f"{cost:.3g}" if cost < 1e308 else "over 1e308"  # no float holds a larger int
+        raise CapExceededError(
+            f"{kind} would cost {shown} element operations (budget {BUDGET:.3g}); use {fallback}"
+        )
 
 
 def read_input_text(path, kind: str) -> str:

@@ -15,10 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ValidationError, check_box_size
+from .errors import PER_CALL, ValidationError, require
 from .generators import GeneratorMatrix
-
-FREQ_BOX_CAP = 2_000_000
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +47,12 @@ def _box_rows(values: np.ndarray, d: int):
             idx = np.delete(idx, zero - start)
         if len(idx):
             yield values[_digits(idx, base, d)]
+
+
+def _box_pass_cost(G: GeneratorMatrix, bound: int) -> int:
+    """Element operations of a pass over the frequency box of sup norm bound
+    that makes a Python-level call (math.cos, float power) per phase."""
+    return (2 * bound + 1) ** G.d * G.n * PER_CALL
 
 
 def frequency_box(d: int, bound: int):
@@ -165,7 +169,7 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
         raise ValidationError("hmax must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    check_box_size("frequency", hmax, G.d, FREQ_BOX_CAP)
+    require(f"best-bound box to hmax={hmax}", _box_pass_cost(G, hmax), "a smaller hmax")
     A = G.as_array()
     best_val, best_h = -math.inf, None
     for H in frequency_box(G.d, hmax):
@@ -176,9 +180,7 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     return best_val, best_h
 
 
-def etk_upper_bound(
-    G: GeneratorMatrix, k: int, M: int, box_cap: int = FREQ_BOX_CAP
-) -> float:
+def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
     """Erdos-Turan-Koksma bound:
     (3/2)^d (2/(M+1) + sum over 0 < ||h||_inf <= M of |qhat|^k / R(h)).
     """
@@ -186,7 +188,7 @@ def etk_upper_bound(
         raise ValidationError("M must be >= 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    check_box_size("frequency", M, G.d, box_cap)
+    require(f"ETK sum to M={M}", _box_pass_cost(G, M), "a smaller M (--etk-m, or --ca in a scan)")
     A = G.as_array()
     terms = []
     for H in frequency_box(G.d, M):

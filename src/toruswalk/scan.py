@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
-from .discrepancy import EXACT_CAPS, discrepancy_exact, discrepancy_grid
+from .discrepancy import discrepancy_exact, discrepancy_grid
 from .errors import CapExceededError, InternalConsistencyError, ValidationError, read_input_text
 from .fourier import etk_upper_bound
 from .generators import GeneratorMatrix, builtin_generators, read_matrix
@@ -181,10 +181,11 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
         upper = theorem2_upper_bound(n, d, cfg.ca, k)
         etk = etk_upper_bound(G, k, M)
 
+    # Each layer checks its cost before it starts.  auto falls back from the
+    # exact walk to Monte Carlo, and every row from exact to grid discrepancy,
+    # when the budget refuses.
     L = None
     if cfg.method != "mc":
-        # exact_walk_distribution checks its caps before it counts; auto
-        # falls back to Monte Carlo when one trips.
         try:
             L = exact_walk_distribution(G, k)
         except CapExceededError:
@@ -197,11 +198,9 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
         P = simulate_walk(G, k, trials=cfg.trials, seed=cfg.seed + k)
         method = "mc"
 
-    cap = EXACT_CAPS.get(d, 0)
-    if len(P.atoms) <= cap:
-        res = discrepancy_exact(P)
-        D, disc_method = res.value, "exact"
-    else:
+    try:
+        D, disc_method = discrepancy_exact(P).value, "exact"
+    except CapExceededError:
         D, disc_method = discrepancy_grid(P, cfg.resolution), f"grid({cfg.resolution})"
 
     # A violated bound would falsify a theorem or reveal a bug.  Exact

@@ -27,18 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import PER_CALL, ValidationError, require
 from .fourier import _phases
 from .generators import GeneratorMatrix
-
-# Reachable-state guard for the exact walk, ~(2k+1)^n states.
-WALK_STATE_CAP = 5_000_000
-# Big-integer guard for the n = 1 binomial counts: the k+1 counts C(k, j)
-# hold at most k bits each (about 0.72 k^2 in total), so k(k+1) bounds the
-# total.  2^33 admits k <= 92 681.  Projecting the walk holds one count at a
-# time, but looking up LatticeDistribution.counts builds all of them: about
-# 400 MB at k = 2^16.
-WALK_BITS_CAP = 2**33
 
 # A weight c / denominator rounds to 0.0 when it is at most 2^-1075, half the
 # smallest subnormal float.
@@ -166,27 +157,35 @@ class WeightedPointSet:
         return math.fsum(w for _, w in self.atoms)
 
 
-def exact_walk_distribution(G: GeneratorMatrix, k: int, state_cap: int = WALK_STATE_CAP) -> LatticeDistribution:
+def _walk_cost(n: int, k: int) -> int:
+    """Predicted element operations of the exact walk and its projection.
+
+    Every reachable coefficient vector, sum_i C(n-1, i) C(k-i+n, n) of them
+    (the coefficient of x^k in (1+x)^(n-1) / (1-x)^(n+1)), is a row of n
+    coordinates with a big-integer count handled one call at a time.  For
+    n = 1 the k+1 counts hold up to k(k+1)/64 words once looked up; for
+    n >= 3 the split fills a dense table of (2k+1)^n cells.
+    """
+    rows = sum(math.comb(n - 1, i) * math.comb(k - i + n, n) for i in range(n))
+    cost = PER_CALL * n * rows
+    if n == 1:
+        cost += k * (k + 1) // 64
+    elif n >= 3:
+        cost += (2 * k + 1) ** n
+    return cost
+
+
+def exact_walk_distribution(G: GeneratorMatrix, k: int) -> LatticeDistribution:
     """k-fold convolution of the single-step measure on Z^n, exact integers.
 
     The counts come from binomial rows (see the module docstring) and are
     built when first looked up; project_to_torus builds only those whose
-    weight can survive.  Both caps are checked here, before any count is
-    built.
+    weight can survive.  The cost is checked here, before any count is built.
     """
     if k < 0:
         raise ValidationError("step count k must be >= 0")
     n = G.n
-    if (2 * k + 1) ** n > state_cap:
-        raise CapExceededError(
-            f"exact convolution needs up to {(2 * k + 1) ** n} states (cap {state_cap}); "
-            "use simulate_walk instead"
-        )
-    if n == 1 and k * (k + 1) > WALK_BITS_CAP:
-        raise CapExceededError(
-            f"exact binomial counts need up to {k * (k + 1)} bits (cap {WALK_BITS_CAP}); "
-            "use simulate_walk instead"
-        )
+    require(f"exact walk (n={n}, k={k})", _walk_cost(n, k), "--method mc (simulate_walk)")
     return LatticeDistribution(k=k, n=n, counts=_Counts(n, k), denominator=(2 * n) ** k)
 
 

@@ -156,6 +156,35 @@ def test_scan_exact_past_the_bit_cap_exits_3(capsys, tmp_path):
     assert "simulate_walk" in err
 
 
+def test_scan_grid_over_the_budget_exits_3_at_once(capsys, tmp_path, monkeypatch):
+    # 101 atoms in d = 3: exact and grid(512) are both far over the budget
+    def no_blocks(*args):
+        raise AssertionError("boxes were enumerated")
+
+    monkeypatch.setattr("toruswalk.discrepancy._blocks", no_blocks)
+    code, _, err = run_cli(
+        capsys,
+        "scan", "--builtin", "sqrt_primes", "--n", "1", "--d", "3",
+        "--k-schedule", "100", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "grid(512) discrepancy of 101 atoms" in err and "coarser --resolution" in err
+
+
+def test_scan_labels_exact_then_grid_by_cost(capsys, tmp_path):
+    # 121 atoms fit exact discrepancy; at 441 atoms only grid(512) fits the budget
+    code, _, _ = run_cli(
+        capsys,
+        "scan", "--builtin", "sqrt_primes", "--n", "2", "--d", "2",
+        "--k-schedule", "10,20", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [(r["k"], r["method"], r["disc_method"]) for r in rows] == [
+        (10, "exact", "exact"), (20, "exact", "grid(512)")
+    ]
+
+
 def test_exit_code_infeasible(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -208,6 +237,20 @@ def test_scan_config_file_with_override(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [r["k"] for r in report["rows"]] == [4, 8, 16, 32]
     assert report["seed"] == 9
+
+
+def test_scan_flags_override_every_config_field(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("builtin = sqrt_primes\nn = 2\nd = 1\nk_schedule = 4\nout = %s\n" % tmp_path)
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--d", "2")
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["n"], report["d"]) == (2, 2)
+    # a builtin given without --n keeps the file's n
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--builtin", "sqrt_primes")
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["n"], report["d"]) == (2, 1)
 
 
 def test_scan_determinism(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import brute_dirichlet
 
 from toruswalk import (
     CapExceededError,
@@ -70,17 +71,22 @@ class TestDirichletSearch:
             dirichlet_search(GOLDEN, math.nan)
 
     def test_box_cap_refuses_before_scanning(self, monkeypatch):
-        from toruswalk import diophantine
+        from toruswalk import diophantine, errors
 
         def no_scan(*args):
             raise AssertionError("a shell was scanned")
 
         G = builtin_generators("random", 2, 1, seed=1)
+        # bound floor(3^2) = 9: a box of 19 vectors, n * d = 2 products each,
+        # and 9 shells of 50 calls each at PER_CALL = 64
+        monkeypatch.setattr(errors, "BUDGET", 19 * 2 + 450 * 64)
+        assert dirichlet_search(G, 3.0) == brute_dirichlet(G, 3.0)
+        monkeypatch.setattr(errors, "BUDGET", 19 * 2 + 450 * 64 - 1)
         monkeypatch.setattr(diophantine, "_shell", no_scan)
-        monkeypatch.setattr(diophantine, "SEARCH_BOX_CAP", 2 * 9 + 1 - 1)
-        with pytest.raises(CapExceededError, match="Dirichlet search box has 19 vectors"):
-            dirichlet_search(G, 3.0)  # bound floor(3^2) = 9
-        with pytest.raises(CapExceededError, match="overflows"):
+        with pytest.raises(CapExceededError, match="Dirichlet search box.*smaller --q"):
+            dirichlet_search(G, 3.0)
+        monkeypatch.setattr(errors, "BUDGET", 10**300)
+        with pytest.raises(CapExceededError, match=r"q=1e\+300 would cost over 1e308"):
             dirichlet_search(G, 1e300)
 
 

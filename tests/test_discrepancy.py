@@ -121,7 +121,7 @@ class TestExact:
         with pytest.raises(CapExceededError, match="discrepancy_grid"):
             discrepancy_exact(P)
         P4 = random_point_set(rng, 3, 4).atoms
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="d <= 3.*discrepancy_grid"):
             discrepancy_exact(WeightedPointSet(d=4, atoms=P4, provenance="exact"))
 
 

@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from conftest import brute_best_fourier
 
 from toruswalk import (
     CapExceededError,
@@ -128,13 +129,20 @@ class TestBestLowerBound:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_box_cap(self, monkeypatch):
-        from toruswalk import fourier
+        from toruswalk import errors, fourier
+
+        def no_pass(*args):
+            raise AssertionError("the box was scanned")
 
         G = builtin_generators("sqrt_primes", 1, 2)
-        monkeypatch.setattr(fourier, "FREQ_BOX_CAP", 9 * 9 - 1)
-        with pytest.raises(CapExceededError, match="frequency box has 81 vectors"):
+        # n = 1: the 9 * 9 frequencies of hmax = 4 at PER_CALL = 64 each
+        monkeypatch.setattr(errors, "BUDGET", 9 * 9 * 64)
+        assert best_fourier_lower_bound(G, 6, 4) == brute_best_fourier(G, 6, 4)
+        monkeypatch.setattr(errors, "BUDGET", 9 * 9 * 64 - 1)
+        assert best_fourier_lower_bound(G, 6, 3) == brute_best_fourier(G, 6, 3)
+        monkeypatch.setattr(fourier, "frequency_box", no_pass)
+        with pytest.raises(CapExceededError, match="best-bound box.*smaller hmax"):
             best_fourier_lower_bound(G, 6, 4)
-        assert best_fourier_lower_bound(G, 6, 3) == best_fourier_lower_bound(G, 6, 3)
 
 
 class TestEtk:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import enumerate_walk_counts, project_counts
-from toruswalk import walk
+from toruswalk import errors, walk
 from toruswalk import (
     CapExceededError,
     LatticeDistribution,
@@ -65,26 +65,40 @@ def test_counts_are_a_read_only_mapping():
         L.counts[(0,)] = 7
 
 
-def test_state_cap_guard():
+def _no_rows(*args):
+    raise AssertionError("counts were built")
+
+
+def test_state_cap_guard(monkeypatch):
+    # n = 5, k = 2: 51 reachable rows of 5 coordinates at PER_CALL = 64 each,
+    # plus the 5^5 cells of the dense split table
     G = load_generators([[0.1], [0.2], [0.3], [0.4], [0.5]])
+    monkeypatch.setattr(errors, "BUDGET", 64 * 5 * 51 + 5**5)
+    assert exact_walk_distribution(G, 2).counts == enumerate_walk_counts(5, 2)
+    monkeypatch.setattr(errors, "BUDGET", 64 * 5 * 51 + 5**5 - 1)
+    monkeypatch.setattr(walk, "_rows", _no_rows)
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        exact_walk_distribution(G, 2)
+    monkeypatch.undo()
     with pytest.raises(CapExceededError, match="simulate_walk"):
         exact_walk_distribution(G, 100)
 
 
-def test_bit_cap_guard_refuses_before_counting():
+def test_bit_cap_guard_refuses_before_counting(monkeypatch):
+    monkeypatch.setattr(walk, "_rows", _no_rows)
     with pytest.raises(CapExceededError, match="simulate_walk"):
         exact_walk_distribution(GOLDEN, 10**6)
+    assert exact_walk_distribution(GOLDEN, 2**16).k == 2**16  # admitted, nothing counted
 
 
 def test_bit_cap_guard_boundary(monkeypatch):
-    # the guard compares the bound k(k+1) on the count bits with the cap,
-    # and the cap admits k = 2^16
-    assert 2**16 * (2**16 + 1) <= walk.WALK_BITS_CAP
-    monkeypatch.setattr(walk, "WALK_BITS_CAP", 3 * 4)
-    assert exact_walk_distribution(GOLDEN, 3).counts == enumerate_walk_counts(1, 3)
-    monkeypatch.setattr(walk, "WALK_BITS_CAP", 3 * 4 - 1)
+    # n = 1, k = 8: 9 rows at PER_CALL = 64 each, plus 8 * 9 // 64 = 1 count word
+    monkeypatch.setattr(errors, "BUDGET", 64 * 9 + 1)
+    assert exact_walk_distribution(GOLDEN, 8).counts == enumerate_walk_counts(1, 8)
+    monkeypatch.setattr(errors, "BUDGET", 64 * 9)
+    monkeypatch.setattr(walk, "_rows", _no_rows)
     with pytest.raises(CapExceededError, match="simulate_walk"):
-        exact_walk_distribution(GOLDEN, 3)
+        exact_walk_distribution(GOLDEN, 8)
 
 
 def test_negative_k_rejected():

@@ -112,7 +112,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_disc(args) -> int:
     P = pointset_from_csv_text(read_input_text(args.points, "point-set file"))
-    if args.resolution:
+    if args.resolution is not None:
         out = {
             "value": discrepancy_grid(P, args.resolution),
             "exactness": f"grid({args.resolution})",

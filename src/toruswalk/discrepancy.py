@@ -8,22 +8,24 @@ non-attained suprema are captured as limits without epsilon hacking.
 Boxes never wrap around the torus.  A uniform-grid estimator provides an
 independent lower oracle for larger inputs.
 
-Both estimators run on one enumerator, `_blocks`: it walks face pairs on
-the first d-1 axes and hands each block of boxes' final-axis masses, as a
-padded prefix sum, to the estimator's own final-axis reduction.  Each
-estimator builds its face arrays first and prices the elements `_blocks`
-would yield over them against the budget before it enumerates anything.
+Both estimators run on one enumerator, `_blocks`: it bins the atoms once
+into a summed-area table over the candidate faces, walks face pairs on the
+first d-1 axes and hands each block of boxes' final-axis masses, as a
+padded prefix sum read off that table, to the estimator's own final-axis
+reduction.  Each estimator builds its face arrays first and prices the
+elements and blocks `_blocks` would yield over them against the budget
+before it enumerates anything; the budget also bounds the table, which has
+(c+1)^d cells for c faces per axis.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require
+from .errors import PER_CALL, ValidationError, require
 from .walk import WeightedPointSet
 
 
@@ -61,7 +63,7 @@ class DiscrepancyResult:
     value: float
     witness: Box
     direction: str  # "excess" | "deficit"
-    exactness: str  # "exact" | "grid(<resolution>)"
+    exactness: str  # always "exact": discrepancy_grid returns a bare float
 
 
 def box_mass(P: WeightedPointSet, B: Box, mode: str = "closure") -> float:
@@ -82,7 +84,7 @@ def box_mass(P: WeightedPointSet, B: Box, mode: str = "closure") -> float:
 
 
 # Element budget of one block (rows x final-axis faces): it bounds the
-# enumerator's temporaries, where a dense c^d table would not fit a scan row.
+# enumerator's temporaries, which one block per left face would grow to c^2.
 _BLOCK = 1 << 13
 
 
@@ -93,53 +95,56 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 def _blocks(pts, wts, faces, rule):
-    """Yield (lo, hi, H, P, W) for each block of boxes with faces from `faces`.
+    """Yield (lo, hi, P, W) for each block of boxes with faces from `faces`.
 
     An atom's index on an axis is that of the last face at or below it;
     under rule = (a, b, jmin) the face pair (i, j), j >= i + jmin, holds
-    indices i + a .. j - b.  Axes 0..d-3 take every pair; a block fixes the
-    left face lo[-1] on axis d-2, and its row r takes the right face
-    hi[-1] + r.  H[r, t + 1] is the row's mass at final-axis face t, P its
-    padded prefix sum along the final axis, W[r] its volume on axes 0..d-2.
-    """
+    indices i + a .. j - b, so in the table S of atoms binned at index + 1
+    and summed along every axis it holds S[j - b + 1] - S[i + a].  Each pair
+    on axes 0..d-3 subtracts its axis out of S; a block fixes the left face
+    lo[-1] on axis d-2, and its row r takes the right face hi[-1] + r.
+    P[r, t + 1] is the row's mass up to final-axis face t, W[r] its volume
+    on axes 0..d-2."""
     a, b, jmin = rule
-    idx = np.column_stack(
-        [np.searchsorted(f, pts[:, ax], side="right") - 1 for ax, f in enumerate(faces)]
-    )
-    cols, width = idx[:, -1] + 1, faces[-1].size + 1
+    shape = tuple(f.size + 1 for f in faces)
+    cells = [np.searchsorted(f, pts[:, ax], side="right") for ax, f in enumerate(faces)]
+    S = np.bincount(np.ravel_multi_index(cells, shape), wts, math.prod(shape)).reshape(shape)
+    for ax in range(len(faces)):
+        np.cumsum(S, axis=ax, out=S)
     if len(faces) == 1:
-        H = np.zeros((1, width))
-        np.add.at(H[0], cols, wts)
-        yield (), (), H, np.cumsum(H, axis=1), np.ones(1)
+        yield (), (), S[None], np.ones(1)
         return
-    *outer, u = faces[:-1]
-    pairs = [[(i, j) for i in range(f.size) for j in range(i + jmin, f.size)] for f in outer]
-    rows = max(1, _BLOCK // width)
-    for box in itertools.product(*pairs):
-        m, W = np.ones(wts.size, dtype=bool), 1.0
-        for ax, (i, j) in enumerate(box):
-            m &= (idx[:, ax] >= i + a) & (idx[:, ax] <= j - b)
-            W *= outer[ax][j] - outer[ax][i]
-        q, col, w = idx[m, -2], cols[m], wts[m]
-        lo, hi = tuple(i for i, _ in box), tuple(j for _, j in box)
+
+    def slabs(T, lo, hi, W):  # the face pairs on axes len(lo)..d-3
+        if len(lo) == len(faces) - 2:
+            yield lo, hi, T, W
+            return
+        f = faces[len(lo)]
+        for i in range(f.size):
+            for j in range(i + jmin, f.size):
+                yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), W * (f[j] - f[i]))
+
+    u, rows = faces[-2], max(1, _BLOCK // shape[-1])
+    for lo, hi, T, W in slabs(S, (), (), 1.0):
         for i in range(u.size):
-            held = q >= i + a
-            enter, c, v = q[held] + b, col[held], w[held]  # in every box with j >= enter
             for j0 in range(i + jmin, u.size, rows):
                 n = min(rows, u.size - j0)
-                r = np.maximum(enter - j0, 0)
-                k = r < n
-                H = np.zeros((n, width))
-                np.add.at(H, (r[k], c[k]), v[k])
-                np.cumsum(H, axis=0, out=H)
-                yield lo + (i,), hi + (j0,), H, np.cumsum(H, axis=1), W * (u[j0 : j0 + n] - u[i])
+                P = T[j0 - b + 1 : j0 - b + 1 + n] - T[i + a]
+                yield lo + (i,), hi + (j0,), P, W * (u[j0 : j0 + n] - u[i])
 
 
 def _elements(faces, jmin: int) -> int:
-    """Elements _blocks yields over these faces: the face pairs j >= i + jmin
-    on axes 0..d-2 times the c + 1 columns of the final axis."""
+    """Element operations of _blocks over these faces: the face pairs
+    j >= i + jmin on axes 0..d-2 times the c + 1 columns of the final axis,
+    and 10 * PER_CALL (about 10 us of numpy calls) for each block."""
+    width = faces[-1].size + 1
     pairs = [(f.size - jmin) * (f.size - jmin + 1) // 2 for f in faces[:-1]]
-    return math.prod(pairs) * (faces[-1].size + 1)
+    blocks = 1
+    if pairs:  # m right faces of one left face on axis d-2 make ceil(m / rows) blocks
+        rows = max(1, _BLOCK // width)
+        q, s = divmod(faces[-2].size - jmin, rows)
+        blocks = math.prod(pairs[:-1]) * (rows * q * (q + 1) // 2 + s * (q + 1))
+    return math.prod(pairs) * width + 10 * PER_CALL * blocks
 
 
 def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool):
@@ -152,13 +157,13 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool):
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
     best = (-math.inf, None, None)
-    for lo, hi, H, P, W in _blocks(pts, wts, faces, (jmin, jmin, jmin)):
+    for lo, hi, P, W in _blocks(pts, wts, faces, (jmin, jmin, jmin)):
         wu = W[:, None] * u
-        c, w = P[:, 1:], H[:, 1:]  # mass up to and including face t, mass at face t
+        c, below = P[:, 1:], P[:, :-1]  # mass up to and including face t, mass below it
         if excess:
-            top, bot = c - wu, (c - w) - wu
+            top, bot = c - wu, below - wu
         else:
-            top, bot = wu - (c - w), wu - c
+            top, bot = wu - below, wu - c
         # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
         vals = top[:, jmin:] - np.minimum.accumulate(bot, axis=1)[:, : u.size - jmin]
         r, t = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -191,18 +196,8 @@ def discrepancy_exact(P: WeightedPointSet) -> DiscrepancyResult:
 
     exc = _exact_branch(pts, wts, exc_faces, excess=True)
     def_ = _exact_branch(pts, wts, def_faces, excess=False)
-    if exc[0] >= def_[0]:
-        val, lo, hi = exc
-        direction = "excess"
-    else:
-        val, lo, hi = def_
-        direction = "deficit"
-    return DiscrepancyResult(
-        value=max(val, 0.0),
-        witness=Box(a=lo, b=hi),
-        direction=direction,
-        exactness="exact",
-    )
+    (val, lo, hi), direction = (exc, "excess") if exc[0] >= def_[0] else (def_, "deficit")
+    return DiscrepancyResult(max(val, 0.0), Box(a=lo, b=hi), direction, exactness="exact")
 
 
 def _grid_candidates(coords: np.ndarray, resolution: int) -> np.ndarray:
@@ -223,8 +218,8 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     Boxes are the half-open products [i_1/r, j_1/r) x ...; the result
     never exceeds discrepancy_exact and misses it by at most d*(2/r).
     """
-    if resolution < 2:
-        raise ValidationError("grid resolution must be >= 2")
+    if not 2 <= resolution <= 2**53:  # past 2**53, faces i / r of distinct i round together
+        raise ValidationError(f"grid resolution must be >= 2 and <= 2**53, got {resolution}")
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
@@ -233,7 +228,7 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     g = faces[-1]
     best = 0.0
     # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
-    for _, _, _, prefix, W in _blocks(pts, wts, faces, (0, 1, 1)):
+    for _, _, prefix, W in _blocks(pts, wts, faces, (0, 1, 1)):
         F = prefix[:, :-1] - W[:, None] * g  # mass below g_t minus the volume there
         best = max(best, float((F.max(axis=1) - F.min(axis=1)).max()))
     return best

@@ -32,8 +32,9 @@ class InternalConsistencyError(ToruswalkError):
     exit_code = 4
 
 
-# The work any single call may do, in array element operations: about 1.2 s
-# of the discrepancy enumerator's block elements on a 2-core machine.
+# The work any single call may do, in array element operations.  On a 2-core
+# machine a discrepancy call priced just under it takes 0.3 s (grid(512),
+# d=2) to 1.2 s (exact, d=3).
 BUDGET = 80_000_000
 # Element operations charged per element of a pass that makes a Python-level
 # call for each one (math.cos, float power, a big-integer product).

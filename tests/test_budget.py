@@ -38,12 +38,14 @@ LAYERS = [
     # 9 rows of n = 2 coordinates at PER_CALL = 64 each
     ("walk", lambda: dict(exact_walk_distribution(WALK_G, 2).counts), 64 * 2 * 9,
      enumerate_walk_counts(2, 2), (walk, "_rows"), "simulate_walk"),
-    # excess faces {0.5} per axis: 1 pair x 2 columns; deficit faces
-    # {0, 0.5, 1}: 3 pairs x 4 columns
-    ("exact", lambda: discrepancy_exact(ATOM).value, 1 * 2 + 3 * 4, 1.0,
+    # excess faces {0.5} per axis: 1 pair x 2 columns in 1 block; deficit
+    # faces {0, 0.5, 1}: 3 pairs x 4 columns in 2 blocks (one per left face
+    # with a right face); each block costs 10 * PER_CALL = 640
+    ("exact", lambda: discrepancy_exact(ATOM).value, 1 * 2 + 3 * 4 + 640 * (1 + 2), 1.0,
      (discrepancy, "_blocks"), "discrepancy_grid"),
-    # grid faces {0, 3, 4, 5, 6, 8} / 8 per axis: 15 pairs x 7 columns
-    ("grid", lambda: discrepancy_grid(ATOM, 8), 15 * 7, 1 - 1 / 64,
+    # grid faces {0, 3, 4, 5, 6, 8} / 8 per axis: 15 pairs x 7 columns in
+    # 5 blocks of 640
+    ("grid", lambda: discrepancy_grid(ATOM, 8), 15 * 7 + 640 * 5, 1 - 1 / 64,
      (discrepancy, "_blocks"), "coarser --resolution"),
     # the frequency passes: 5 * 5 frequencies of n = 2 phases at PER_CALL = 64
     ("etk", lambda: etk_upper_bound(SQ, 50, 2), 25 * 2 * 64, 1.637357453459063,

@@ -62,6 +62,14 @@ def test_dist_zero_trials_exits_2(capsys):
     assert "trials must be >= 1" in err and out == ""
 
 
+def test_disc_zero_resolution_exits_2(capsys, tmp_path):
+    pts = tmp_path / "points.csv"
+    pts.write_text("0.1,0.5\n0.7,0.5\n")
+    code, out, err = run_cli(capsys, "disc", str(pts), "--resolution", "0")
+    assert code == 2
+    assert "grid resolution must be >= 2" in err and out == ""
+
+
 def test_bounds_zero_etk_m_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "bounds", "--builtin", "golden", "--k", "10000", "--etk-m", "0"

@@ -14,6 +14,7 @@ from toruswalk import (
     project_to_torus,
 )
 from toruswalk import discrepancy as discrepancy_module
+from toruswalk import errors
 from toruswalk.walk import WeightedPointSet
 
 
@@ -130,8 +131,17 @@ class TestGrid:
         assert discrepancy_grid(point_mass(0.0), 4) == pytest.approx(0.75, abs=1e-15)
 
     def test_res_validation(self):
-        with pytest.raises(ValidationError):
-            discrepancy_grid(point_mass(0.0), 1)
+        for resolution in (1, 2**53 + 1):
+            with pytest.raises(ValidationError):
+                discrepancy_grid(point_mass(0.0), resolution)
+
+    def test_largest_resolution_keeps_faces_distinct(self):
+        # past 2**53 the faces i / r of neighbouring indices round together
+        P = WeightedPointSet(d=1, atoms=(((0.1,), 0.5), ((0.7,), 0.5)), provenance="exact")
+        r = 2**53
+        g, e = discrepancy_grid(P, r), discrepancy_exact(P).value
+        assert e == pytest.approx(0.6, abs=1e-15)
+        assert g <= e <= g + 2.0 / r
 
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_brute_force(self, trial):
@@ -163,6 +173,10 @@ class TestTiedCoordinates:
             ("rational:5", 2, 2, 3),
             ("rational:3", 1, 3, 4),
             ("diagonal:0.32", 1, 3, 3),
+            # weights over 6^k are not dyadic: summed-area differences round
+            # differently from per-box sums
+            ("rational:5", 3, 2, 3),
+            ("rational:7", 3, 2, 3),
         ],
     )
     def test_matches_brute_force(self, family, n, d, k, one_row_blocks, monkeypatch):
@@ -177,6 +191,45 @@ class TestTiedCoordinates:
         assert discrepancy_grid(P, res) == pytest.approx(
             brute_discrepancy_grid(P, res), abs=1e-12
         )
+
+
+class TestPricing:
+    """The budget charges exactly the work the enumerator yields."""
+
+    @pytest.mark.parametrize("block", [None, 1, 20])
+    @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_price_counts_the_yielded_elements_and_blocks(self, d, rule, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
+        rng = np.random.Generator(np.random.PCG64(5000 + d))
+        P = random_point_set(rng, 7, d)
+        pts = np.array([pt for pt, _ in P.atoms])
+        wts = np.array([w for _, w in P.atoms])
+        faces = [discrepancy_module._distinct(pts[:, ax]) for ax in range(d)]
+        if rule == "deficit":
+            faces = [discrepancy_module._distinct(np.concatenate((f, [0.0, 1.0]))) for f in faces]
+        if rule == "grid":
+            faces = [discrepancy_module._grid_candidates(pts[:, ax], 6) / 6 for ax in range(d)]
+        triple = {"excess": (0, 0, 0), "deficit": (1, 1, 1), "grid": (0, 1, 1)}[rule]
+        elements = blocks = 0
+        for _, _, prefix, W in discrepancy_module._blocks(pts, wts, faces, triple):
+            assert prefix.shape == (W.size, faces[-1].size + 1)
+            elements, blocks = elements + prefix.size, blocks + 1
+        assert blocks > 0
+        charged = discrepancy_module._elements(faces, triple[2])
+        assert charged == elements + 10 * errors.PER_CALL * blocks
+
+    def test_many_small_blocks_are_refused_before_any(self, monkeypatch):
+        # 50 atoms in d = 4 at grid(16): about 4.5e7 elements, under the
+        # budget, but in about 3e5 blocks
+        def no_blocks(*args):
+            raise AssertionError("boxes were enumerated")
+
+        monkeypatch.setattr(discrepancy_module, "_blocks", no_blocks)
+        P = random_point_set(np.random.Generator(np.random.PCG64(0)), 50, 4)
+        with pytest.raises(CapExceededError, match="grid.16. discrepancy of 50 atoms"):
+            discrepancy_grid(P, 16)
 
 
 class TestSandwich:

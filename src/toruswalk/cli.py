@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
-from .errors import ToruswalkError, read_input_text
+from .errors import ToruswalkError, read_input_text, write_output_text
 from .fourier import _phases
 from .scan import (
     ScanConfig,
@@ -103,8 +103,7 @@ def _cmd_dist(args) -> int:
         P = project_to_torus(exact_walk_distribution(G, args.k), G)
     text = pointset_to_csv_text(P)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_output_text(args.out, text, "point-set file")
     else:
         sys.stdout.write(text)
     return 0

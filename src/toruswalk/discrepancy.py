@@ -12,10 +12,11 @@ Both estimators run on one enumerator, `_blocks`: it bins the atoms once
 into a summed-area table over the candidate faces, walks face pairs on the
 first d-1 axes and hands each block of boxes' final-axis masses, as a
 padded prefix sum read off that table, to the estimator's own final-axis
-reduction.  Each estimator builds its face arrays first and prices the
-elements and blocks `_blocks` would yield over them against the budget
-before it enumerates anything; the budget also bounds the table, which has
-(c+1)^d cells for c faces per axis.
+reduction.  For the grid the table first has the volume subtracted, in
+place, so a block reads mass minus volume directly.  Each estimator builds
+its face arrays first and prices the elements and blocks `_blocks` would
+yield over them against the budget before it enumerates anything; the
+budget also bounds the table, which has (c+1)^d cells for c faces per axis.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _blocks(pts, wts, faces, rule):
+def _blocks(pts, wts, faces, rule, minus_volume=False):
     """Yield (lo, hi, P, W) for each block of boxes with faces from `faces`.
 
     An atom's index on an axis is that of the last face at or below it;
@@ -104,15 +105,24 @@ def _blocks(pts, wts, faces, rule):
     on axes 0..d-3 subtracts its axis out of S; a block fixes the left face
     lo[-1] on axis d-2, and its row r takes the right face hi[-1] + r.
     P[r, t + 1] is the row's mass up to final-axis face t, W[r] its volume
-    on axes 0..d-2."""
+    on axes 0..d-2.
+
+    minus_volume is for the half-open rule (0, 1, 1), under which slab row
+    r stands for face u_r on axis d-2 on both sides of a pair: each slab
+    row first loses its volume W * u_r * g_t below every final-axis face
+    g_t, in place, so that P[r, t] is the mass below g_t minus the volume
+    there (the last column stays a mass) and W is not yielded (None)."""
     a, b, jmin = rule
+    g = faces[-1]
     shape = tuple(f.size + 1 for f in faces)
     cells = [np.searchsorted(f, pts[:, ax], side="right") for ax, f in enumerate(faces)]
     S = np.bincount(np.ravel_multi_index(cells, shape), wts, math.prod(shape)).reshape(shape)
     for ax in range(len(faces)):
         np.cumsum(S, axis=ax, out=S)
     if len(faces) == 1:
-        yield (), (), S[None], np.ones(1)
+        if minus_volume:
+            S[:-1] -= g
+        yield (), (), S[None], None if minus_volume else np.ones(1)
         return
 
     def slabs(T, lo, hi, W):  # the face pairs on axes len(lo)..d-3
@@ -125,12 +135,17 @@ def _blocks(pts, wts, faces, rule):
                 yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), W * (f[j] - f[i]))
 
     u, rows = faces[-2], max(1, _BLOCK // shape[-1])
-    for lo, hi, T, W in slabs(S, (), (), 1.0):
+    for lo, hi, T, W in slabs(S, (), (), 1.0):  # T is S itself in d = 2, else a fresh slab
+        if minus_volume:  # in row chunks, so no temporary holds more than _BLOCK elements
+            V = T[:-1, :-1]  # the rows of faces u_r and the columns of faces g_t
+            for r in range(0, u.size, rows):
+                V[r : r + rows] -= np.multiply.outer(W * u[r : r + rows], g)
         for i in range(u.size):
             for j0 in range(i + jmin, u.size, rows):
                 n = min(rows, u.size - j0)
                 P = T[j0 - b + 1 : j0 - b + 1 + n] - T[i + a]
-                yield lo + (i,), hi + (j0,), P, W * (u[j0 : j0 + n] - u[i])
+                Wr = None if minus_volume else W * (u[j0 : j0 + n] - u[i])
+                yield lo + (i,), hi + (j0,), P, Wr
 
 
 def _elements(faces, jmin: int) -> int:
@@ -212,23 +227,28 @@ def _grid_candidates(coords: np.ndarray, resolution: int) -> np.ndarray:
     return _distinct(np.clip(idx, 0, resolution))
 
 
+def check_grid_resolution(resolution: int) -> None:
+    """Raise ValidationError unless 2 <= resolution <= 2**53: past 2**53 the
+    faces i / r of distinct i round together."""
+    if not 2 <= resolution <= 2**53:
+        raise ValidationError(f"grid resolution must be >= 2 and <= 2**53, got {resolution}")
+
+
 def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     """Max of |P(B) - vol(B)| over boxes with corners on the uniform grid.
 
     Boxes are the half-open products [i_1/r, j_1/r) x ...; the result
     never exceeds discrepancy_exact and misses it by at most d*(2/r).
     """
-    if not 2 <= resolution <= 2**53:  # past 2**53, faces i / r of distinct i round together
-        raise ValidationError(f"grid resolution must be >= 2 and <= 2**53, got {resolution}")
+    check_grid_resolution(resolution)
     pts = np.array([pt for pt, _ in P.atoms], dtype=float)
     wts = np.array([w for _, w in P.atoms], dtype=float)
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
     kind = f"grid({resolution}) discrepancy of {len(P.atoms)} atoms in d={P.d}"
     require(kind, _elements(faces, 1), "a coarser --resolution")
-    g = faces[-1]
     best = 0.0
     # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
-    for _, _, prefix, W in _blocks(pts, wts, faces, (0, 1, 1)):
-        F = prefix[:, :-1] - W[:, None] * g  # mass below g_t minus the volume there
+    for _, _, F, _ in _blocks(pts, wts, faces, (0, 1, 1), minus_volume=True):
+        F = F[:, :-1]  # mass below g_t minus the volume there, for each final-axis face g_t
         best = max(best, float((F.max(axis=1) - F.min(axis=1)).max()))
     return best

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by the library and the CLI, the input guard
-that reads files, and the one cost budget every layer checks before it
-starts.
+"""Exception hierarchy shared by the library and the CLI, the guards that
+read input files and write output files, and the one cost budget every
+layer checks before it starts.
 
 Each class carries the process exit code the CLI maps it to.
 """
@@ -33,8 +33,8 @@ class InternalConsistencyError(ToruswalkError):
 
 
 # The work any single call may do, in array element operations.  On a 2-core
-# machine a discrepancy call priced just under it takes 0.3 s (grid(512),
-# d=2) to 1.2 s (exact, d=3).
+# machine a discrepancy call priced just under it takes 0.2 s (grid(512),
+# d=2) to 2.0 s (exact, d=3).
 BUDGET = 80_000_000
 # Element operations charged per element of a pass that makes a Python-level
 # call for each one (math.cos, float power, a big-integer product).
@@ -62,3 +62,14 @@ def read_input_text(path, kind: str) -> str:
             return fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {kind} {str(path)!r}: {e.strerror}") from None
+
+
+def write_output_text(path, text: str, kind: str) -> None:
+    """Write text to a UTF-8 output file.  A file that cannot be written (its
+    directory missing or unwritable, a directory in its place) raises
+    ValidationError naming kind and path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {kind} {str(path)!r}: {e.strerror}") from None

@@ -19,8 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
-from .discrepancy import discrepancy_exact, discrepancy_grid
-from .errors import CapExceededError, InternalConsistencyError, ValidationError, read_input_text
+from .discrepancy import check_grid_resolution, discrepancy_exact, discrepancy_grid
+from .errors import (
+    CapExceededError,
+    InternalConsistencyError,
+    ValidationError,
+    read_input_text,
+    write_output_text,
+)
 from .fourier import etk_upper_bound
 from .generators import GeneratorMatrix, builtin_generators, read_matrix
 from .svgplot import loglog_svg
@@ -227,6 +233,7 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         raise ValidationError("k schedule entries must be >= 1")
     if cfg.method not in ("auto", "exact", "mc"):
         raise ValidationError(f"unknown method policy {cfg.method!r}")
+    check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
     G, descriptor = resolve_matrix(cfg)
     rows = [_row_for_k(G, cfg, k) for k in sorted(cfg.k_schedule)]
     fitted = None
@@ -250,16 +257,21 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
 
 
 def write_report(report: ScanReport, out_dir, svg: bool = False) -> list:
-    """Write report.json and report.csv (and report.svg) under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write report.json and report.csv (and report.svg) under out_dir, which
+    is made if missing.  A directory or file that cannot be made or written
+    raises ValidationError naming its path."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(
+            f"cannot create output directory {str(out_dir)!r}: {e.strerror}"
+        ) from None
     written = []
     json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    write_output_text(json_path, report.to_json(), "report file")
     written.append(json_path)
     csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    write_output_text(csv_path, report.to_csv(), "report file")
     written.append(csv_path)
     if svg:
         series = {"D": [(r.k, r.discrepancy) for r in report.rows]}
@@ -269,7 +281,6 @@ def write_report(report: ScanReport, out_dir, svg: bool = False) -> list:
         if any(r.etk is not None for r in report.rows):
             series["etk"] = [(r.k, r.etk) for r in report.rows if r.etk is not None]
         svg_path = os.path.join(out_dir, "report.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(loglog_svg(series))
+        write_output_text(svg_path, loglog_svg(series), "report file")
         written.append(svg_path)
     return written

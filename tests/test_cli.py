@@ -218,6 +218,50 @@ def test_infeasible_ca_fails_before_the_walk(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_dist_unwritable_out_exits_2(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "2", "--out", target)
+    assert code == 2
+    assert "cannot write point-set file" in err and target in err and out == ""
+
+
+@pytest.mark.parametrize("blocked", ["directory", "report"])
+def test_scan_unwritable_out_exits_2(capsys, tmp_path, blocked):
+    # a regular file where the output directory would be made, or a
+    # directory where report.json would be written
+    if blocked == "directory":
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        named = str(out_dir)
+    else:
+        out_dir = tmp_path
+        (tmp_path / "report.json").mkdir()
+        named = str(tmp_path / "report.json")
+    code, _, err = run_cli(
+        capsys, "scan", "--builtin", "golden", "--k-schedule", "4", "--out", str(out_dir)
+    )
+    assert code == 2
+    assert "cannot" in err and named in err
+
+
+@pytest.mark.parametrize("resolution", ["1", str(2**53 + 1)])
+def test_scan_checks_resolution_before_any_row(capsys, tmp_path, monkeypatch, resolution):
+    # every row here is exact, so before the up-front check only a later
+    # grid row would have seen the resolution
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a row ran before the resolution was checked")
+
+    monkeypatch.setattr("toruswalk.scan.exact_walk_distribution", no_walk)
+    code, _, err = run_cli(
+        capsys,
+        "scan", "--builtin", "sqrt_primes", "--n", "2", "--d", "2", "--method", "exact",
+        "--k-schedule", "4,20", "--resolution", resolution, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "grid resolution must be >= 2 and <= 2**53" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_scan_writes_reports(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

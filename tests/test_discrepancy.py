@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,33 @@ class TestGrid:
         assert discrepancy_grid(P, res) == pytest.approx(
             brute_discrepancy_grid(P, res), abs=1e-12
         )
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("d, k, res", [(1, 6, 32), (2, 4, 8), (3, 3, 4)])
+    def test_dyadic_inputs_match_brute_force_exactly(self, d, k, res, one_row_blocks, monkeypatch):
+        # weights over 4^k and faces i / 2^m: every mass, volume and
+        # difference is a float without rounding, in any order of summing
+        if one_row_blocks:
+            monkeypatch.setattr(discrepancy_module, "_BLOCK", 1)
+        G = builtin_generators("sqrt_primes", 2, d)
+        P = project_to_torus(exact_walk_distribution(G, k), G)
+        assert discrepancy_grid(P, res) == brute_discrepancy_grid(P, res)
+
+    def test_grid_memory_stays_near_one_table(self):
+        # the d = 2 table of (c + 1)^2 cells is built once and read in
+        # place; a second table-sized array would pass 1.5 tables
+        G = builtin_generators("sqrt_primes", 2, 2)
+        P = project_to_torus(exact_walk_distribution(G, 20), G)
+        pts = np.array([pt for pt, _ in P.atoms])
+        sizes = [discrepancy_module._grid_candidates(pts[:, ax], 512).size for ax in range(2)]
+        table_bytes = (sizes[0] + 1) * (sizes[1] + 1) * 8
+        tracemalloc.start()
+        try:
+            discrepancy_grid(P, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table_bytes
 
     def test_golden_one_step_converges(self):
         G = builtin_generators("golden", 1, 1)

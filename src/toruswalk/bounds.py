@@ -57,6 +57,17 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
     return M
 
 
+def _cohort_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
+    """exp(-(4k/n) {2Ah}^2) / R(h) for each integer row h of H; the same
+    at h and -h, bit for bit."""
+    X = 2.0 * _phases(A, H)
+    dist = np.abs(X - np.rint(X))
+    euc = np.fromiter(map(math.hypot, *dist.T.tolist()), dtype=float, count=len(H))
+    scaled = -(4.0 * k / A.shape[0]) * euc * euc
+    gauss = np.fromiter(map(math.exp, scaled.tolist()), dtype=float, count=len(H))
+    return gauss / _weight_rows(H)
+
+
 def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     """Gaussian-weighted frequency sum
     S = sum over 0 < ||h||_inf <= M of exp(-(4k/n) {2Ah}^2) / R(h)
@@ -71,15 +82,10 @@ def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
         raise ValidationError("k must be >= 0")
     require(f"cohort sum to M={M}", _box_pass_cost(G, M), "a smaller --k or --ca")
     A = G.as_array()
-    scale = -(4.0 * k / G.n)
     terms = []
     for H in frequency_box(G.d, M):
-        X = 2.0 * _phases(A, H)
-        dist = np.abs(X - np.rint(X))
-        euc = np.fromiter(map(math.hypot, *dist.T.tolist()), dtype=float, count=len(H))
-        gauss = np.fromiter(map(math.exp, (scale * euc * euc).tolist()), dtype=float, count=len(H))
-        terms.extend((gauss / _weight_rows(H)).tolist())
-    s = math.fsum(terms)
+        terms.extend(_cohort_terms(A, H, k).tolist())
+    s = 2.0 * math.fsum(terms)
     return s, s <= 0.5 / (M + 1)
 
 

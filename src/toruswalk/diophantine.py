@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 
 import numpy as np
 
 from .errors import PER_CALL, InternalConsistencyError, ValidationError, require
-from .fourier import _box_rows, _digits, _phases
+from . import fourier
+from .fourier import _digits, _phases
 from .generators import GeneratorMatrix
 
 
@@ -124,23 +125,53 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n).
 
     The box is scanned with coordinate values 0, 1, -1, ..., hmax, -hmax and
-    the first coordinate varying fastest, in blocks of at most _BLOCK rows;
-    the first minimum in that order is kept.  Time is proportional to the
-    box size, memory to one block.
+    the first coordinate varying fastest; the first minimum in that order is
+    kept.  Each block is a range of prefixes (h_1, ..., h_{d-1}) times a range
+    of h_0 values, at most _BLOCK vectors, whose phases are summed from
+    per-axis tables v * alpha_{.i} left to right as _phases sums them.  Time
+    is proportional to the box size, memory to one block.
     """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
     cost = _search_cost(G, hmax, hmax + 1)  # one float power per sup norm
     require(f"search box of sup norm {hmax}", cost, "a smaller --hmax")
+    values = _coord_values(hmax)
     A = G.as_array()
-    exponent = G.d / G.n
+    n, d = A.shape
+    base = len(values)
     # ||h||_inf^(d/n) by CPython's float power, whose bits numpy's does not always match
-    scale = np.fromiter(map(pow, range(hmax + 1), repeat(exponent)), dtype=float, count=hmax + 1)
+    scale = np.fromiter(map(pow, range(hmax + 1), repeat(d / n)), dtype=float, count=hmax + 1)
+    tables = [A[:, i : i + 1] * values for i in range(1, d)]  # (n, base) each
+    width = min(base, fourier._BLOCK)  # h_0 values per block
+    rows = max(1, fourier._BLOCK // base)  # prefixes per block
+    # every block is computed in these arrays, so no block allocates its own
+    phases, dists = np.empty((2, n, rows, width))
+    norms = np.empty((rows, width), dtype=np.int64)
     best_val, best_h = math.inf, None
-    for T in _box_rows(_coord_values(hmax), G.d):
-        H = T[:, ::-1]
-        vals = _sup_distance(A, H) * scale[_row_max(np.abs(H))]
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_h = float(vals[i]), tuple(int(v) for v in H[i])
+    prefixes = base ** (d - 1)
+    for start in range(0, prefixes, rows):
+        digits = _digits(np.arange(start, min(start + rows, prefixes)), base, d - 1)
+        digits = digits[:, ::-1]  # column i - 1 holds h_i
+        top = np.abs(values[digits]).max(axis=1, initial=0)  # sup norm of each prefix
+        for lo in range(0, base, width):
+            h0 = values[lo : lo + width]
+            P, J = len(digits), len(h0)  # the block: P prefixes x J values of h_0
+            X = np.multiply(A[:, :1, None], h0, out=phases[:, :P, :J])
+            for table, col in zip(tables, digits.T):
+                X += table[:, col, None]
+            dist = np.rint(X, out=dists[:, :P, :J])
+            np.subtract(X, dist, out=dist)
+            np.abs(dist, out=dist)
+            vals = reduce(partial(np.maximum, out=dist[0]), dist)  # max over generators
+            norm = np.abs(h0, out=norms[:P, :J])
+            np.maximum(norm, top[:, None], out=norm)
+            # norms lie in 0..hmax, so "clip" never acts; it spares take a buffered copy
+            vals *= np.take(scale, norm, out=phases[0, :P, :J], mode="clip")
+            if start == 0 and lo == 0:
+                vals[0, 0] = math.inf  # h = 0
+            i = int(np.argmin(vals))
+            p, j = divmod(i, J)
+            if vals[p, j] < best_val:
+                best_val = float(vals[p, j])
+                best_h = (int(h0[j]), *(int(v) for v in values[digits[p]]))
     return BadApproxEstimate(c_est=best_val, argmin_h=best_h, hmax=hmax, certified_up_to=hmax)

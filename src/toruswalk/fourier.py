@@ -4,7 +4,9 @@ upper bound.
 
 Frequency boxes are always iterated in a fixed order, in blocks of at
 most _BLOCK rows, and summed with math.fsum so results are deterministic
-bit for bit and do not depend on the block size.
+bit for bit and do not depend on the block size.  Every term is the same
+at h and -h, bit for bit, so the passes walk only the negative half of a
+box and double its exact sum.
 """
 
 from __future__ import annotations
@@ -35,20 +37,6 @@ def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def _box_rows(values: np.ndarray, d: int):
-    """The nonzero rows of values^d, the last coordinate varying fastest, as
-    int64 arrays of at most _BLOCK rows.  values holds 0 once."""
-    base = len(values)
-    size = base ** d
-    zero = int(np.flatnonzero(values == 0)[0]) * (size - 1) // (base - 1)  # all digits on 0
-    for start in range(0, size, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, size))
-        if start <= zero < start + len(idx):
-            idx = np.delete(idx, zero - start)
-        if len(idx):
-            yield values[_digits(idx, base, d)]
-
-
 def _box_pass_cost(G: GeneratorMatrix, bound: int) -> int:
     """Element operations of a pass over the frequency box of sup norm bound
     that makes a Python-level call (math.cos, float power) per phase."""
@@ -56,9 +44,15 @@ def _box_pass_cost(G: GeneratorMatrix, bound: int) -> int:
 
 
 def frequency_box(d: int, bound: int):
-    """Nonzero integer vectors with sup norm <= bound, lexicographic order,
-    as int64 arrays of at most _BLOCK rows."""
-    return _box_rows(np.arange(-bound, bound + 1), d)
+    """The lexicographically negative half of the integer vectors with sup
+    norm <= bound (first nonzero coordinate negative), lexicographic order,
+    as int64 arrays of at most _BLOCK rows.  Their negations are the other
+    nonzero half."""
+    base = 2 * bound + 1
+    half = base ** d // 2  # index of the zero vector
+    for start in range(0, half, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, half))
+        yield _digits(idx, base, d) - bound
 
 
 def _fsum_rows(X: np.ndarray) -> np.ndarray:
@@ -106,8 +100,20 @@ def _abs_pow(q: np.ndarray, k: int) -> np.ndarray:
     return np.fromiter(map(pow, np.abs(q).tolist(), repeat(k)), dtype=float, count=len(q))
 
 
+def _as_int(v) -> int:
+    """v as an int, or ValidationError when v is not an integer (1.5, nan,
+    inf, a string)."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValidationError(f"frequency coordinates must be integers, got {v!r}")
+    return i
+
+
 def _check_h(G: GeneratorMatrix, h) -> tuple:
-    h = tuple(int(v) for v in h)
+    h = tuple(map(_as_int, h))
     if len(h) != G.d:
         raise ValidationError(f"frequency vector has {len(h)} coordinates, expected {G.d}")
     return h
@@ -126,7 +132,7 @@ def weight_R(h) -> int:
     """Product over all coordinates of max(1, |h_i|)."""
     r = 1
     for v in h:
-        r *= max(1, abs(int(v)))
+        r *= max(1, abs(_as_int(v)))
     return r
 
 
@@ -163,7 +169,8 @@ def single_h_lower_bound(G: GeneratorMatrix, k: int, h, r=None) -> float:
 def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """Max of the default single-frequency bound over 0 < ||h||_inf <= hmax.
 
-    Returns (value, h); ties go to the lexicographically smallest h.
+    Returns (value, h); ties go to the lexicographically smallest h, which
+    lies in the negative half of the box that the scan walks.
     """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
@@ -193,4 +200,4 @@ def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
     terms = []
     for H in frequency_box(G.d, M):
         terms.extend((_abs_pow(_qhat_rows(A, H), k) / _weight_rows(H)).tolist())
-    return (1.5 ** G.d) * (2.0 / (M + 1) + math.fsum(terms))
+    return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(terms))

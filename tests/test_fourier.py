@@ -1,13 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
-from conftest import brute_best_fourier
+from conftest import brute_best_fourier, lex_box
 
 from toruswalk import (
     CapExceededError,
     ValidationError,
     best_fourier_lower_bound,
+    bounds,
     builtin_generators,
     discrepancy_exact,
     etk_upper_bound,
@@ -39,10 +41,18 @@ class TestQhat:
         assert qhat(GOLDEN, (1,)) == pytest.approx(-0.737368, abs=1e-6)
 
     def test_evenness(self):
-        G = builtin_generators("random", 2, 2, seed=9)
-        for h in [(1, 2), (3, -4), (0, 5)]:
-            neg = tuple(-v for v in h)
-            assert qhat(G, h) == pytest.approx(qhat(G, neg), abs=1e-15)
+        # the frequency passes walk half a box and double it: this must be ==
+        for d in (1, 2, 3):
+            G = builtin_generators("random", 2, d, seed=9)
+            for h in lex_box(d, 4):
+                assert qhat(G, h) == qhat(G, tuple(-v for v in h))
+
+    def test_cohort_term_evenness(self):
+        for d in (1, 2, 3):
+            A = builtin_generators("random", 2, d, seed=9).as_array()
+            H = np.array(list(lex_box(d, 4)), dtype=np.int64)
+            for k in (1, 30):
+                assert bounds._cohort_terms(A, -H, k).tolist() == bounds._cohort_terms(A, H, k).tolist()
 
     def test_bounded_by_one(self):
         G = builtin_generators("sqrt_primes", 2, 2)
@@ -53,6 +63,18 @@ class TestQhat:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             qhat(GOLDEN, (1, 2))
+
+    @pytest.mark.parametrize("v", [1.5, 0.4, math.nan, math.inf, "x"], ids=str)
+    def test_non_integer_coordinate_rejected(self, v):
+        with pytest.raises(ValidationError, match="must be integers"):
+            qhat(GOLDEN, (v,))
+        with pytest.raises(ValidationError, match="must be integers"):
+            single_h_lower_bound(GOLDEN, 3, (v,))
+        with pytest.raises(ValidationError, match="must be integers"):
+            weight_R((v,))
+
+    def test_integral_float_coordinate_accepted(self):
+        assert qhat(GOLDEN, (2.0,)) == qhat(GOLDEN, (2,))
 
 
 class TestWeightR:

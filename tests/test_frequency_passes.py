@@ -4,6 +4,7 @@ blocks of one row and of a size that ends inside rows of the box."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import (
     brute_bad_constant,
@@ -131,3 +132,46 @@ def test_search_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "alpha,argmin_h",
+    [
+        # {17 alpha} * 17 is the minimum; h = 17 is scan index 33, in the
+        # fourth chunk of 10 h_0 values
+        (0.0588, (17,)),
+        # h = 5 and h = -5 tie exactly at scan indices 9 and 10, on either
+        # side of a chunk boundary: the first must win
+        (0.201, (5,)),
+    ],
+    ids=["later-chunk", "tie-across-chunks"],
+)
+def test_d1_search_splits_the_h0_range(monkeypatch, alpha, argmin_h):
+    monkeypatch.setattr(fourier, "_BLOCK", 10)
+    G = load_generators([[alpha]])
+    est = estimate_bad_constant(G, 40)  # 81 h_0 values, more than one block
+    assert est.argmin_h == argmin_h
+    assert (est.c_est, est.argmin_h) == brute_bad_constant(G, 40)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frequency_box_is_half_of_the_box(d, block):
+    half = [tuple(h) for H in fourier.frequency_box(d, 3) for h in H.tolist()]
+    assert half == sorted(half)
+    negated = {tuple(-v for v in h) for h in half}
+    assert len(set(half)) == len(half) and not negated & set(half)
+    assert negated | set(half) == set(lex_box(d, 3))
+    assert all(H.dtype == np.int64 for H in fourier.frequency_box(d, 3))
+
+
+def test_d1_search_memory_holds_no_box_sized_table():
+    # hmax = 10**6: the 2 * 10**6 + 1 coordinate values (16 MB) and the scale
+    # table (8 MB) are the only arrays that grow with hmax
+    G = builtin_generators("golden", 1, 1)
+    tracemalloc.start()
+    try:
+        estimate_bad_constant(G, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20

@@ -29,10 +29,11 @@ def theorem2_upper_bound(n: int, d: int, c_a: float, k: int) -> float:
     """Upper bound (3/2)^d * 20 * (n / (c_a sqrt(2)))^(n/d) * k^(-n/(2d)).
 
     Valid when c_a is an approximation constant certifying the generator
-    matrix badly approximable; c_a <= 0 means no such certificate.
+    matrix badly approximable; c_a <= 0 means no such certificate, and a
+    c_a that is not finite is refused.
     """
-    if c_a <= 0.0:
-        raise ValidationError("approximation constant must be positive")
+    if not 0.0 < c_a < math.inf:
+        raise ValidationError("approximation constant must be positive and finite")
     if n < 1 or d < 1 or k < 1:
         raise ValidationError("need n >= 1, d >= 1, k >= 1")
     return (1.5 ** d) * 20.0 * (n / (c_a * math.sqrt(2.0))) ** (n / d) * k ** (-n / (2 * d))
@@ -44,8 +45,8 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
     Raises InfeasibleError when the value is below 1: k is too small for
     the upper-bound pipeline at this approximation constant.
     """
-    if c_a <= 0.0:
-        raise ValidationError("approximation constant must be positive")
+    if not 0.0 < c_a < math.inf:
+        raise ValidationError("approximation constant must be positive and finite")
     if n < 1 or d < 1 or k < 1:
         raise ValidationError("need n >= 1, d >= 1, k >= 1")
     raw = (2.0 * k * c_a ** 2 / n ** 2) ** (n / (2 * d)) / 8.0

@@ -14,6 +14,15 @@ projection of an exact walk builds only the counts above a threshold: for
 one generator, one big integer at a time, from the centre of the row
 outward.  The big-integer work then follows the surviving atoms, about
 sqrt(k) of them for n = 1, not the k + 1 counts.
+
+A weight needs only its 53 correctly rounded bits, so for one generator
+from k = 1087, where the threshold is positive, not even those counts are
+built: each is bracketed by a 128-bit mantissa with a proven error bound,
+and each weight is rounded once from its bracket.  Where a bracket cannot
+decide the rounding or the threshold, the exact counts are built after all.
+This is Ziv's strategy (ACM TOMS 1991): work at a little more than the
+output precision, and fall back to exact work only when rounding cannot be
+decided.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ from .generators import GeneratorMatrix
 # A weight c / denominator rounds to 0.0 when it is at most 2^-1075, half the
 # smallest subnormal float.
 _ZERO_EXP = 1075
+
+# Bits of the mantissa that carries a binomial count in _brackets:
+# 53 for the weight plus enough guard bits that rounding is decided at once.
+_MANT = 128
 
 
 def _binomial_pairs(k: int, tau: int):
@@ -189,23 +202,12 @@ def exact_walk_distribution(G: GeneratorMatrix, k: int) -> LatticeDistribution:
     return LatticeDistribution(k=k, n=n, counts=_Counts(n, k), denominator=(2 * n) ** k)
 
 
-def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str, tau: int = 0):
-    """Push integer counts on coefficient vectors to [0,1)^d.
+def _runs(G: GeneratorMatrix, rows):
+    """The torus points of the rows of an (N, n) int64 array, bit-identical
+    points merged by a sort and run boundaries.
 
-    rows is an (N, n) int64 array; counts iterates over the counts of its
-    first rows, and every row it does not reach has a count <= tau.  The
-    torus points of all rows are computed at once, and bit-identical points
-    are merged by a sort and run boundaries: counts are summed as integers
-    within a run and divided by the denominator once, so each float weight
-    carries a single rounding.  Atoms whose weight underflows to 0.0 are
-    dropped.
-
-    The rows left out total T <= (N - reached) tau.  A point made only of
-    them vanishes when T / denominator rounds to 0.0, and a point that
-    merges them with reached rows keeps its weight when (c + T) / denominator
-    rounds as c / denominator does; other points receive nothing from them.
-    When either test fails the result would depend on the counts left out,
-    and None is returned.
+    Returns (points, run, single): the distinct points in sorted order, the
+    run of each row, and whether each run holds a single row.
     """
     X = _phases(G.as_array().T, rows, exact=True)
     X -= np.floor(X)
@@ -215,8 +217,25 @@ def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: s
     starts = np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))
     run = np.empty(len(order), dtype=np.int64)
     run[order] = np.cumsum(starts) - 1
-    single = (np.bincount(run) == 1).tolist()
+    return X[starts], run, (np.bincount(run) == 1).tolist()
 
+
+def _exact_weights(runs, counts, denominator: int, tau: int = 0):
+    """The weight of each run from integer counts, or None.
+
+    counts iterates over the counts of the first rows, and every row it does
+    not reach has a count <= tau.  Counts are summed as integers within a run
+    and divided by the denominator once, so each float weight carries a
+    single rounding.
+
+    The rows left out total T <= (N - reached) tau.  A point made only of
+    them vanishes when T / denominator rounds to 0.0, and a point that
+    merges them with reached rows keeps its weight when (c + T) / denominator
+    rounds as c / denominator does; other points receive nothing from them.
+    When either test fails the result would depend on the counts left out,
+    and None is returned.
+    """
+    _, run, single = runs
     weights = [0.0] * len(single)
     shared: dict = defaultdict(int)  # run -> summed count, for runs of several rows
     last = w = None
@@ -240,10 +259,98 @@ def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: s
             return None
     for r, c in shared.items():
         weights[r] = c / denominator
+    return weights
+
+
+def _times(m: int, e: int, t: int, a: int, b: int):
+    """The bracket (m, e, t) of a count times a / b.
+
+    The new mantissa is one floor of the exact quotient m a 2^s / b, with s
+    chosen so that the quotient lies in (2^(_MANT-1), 2^(_MANT+1)); t counts
+    the floors that dropped bits.
+    """
+    p = m * a
+    s = _MANT + b.bit_length() - p.bit_length()
+    q, r = divmod(p << s, b) if s >= 0 else divmod(p, b << -s)
+    return q, e - s, t + (r != 0)
+
+
+def _brackets(k: int):
+    """Brackets of C(k, j) for j = floor(k/2) down to 0, one per j: (m, err, e)
+    with the count in [m, m + err] 2^e.  No exact count is built: every
+    integer held has at most a few hundred bits.
+
+    Each count is carried as (m, e, t): a mantissa, an exponent and the
+    number t of floors that dropped bits.  The recurrence
+    C(k, j+1) = C(k, j) (k-j) / (j+1) runs up from C(k, 0) = 1 to the centre,
+    eight steps per floor, then C(k, j-1) = C(k, j) j / (k-j+1) outward.
+    Each floor leaves a quotient above 2^(P-1), P = _MANT, so it loses less
+    than 2^-(P-1) of the value, and the count c >= m 2^e is at most
+    m 2^e / (1 - t 2^-(P-1)).  Since m < 2^(P+1), c / 2^e exceeds
+    m + m t / 2^(P-1) by less than one while 4 t^2 < 2^(P-1) - t, which holds
+    for every t <= k + 1 at an admitted k (<= 69 534, where err / m < 2^-100).
+    So err = ceil(m t / 2^(P-1)) + 1, and err = 0 while no bit was dropped.
+    """
+    m, e, t = 1, 0, 0
+    for j in range(0, k // 2, 8):
+        b = min(8, k // 2 - j)
+        m, e, t = _times(m, e, t, math.perm(k - j, b), math.perm(j + b, b))
+    for j in range(k // 2, -1, -1):
+        yield m, -(-m * t >> (_MANT - 1)) + 1 if t else 0, e
+        m, e, t = _times(m, e, t, j, k - j + 1)
+
+
+def _bracketed_weights(runs, k: int, denominator: int, tau: int):
+    """The weight of each run of the one-generator walk from the brackets of
+    its counts (_brackets), or None; no exact count is built.
+
+    Rows come in the order of _binomial_pairs.  A row whose whole bracket is
+    <= tau ends the walk, as its exact count ends _binomial_pairs.  A
+    single-row run takes m / 2^(k-e), correctly rounded by int / int;
+    rounding is monotone, so that is c / denominator whenever
+    (m + err) / 2^(k-e) rounds to the same float.  A bracket that straddles
+    tau, a weight whose two ends round apart, or a reached row in a run of
+    several rows (a rational generator) returns None, as does a tail of rows
+    left out that _exact_weights would refuse.
+    """
+    _, run, single = runs
+    run = run.tolist()
+    weights = [0.0] * len(single)
+    reached, width = 0, 1 + k % 2  # the centre is one row for even k, two for odd k
+    for m, err, e in _brackets(k):
+        bound = tau >> e if e >= 0 else tau << -e  # x 2^e <= tau iff x <= bound
+        if m <= bound:
+            if m + err <= bound:
+                break
+            return None
+        scale = 1 << (k - e)
+        w = m / scale
+        if err and (m + err) / scale != w:
+            return None
+        for r in run[reached : reached + width]:
+            if not single[r]:
+                return None
+            weights[r] = w
+        reached, width = reached + width, 2
+    if (len(run) - reached) * tau / denominator != 0.0:
+        return None
+    return weights
+
+
+def _pointset(G: GeneratorMatrix, runs, weights, provenance: str) -> WeightedPointSet:
+    """The atoms of the runs; atoms whose weight underflows to 0.0 are dropped."""
     weights = np.array(weights)
     survive = weights > 0.0
-    atoms = tuple(zip(map(tuple, X[starts][survive].tolist()), weights[survive].tolist()))
+    atoms = tuple(zip(map(tuple, runs[0][survive].tolist()), weights[survive].tolist()))
     return WeightedPointSet(d=G.d, atoms=atoms, provenance=provenance)
+
+
+def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str, tau: int = 0):
+    """Push integer counts on coefficient vectors to [0,1)^d: the points of
+    _runs weighted by _exact_weights, or None where that is None."""
+    runs = _runs(G, rows)
+    weights = _exact_weights(runs, counts, denominator, tau)
+    return None if weights is None else _pointset(G, runs, weights, provenance)
 
 
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
@@ -251,20 +358,37 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
 
     For a distribution from exact_walk_distribution only the counts above
     tau = denominator / ((2k+1)^n 2^1075) are built: the at most (2k+1)^n
-    counts below it total at most 2^-1075 of the denominator.  If leaving
-    them out could move a weight (see _projected), every count is built.
+    counts below it total at most 2^-1075 of the denominator.
+
+    For one generator and tau > 0 (k >= 1087) not even those are built: each
+    count C(k, j) lies in a bracket [m, m + err] 2^e with a _MANT-bit
+    mantissa m and err / m < 2^-100 (see _brackets), and each weight is
+    rounded once from its bracket (see _bracketed_weights).  The exact path
+    runs for n >= 2, for tau = 0, and where a bracket cannot decide: a count
+    whose bracket straddles tau, a weight whose two ends round apart, or a
+    point shared by several rows.  It builds the exact counts above tau and,
+    if leaving out the rest could move a weight (see _exact_weights), every
+    count.  The torus points and their runs are computed once for the
+    bracketed pass and the first exact pass.
     """
     if L.n != G.n:
         raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
     counts = L.counts
-    if isinstance(counts, _Counts):
-        tau = L.denominator // ((2 * L.k + 1) ** L.n << _ZERO_EXP)
-        P = _projected(G, *_rows(L.n, L.k, tau), L.denominator, "exact", tau)
-        if P is not None:
-            return P
-        return _projected(G, *_rows(L.n, L.k), L.denominator, "exact")
-    rows = np.array(list(counts), dtype=np.int64).reshape(-1, L.n)
-    return _projected(G, rows, counts.values(), L.denominator, "exact")
+    if not isinstance(counts, _Counts):
+        rows = np.array(list(counts), dtype=np.int64).reshape(-1, L.n)
+        return _projected(G, rows, counts.values(), L.denominator, "exact")
+    n, k, denominator = L.n, L.k, L.denominator
+    tau = denominator // ((2 * k + 1) ** n << _ZERO_EXP)
+    rows, built = _rows(n, k, tau)
+    runs = _runs(G, rows)
+    weights = _bracketed_weights(runs, k, denominator, tau) if n == 1 and tau else None
+    if weights is None:
+        weights = _exact_weights(runs, built, denominator, tau)
+    if weights is None:
+        rows, built = _rows(n, k)
+        runs = _runs(G, rows)
+        weights = _exact_weights(runs, built, denominator)
+    return _pointset(G, runs, weights, "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
@@ -273,13 +397,16 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     Each trial draws its 2n per-direction step counts at once, from
     Multinomial(k, 1/(2n), ..., 1/(2n)) -- the law of the direction counts
     of k i.i.d. uniform steps -- on a counter-based Philox stream keyed by
-    the seed.  Time and memory are O(trials * n) whatever k is, and the
-    output depends only on (seed, trials, k), never on scheduling.
+    the seed, which must lie in [0, 2^128).  Time and memory are
+    O(trials * n) whatever k is, and the output depends only on
+    (seed, trials, k), never on scheduling.
     """
     if k < 0:
         raise ValidationError("step count k must be >= 0")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
     n, d = G.n, G.d
     if k == 0:
         return WeightedPointSet(d=d, atoms=(((0.0,) * d, 1.0),), provenance="empirical")

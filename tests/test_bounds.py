@@ -59,6 +59,13 @@ class TestUpperBoundFormula:
         with pytest.raises(ValidationError):
             theorem2_upper_bound(1, 1, 0.0, 100)
 
+    @pytest.mark.parametrize("c_a", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, c_a):
+        with pytest.raises(ValidationError, match="finite"):
+            theorem2_upper_bound(1, 1, c_a, 100)
+        with pytest.raises(ValidationError, match="finite"):
+            choose_M(1, 1, c_a, 100)
+
 
 class TestChooseM:
     def test_substitution(self):

@@ -62,6 +62,38 @@ def test_dist_zero_trials_exits_2(capsys):
     assert "trials must be >= 1" in err and out == ""
 
 
+@pytest.mark.parametrize("ca", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--builtin", "golden", "--k", "100"],
+        ["scan", "--builtin", "golden", "--k-schedule", "100", "--out", "{out}"],
+    ],
+    ids=["bounds", "scan"],
+)
+def test_non_finite_ca_exits_2(capsys, tmp_path, argv, ca):
+    code, out, err = run_cli(capsys, *[a.format(out=tmp_path) for a in argv], "--ca", ca)
+    assert code == 2
+    assert "approximation constant must be positive and finite" in err and out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--builtin", "golden", "--k", "2", "--trials", "5", "--seed", "-1"],
+        ["dist", "--builtin", "golden", "--k", "2", "--trials", "5", "--seed", str(2**128)],
+        ["scan", "--method", "mc", "--builtin", "golden", "--trials", "100", "--seed", "-100",
+         "--k-schedule", "8", "--out", "{out}"],
+    ],
+    ids=["dist-negative", "dist-2^128", "scan-negative"],
+)
+def test_seed_outside_the_philox_key_range_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *[a.format(out=tmp_path) for a in argv])
+    assert code == 2
+    assert "outside [0, 2^128)" in err and out == ""
+
+
 def test_disc_zero_resolution_exits_2(capsys, tmp_path):
     pts = tmp_path / "points.csv"
     pts.write_text("0.1,0.5\n0.7,0.5\n")

@@ -150,10 +150,10 @@ def _complete_atoms(G, k):
 ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7"]
 
 
-# Weights 1/2^k round to 0.0 from k = 1075; tau > 0, so tails are left out,
-# from k = 1087.
+# Weights 1/2^k round to 0.0 from k = 1075; tau > 0, so tails are left out
+# and counts are bracketed, from k = 1087.
 @pytest.mark.parametrize("family", ONE_GENERATOR)
-@pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1087, 2001, 4096])
+@pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1086, 1087, 1088, 2001, 4096, 4097])
 def test_windowed_projection_matches_complete_n1(family, k):
     G = builtin_generators(family, 1, 1)
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
@@ -173,6 +173,93 @@ def test_windowed_projection_matches_complete_n2(family, d, k):
 def test_projection_matches_complete_n3(family, d, k):
     G = builtin_generators(family, 3, d)
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
+
+
+def _spy(monkeypatch, name):
+    """The results of every call of walk.<name>, which still runs."""
+    results = []
+    real = getattr(walk, name)
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(walk, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("mant", [56, 128])
+@pytest.mark.parametrize("k", [0, 1, 2, 17, 1087, 4096, 4097])
+def test_brackets_hold_every_count(monkeypatch, mant, k):
+    monkeypatch.setattr(walk, "_MANT", mant)
+    brackets = list(walk._brackets(k))
+    assert len(brackets) == k // 2 + 1
+    for j, (m, err, e) in zip(range(k // 2, -1, -1), brackets):
+        c = math.comb(k, j)
+        lo, c, hi = (m << e, c, (m + err) << e) if e >= 0 else (m, c << -e, m + err)
+        assert lo <= c <= hi
+        # err / m <= (t + 2) / 2^(mant-1) with t <= k + 1 < 2^13 lossy floors
+        assert err << (mant - 14) < m
+
+
+@pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 1), ("sqrt_primes", 2)])
+@pytest.mark.parametrize("k", [1088, 2001, 4096, 4097])
+def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
+    G = builtin_generators(family, 1, d)
+    expected = _complete_atoms(G, k)
+    bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
+    assert bracketed[0] is not None and exact == []
+
+
+# Golden at k = 1087: tau = 1 = C(k, 0), whose bracket, after lossy floors,
+# holds 1 but is not <= 1.  Rational generators: several rows share each
+# point.  A 56-bit mantissa: each weight's bracket is wider than the last bit
+# of a float, so its two ends round apart.
+@pytest.mark.parametrize(
+    "family,d,k,mant",
+    [
+        ("golden", 1, 1087, 128),
+        ("rational:3", 1, 2001, 128),
+        ("rational:7", 1, 4097, 128),
+        ("golden", 1, 4097, 56),
+        ("sqrt_primes", 2, 4097, 56),
+    ],
+)
+def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k, mant):
+    G = builtin_generators(family, 1, d)
+    expected = _complete_atoms(G, k)
+    monkeypatch.setattr(walk, "_MANT", mant)
+    bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
+    assert bracketed == [None] and exact[0] is not None
+
+
+def test_bracketed_projection_builds_no_exact_count(monkeypatch):
+    k = 2**15
+    L = exact_walk_distribution(GOLDEN, k)
+    tau = L.denominator // ((2 * k + 1) << walk._ZERO_EXP)
+    rows, counts = walk._rows(1, k, tau)
+    # golden merges no points, so the counts above tau make every atom
+    expected = project_counts(GOLDEN, dict(zip(map(tuple, rows.tolist()), counts)), L.denominator)
+    built, combs = [], []
+    pairs, comb = walk._binomial_pairs, math.comb
+
+    def spy_pairs(*args):
+        for c in pairs(*args):
+            built.append(c)
+            yield c
+
+    def spy_comb(*args):
+        combs.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(walk, "_binomial_pairs", spy_pairs)
+    monkeypatch.setattr(math, "comb", spy_comb)
+    atoms = project_to_torus(L, GOLDEN).atoms
+    monkeypatch.undo()
+    assert built == [] and combs == []
+    assert atoms == expected
 
 
 def test_window_builds_only_surviving_counts():
@@ -293,6 +380,15 @@ def test_simulate_deterministic():
     c = simulate_walk(GOLDEN, 6, trials=5000, seed=12)
     assert a.atoms == b.atoms
     assert a.atoms != c.atoms
+
+
+def test_simulate_seed_range():
+    # Philox keys are the integers in [0, 2^128)
+    for seed in (0, 2**128 - 1):
+        assert simulate_walk(GOLDEN, 2, trials=5, seed=seed).total_weight() == 1.0
+    for seed in (-1, 2**128):
+        with pytest.raises(ValidationError, match="outside"):
+            simulate_walk(GOLDEN, 2, trials=5, seed=seed)
 
 
 def test_fourier_consistency_cross_module():

@@ -90,6 +90,14 @@ def _first_primes(count: int) -> list[int]:
     return primes
 
 
+def _parameter(name: str, param: str | None, parse, expected: str):
+    """A family's parameter parsed by int or float; a missing or malformed one raises."""
+    try:
+        return parse(param)
+    except (TypeError, ValueError):
+        raise ValidationError(f"bad {name} parameter {param!r}: expected {expected}") from None
+
+
 def builtin_generators(family: str, n: int, d: int, seed: int | None = None) -> GeneratorMatrix:
     """Construct one of the built-in matrix families.
 
@@ -114,23 +122,21 @@ def builtin_generators(family: str, n: int, d: int, seed: int | None = None) -> 
         rows = [[frac(math.sqrt(primes[j * d + i])) for i in range(d)] for j in range(n)]
         return load_generators(rows)
     if name == "rational":
-        if param is None:
-            raise ValidationError("rational family needs a denominator, e.g. rational:3")
-        q = int(param)
+        q = _parameter(name, param, int, "an integer denominator, e.g. rational:3")
         if q < 1:
             raise ValidationError("rational denominator must be positive")
         rows = [[((j * d + i + 1) % q) / q for i in range(d)] for j in range(n)]
         return load_generators(rows)
     if name == "diagonal":
-        if param is None:
-            raise ValidationError("diagonal family needs a value, e.g. diagonal:0.7")
+        x = _parameter(name, param, float, "a number, e.g. diagonal:0.7")
         if n != 1:
             raise ValidationError("diagonal family requires n = 1")
-        x = float(param)
         return load_generators([[x] * d])
     if name == "random":
         if seed is None:
             raise ValidationError("random family requires a seed")
+        if seed < 0:
+            raise ValidationError(f"random family seed {seed} is negative")
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         return load_generators(rng.random((n, d)).tolist())
     raise ValidationError(f"unknown generator family {name!r}")

@@ -15,7 +15,7 @@ import datetime
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import __version__
 from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
@@ -159,20 +159,9 @@ class ScanReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "method", "discrepancy", "disc_method", "lower", "upper", "etk", "M"])
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.k,
-                    r.method,
-                    "%.17g" % r.discrepancy,
-                    r.disc_method,
-                    "%.17g" % r.lower,
-                    "" if r.upper is None else "%.17g" % r.upper,
-                    "" if r.etk is None else "%.17g" % r.etk,
-                    "" if r.M is None else r.M,
-                ]
-            )
+        w.writerow(f.name for f in fields(ScanRow))
+        for r in self.rows:  # floats to 17 significant digits; csv writes None as ""
+            w.writerow("%.17g" % v if isinstance(v, float) else v for v in astuple(r))
         return buf.getvalue()
 
 
@@ -233,9 +222,17 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         raise ValidationError("k schedule entries must be >= 1")
     if cfg.method not in ("auto", "exact", "mc"):
         raise ValidationError(f"unknown method policy {cfg.method!r}")
+    ks = sorted(cfg.k_schedule)
+    repeated = sorted({a for a, b in zip(ks, ks[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"k schedule repeats k = {', '.join(map(str, repeated))}")
     check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
     G, descriptor = resolve_matrix(cfg)
-    rows = [_row_for_k(G, cfg, k) for k in sorted(cfg.k_schedule)]
+    # a Monte Carlo row at k is keyed by seed + k, which Philox needs in [0, 2^128)
+    if cfg.method != "exact" and not 0 <= cfg.seed < 2**128 - ks[-1]:
+        msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"
+        raise ValidationError(f"{msg} for k up to {ks[-1]}")
+    rows = [_row_for_k(G, cfg, k) for k in ks]
     fitted = None
     if len(rows) >= 3:
         fitted = fit_decay_exponent([(r.k, r.discrepancy) for r in rows])

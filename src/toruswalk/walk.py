@@ -7,7 +7,9 @@ denominator (2n)^k, from closed-form binomial rows: C(k, (k+m)/2) for one
 generator; C(k, (k+m1+m2)/2) C(k, (k+m1-m2)/2) for two (the 2-D simple walk
 turned by 45 degrees); for n >= 3 a sum over the number j of steps taken by
 the first generator, C(k, j) L_1(j) (x) L_{n-1}(k-j).  Floats enter only when
-projecting to the torus.
+projecting to the torus.  The law depends on n and k alone, so a
+LatticeDistribution is the pair (k, n).  Equal rows -- Monte Carlo draws,
+torus points, the points of a point-set file -- are merged by one sort (_merge).
 
 A count whose weight rounds to 0.0 cannot reach a point set, so the
 projection of an exact walk builds only the counts above a threshold: for
@@ -33,6 +35,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,50 +115,41 @@ def _rows(n: int, k: int, tau: int = 0):
     return rows[order] - k, iter(counts[order][:kept].tolist())
 
 
-class _Counts(Mapping):
-    """Read-only mapping m -> count of the exact walk.  Every count is built,
-    once, on the first lookup; project_to_torus asks _rows for the counts
-    that can survive instead."""
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-
-    @cached_property
-    def _dict(self) -> dict:
-        rows, counts = _rows(self.n, self.k)
-        return dict(zip(map(tuple, rows.tolist()), counts))
-
-    def __getitem__(self, m):
-        return self._dict[m]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self):
-        return len(self._dict)
-
-    def __repr__(self):
-        return f"_Counts(n={self.n}, k={self.k})"
-
-
 @dataclass(frozen=True)
 class LatticeDistribution:
-    """Exact distribution of the net coefficient vector after k steps."""
+    """Exact law count(m) / (2n)^k of the net coefficient vector m in Z^n
+    after k steps with n generators.  Constructing it checks the cost of the
+    exact walk, so no count is ever built past the budget."""
 
     k: int
     n: int
-    counts: Mapping  # m tuple in Z^n -> positive int
-    denominator: int  # (2n)^k
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValidationError("step count k must be >= 0")
+        if self.n < 1:
+            raise ValidationError("generator count n must be >= 1")
+        cost = _walk_cost(self.n, self.k)
+        require(f"exact walk (n={self.n}, k={self.k})", cost, "--method mc (simulate_walk)")
+
+    @property
+    def denominator(self) -> int:
+        return (2 * self.n) ** self.k
+
+    @cached_property
+    def counts(self) -> Mapping:
+        """Read-only m tuple -> positive count, every count built on first
+        lookup; project_to_torus builds only the counts that can survive."""
+        rows, counts = _rows(self.n, self.k)
+        return MappingProxyType(dict(zip(map(tuple, rows.tolist()), counts)))
 
     def check(self) -> None:
         """Assert the defining invariants; raises AssertionError on violation."""
         assert sum(self.counts.values()) == self.denominator
         for m, c in self.counts.items():
-            assert c > 0
-            s = sum(abs(v) for v in m)
-            assert s <= self.k and (s - self.k) % 2 == 0
-            neg = tuple(-v for v in m)
-            assert self.counts.get(neg) == c
+            s = sum(map(abs, m))
+            assert c > 0 and s <= self.k and (s - self.k) % 2 == 0
+            assert self.counts.get(tuple(-v for v in m)) == c
 
 
 @dataclass(frozen=True)
@@ -189,22 +183,27 @@ def _walk_cost(n: int, k: int) -> int:
 
 
 def exact_walk_distribution(G: GeneratorMatrix, k: int) -> LatticeDistribution:
-    """k-fold convolution of the single-step measure on Z^n, exact integers.
+    """The exact k-step law of the walk driven by G, LatticeDistribution(k, G.n)."""
+    return LatticeDistribution(k=k, n=G.n)
 
-    The counts come from binomial rows (see the module docstring) and are
-    built when first looked up; project_to_torus builds only those whose
-    weight can survive.  The cost is checked here, before any count is built.
-    """
-    if k < 0:
-        raise ValidationError("step count k must be >= 0")
-    n = G.n
-    require(f"exact walk (n={n}, k={k})", _walk_cost(n, k), "--method mc (simulate_walk)")
-    return LatticeDistribution(k=k, n=n, counts=_Counts(n, k), denominator=(2 * n) ** k)
+
+def _merge(X):
+    """The distinct rows of a 2-D array in sorted order, and the index of each
+    row's distinct row; of equal rows (0.0 and -0.0) the stable sort keeps the first."""
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    starts = np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))
+    X = X[starts]  # the sorted copy is not held while the runs are numbered
+    sorted_run = np.cumsum(starts)
+    sorted_run -= 1
+    run = np.empty_like(sorted_run)
+    run[order] = sorted_run
+    return X, run
 
 
 def _runs(G: GeneratorMatrix, rows):
     """The torus points of the rows of an (N, n) int64 array, bit-identical
-    points merged by a sort and run boundaries.
+    points merged by _merge.
 
     Returns (points, run, single): the distinct points in sorted order, the
     run of each row, and whether each run holds a single row.
@@ -212,12 +211,8 @@ def _runs(G: GeneratorMatrix, rows):
     X = _phases(G.as_array().T, rows, exact=True)
     X -= np.floor(X)
     X[X >= 1.0] = 0.0  # the guard of generators.frac
-    order = np.lexsort(X.T[::-1])
-    X = X[order]
-    starts = np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))
-    run = np.empty(len(order), dtype=np.int64)
-    run[order] = np.cumsum(starts) - 1
-    return X[starts], run, (np.bincount(run) == 1).tolist()
+    points, run = _merge(X)
+    return points, run, (np.bincount(run) == 1).tolist()
 
 
 def _exact_weights(runs, counts, denominator: int, tau: int = 0):
@@ -337,28 +332,20 @@ def _bracketed_weights(runs, k: int, denominator: int, tau: int):
     return weights
 
 
-def _pointset(G: GeneratorMatrix, runs, weights, provenance: str) -> WeightedPointSet:
-    """The atoms of the runs; atoms whose weight underflows to 0.0 are dropped."""
+def _pointset(G: GeneratorMatrix, points, weights, provenance: str) -> WeightedPointSet:
+    """The atoms of the points; atoms whose weight underflows to 0.0 are dropped."""
     weights = np.array(weights)
     survive = weights > 0.0
-    atoms = tuple(zip(map(tuple, runs[0][survive].tolist()), weights[survive].tolist()))
+    atoms = tuple(zip(map(tuple, points[survive].tolist()), weights[survive].tolist()))
     return WeightedPointSet(d=G.d, atoms=atoms, provenance=provenance)
-
-
-def _projected(G: GeneratorMatrix, rows, counts, denominator: int, provenance: str, tau: int = 0):
-    """Push integer counts on coefficient vectors to [0,1)^d: the points of
-    _runs weighted by _exact_weights, or None where that is None."""
-    runs = _runs(G, rows)
-    weights = _exact_weights(runs, counts, denominator, tau)
-    return None if weights is None else _pointset(G, runs, weights, provenance)
 
 
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
     """Push the lattice distribution to [0,1)^d, merging bit-identical points.
 
-    For a distribution from exact_walk_distribution only the counts above
-    tau = denominator / ((2k+1)^n 2^1075) are built: the at most (2k+1)^n
-    counts below it total at most 2^-1075 of the denominator.
+    Only the counts above tau = denominator / ((2k+1)^n 2^1075) are built:
+    the at most (2k+1)^n counts below it total at most 2^-1075 of the
+    denominator.
 
     For one generator and tau > 0 (k >= 1087) not even those are built: each
     count C(k, j) lies in a bracket [m, m + err] 2^e with a _MANT-bit
@@ -373,10 +360,6 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     """
     if L.n != G.n:
         raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
-    counts = L.counts
-    if not isinstance(counts, _Counts):
-        rows = np.array(list(counts), dtype=np.int64).reshape(-1, L.n)
-        return _projected(G, rows, counts.values(), L.denominator, "exact")
     n, k, denominator = L.n, L.k, L.denominator
     tau = denominator // ((2 * k + 1) ** n << _ZERO_EXP)
     rows, built = _rows(n, k, tau)
@@ -388,7 +371,7 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
         rows, built = _rows(n, k)
         runs = _runs(G, rows)
         weights = _exact_weights(runs, built, denominator)
-    return _pointset(G, runs, weights, "exact")
+    return _pointset(G, runs[0], weights, "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
@@ -416,11 +399,12 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
     m = steps[:, 0::2] - steps[:, 1::2]
     del steps  # not held through the projection
-    # distinct rows and their counts: sort the rows, then cut at each change
-    m = m[np.lexsort(m.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(([True], np.any(m[1:] != m[:-1], axis=1))))
-    counts = np.diff(np.append(starts, trials))
-    return _projected(G, m[starts], counts.tolist(), trials, "empirical")
+    rows, run = _merge(m)
+    del m
+    counts = np.bincount(run)  # trials per distinct coefficient vector
+    points, run, _ = _runs(G, rows)
+    # each point's summed count is an integer below 2^53, exact in float64
+    return _pointset(G, points, np.bincount(run, counts) / trials, "empirical")
 
 
 def pointset_to_csv_text(P: WeightedPointSet) -> str:
@@ -432,8 +416,9 @@ def pointset_to_csv_text(P: WeightedPointSet) -> str:
 
 
 def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPointSet:
-    atoms = []
-    d = None
+    """Parse one atom per line: d coordinates in [0, 1), then a finite weight
+    >= 0.  Equal points are merged, their weights added in file order."""
+    rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -445,16 +430,22 @@ def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPoin
             raise ValidationError(msg) from None
         if len(fields) < 2:
             raise ValidationError(f"point-set line needs >= 2 fields: {line!r}")
-        if d is None:
-            d = len(fields) - 1
-        elif len(fields) - 1 != d:
+        if rows and len(fields) != len(rows[0]):
             raise ValidationError("point-set lines have inconsistent dimensions")
-        atoms.append((tuple(fields[:-1]), fields[-1]))
-    if not atoms:
+        if not all(map(math.isfinite, fields)):
+            problem = "a non-finite field"
+        elif not all(0.0 <= x < 1.0 for x in fields[:-1]):
+            problem = "a coordinate outside [0, 1)"
+        elif fields[-1] < 0.0:
+            problem = "a negative weight"
+        else:
+            rows.append(fields)
+            continue
+        raise ValidationError(f"point-set line {lineno} has {problem}: {line!r}")
+    if not rows:
         raise ValidationError("empty point-set file")
-    merged: dict = defaultdict(float)
-    for pt, w in atoms:
-        merged[pt] += w
-    return WeightedPointSet(
-        d=d, atoms=tuple((pt, merged[pt]) for pt in sorted(merged)), provenance=provenance
-    )
+    X = np.array(rows)
+    points, run = _merge(X[:, :-1])
+    # bincount adds each point's weights in file order
+    atoms = tuple(zip(map(tuple, points.tolist()), np.bincount(run, X[:, -1]).tolist()))
+    return WeightedPointSet(d=X.shape[1] - 1, atoms=atoms, provenance=provenance)

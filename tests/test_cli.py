@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
 from toruswalk.cli import main
-from toruswalk.scan import ScanConfig, parse_config_text, parse_k_schedule, run_scan
+from toruswalk.scan import ScanConfig, ScanRow, parse_config_text, parse_k_schedule, run_scan
 from toruswalk.errors import ValidationError
 
 
@@ -173,6 +174,97 @@ def test_disc_non_numeric_field_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "disc", str(pts))
     assert code == 2
     assert "line 2" in err and "0.1,abc" in err
+
+
+@pytest.mark.parametrize(
+    "text,problem,resolution",
+    [
+        ("0.5,0.5\nnan,0.5\n", "a non-finite field", None),
+        ("0.5,0.5\n0.25,inf\n", "a non-finite field", None),
+        ("0.5,0.5\n-0.5,0.5\n", "a coordinate outside [0, 1)", "8"),
+        ("0.5,0.5\n1.0,0.5\n", "a coordinate outside [0, 1)", None),
+        ("0.25,1.5\n0.75,-0.5\n", "a negative weight", None),
+    ],
+    ids=["nan-coordinate", "inf-weight", "negative-coordinate-grid", "coordinate-1", "negative-weight"],
+)
+def test_disc_invalid_point_exits_2(capsys, tmp_path, text, problem, resolution):
+    pts = tmp_path / "bad.csv"
+    pts.write_text(text)
+    argv = ["disc", str(pts)] + (["--resolution", resolution] if resolution else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"line 2 has {problem}" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "scan"])
+@pytest.mark.parametrize(
+    "family,seed,message",
+    [
+        ("rational:x", "0", "bad rational parameter 'x': expected an integer denominator"),
+        ("diagonal:x", "0", "bad diagonal parameter 'x': expected a number"),
+        ("diagonal", "0", "bad diagonal parameter None: expected a number"),
+        ("random", "-1", "random family seed -1 is negative"),
+    ],
+    ids=["rational", "diagonal", "diagonal-missing", "random"],
+)
+def test_bad_builtin_family_exits_2(capsys, tmp_path, command, family, seed, message):
+    argv = ["--builtin", family, "--seed", seed]
+    if command == "bounds":
+        argv = ["bounds", *argv, "--k", "10"]
+    else:
+        argv = ["scan", *argv, "--k-schedule", "4", "--method", "exact", "--out", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def _no_row(*args, **kwargs):
+    raise AssertionError("a row ran before the schedule and seed were checked")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--k-schedule", "4,4,8"], "k schedule repeats k = 4"),
+        (["--k-schedule", "8,8,16,16"], "k schedule repeats k = 8, 16"),
+        (["--method", "auto", "--seed", "-200000", "--k-schedule", "8,100000"],
+         "seed -200000 puts the Monte Carlo key seed + k outside [0, 2^128) for k up to 100000"),
+        (["--method", "mc", "--seed", str(2**128 - 8), "--k-schedule", "4,8"],
+         f"seed {2**128 - 8} puts the Monte Carlo key"),
+    ],
+    ids=["repeat", "repeats", "auto-negative", "mc-past-2^128"],
+)
+def test_scan_checks_schedule_and_seed_before_any_row(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.setattr("toruswalk.scan.exact_walk_distribution", _no_row)
+    monkeypatch.setattr("toruswalk.scan.simulate_walk", _no_row)
+    code, out, err = run_cli(
+        capsys, "scan", "--builtin", "golden", "--trials", "1000", *argv, "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_scan_exact_method_takes_any_seed(capsys, tmp_path):
+    # only Monte Carlo rows key Philox with the seed
+    code, _, _ = run_cli(
+        capsys, "scan", "--builtin", "golden", "--method", "exact", "--seed", "-5",
+        "--k-schedule", "4,8", "--out", str(tmp_path),
+    )
+    assert code == 0
+
+
+def test_scan_csv_header_is_the_row_fields():
+    names = [f.name for f in dataclasses.fields(ScanRow)]
+    for ca in (None, 0.437):
+        report = run_scan(ScanConfig(builtin="golden", k_schedule=[256, 1024], ca=ca))
+        header, *rows = report.to_csv().splitlines()
+        assert header.split(",") == names
+        for line, row in zip(rows, report.rows, strict=True):
+            cells = dict(zip(names, line.split(","), strict=True))
+            assert cells["k"] == str(row.k) and float(cells["discrepancy"]) == row.discrepancy
+            assert cells["upper"] == ("" if ca is None else "%.17g" % row.upper)
+            assert cells["M"] == ("" if ca is None else str(row.M))
 
 
 def test_scan_auto_falls_back_to_mc_past_the_bit_cap(capsys, tmp_path):

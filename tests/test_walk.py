@@ -106,6 +106,19 @@ def test_negative_k_rejected():
         exact_walk_distribution(GOLDEN, -1)
 
 
+def test_constructed_distribution_checks_its_cost(monkeypatch):
+    # the budget is the type's own: no constructor builds a count past it
+    monkeypatch.setattr(walk, "_rows", _no_rows)
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        LatticeDistribution(k=10**6, n=1)
+    for k, n in [(-1, 1), (2, 0), (2, -1)]:
+        with pytest.raises(ValidationError):
+            LatticeDistribution(k=k, n=n)
+    L = LatticeDistribution(k=2, n=2)
+    assert L == exact_walk_distribution(load_generators([[0.1], [0.2]]), 2)
+    assert L.denominator == 16
+
+
 def test_projection_golden():
     L = exact_walk_distribution(GOLDEN, 2)
     P = project_to_torus(L, GOLDEN)
@@ -277,16 +290,13 @@ def test_dropped_tail_that_moves_a_weight_is_refused():
     # the vectors 0 and 2 both land on 0; only the first count is built.
     # 3*2^25 - 1 over 2^1100 rounds down to one subnormal unit, but with a
     # tail of up to tau = 2^25 it could round up to two.
-    G = load_generators([[0.5]])
-    rows = np.array([[0], [2]])
+    runs = walk._runs(load_generators([[0.5]]), np.array([[0], [2]]))
+    assert runs[0].tolist() == [[0.0]]
     c, den = 3 * 2**25 - 1, 2**1100
-    assert walk._projected(G, rows, iter([c]), den, "exact", tau=2**25) is None
-    P = walk._projected(G, rows, iter([c, 2**25]), den, "exact")
-    assert P.atoms == (((0.0,), (c + 2**25) / den),)
+    assert walk._exact_weights(runs, iter([c]), den, tau=2**25) is None
+    assert walk._exact_weights(runs, iter([c, 2**25]), den) == [(c + 2**25) / den]
     # a tail that does not reach a rounding boundary keeps the weight
-    assert walk._projected(G, rows, iter([c - 2**25]), den, "exact", tau=2**24).atoms == (
-        ((0.0,), (c - 2**25) / den),
-    )
+    assert walk._exact_weights(runs, iter([c - 2**25]), den, tau=2**24) == [(c - 2**25) / den]
 
 
 @pytest.mark.parametrize("family", ["golden", "rational:2", "rational:3"])
@@ -337,8 +347,7 @@ def test_simulate_matches_path_enumeration(n, k):
     # distinct points, so each atom's weight is one coefficient vector's.
     G = builtin_generators("sqrt_primes", n, 1)
     counts = enumerate_walk_counts(n, k)
-    L = LatticeDistribution(k=k, n=n, counts=counts, denominator=(2 * n) ** k)
-    exact = dict(project_to_torus(L, G).atoms)
+    exact = dict(project_counts(G, counts, (2 * n) ** k))
     assert len(exact) == len(counts)
     trials, delta = 10**6, 1e-9
     emp = dict(simulate_walk(G, k, trials=trials, seed=2024).atoms)
@@ -370,8 +379,9 @@ def test_simulate_aggregates_each_distinct_draw(n, d):
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
     counts = Counter(map(tuple, (steps[:, 0::2] - steps[:, 1::2]).tolist()))
-    expected = walk._projected(G, np.array(list(counts)), counts.values(), trials, "empirical")
-    assert simulate_walk(G, k, trials, seed) == expected
+    P = simulate_walk(G, k, trials, seed)
+    assert P.atoms == project_counts(G, counts, trials)
+    assert P.d == d and P.provenance == "empirical"
 
 
 def test_simulate_deterministic():
@@ -415,3 +425,11 @@ def test_pointset_csv_round_trip():
     back = pointset_from_csv_text(pointset_to_csv_text(P))
     assert back.atoms == P.atoms
     assert back.d == P.d
+
+
+def test_pointset_csv_merges_equal_points_in_file_order():
+    # -0.0 and 0.0 are one point, spelled as it first appears; weights are
+    # added in file order: (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3)
+    P = pointset_from_csv_text("0.5,0.1\n-0.0,0.125\n0.5,0.2\n0.0,0.5\n0.5,0.3\n")
+    assert P.atoms == (((0.0,), 0.625), ((0.5,), (0.1 + 0.2) + 0.3))
+    assert math.copysign(1.0, P.atoms[0][0][0]) == -1.0

@@ -14,7 +14,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, require
-from .fourier import _box_pass_cost, _phases, _weight_rows, frequency_box
+from .fourier import (
+    _UNDERFLOW,
+    _box_pass_cost,
+    _check_k,
+    _phases,
+    _row_max,
+    _weight_rows,
+    frequency_box,
+)
 from .generators import GeneratorMatrix
 
 
@@ -22,6 +30,7 @@ def theorem1_lower_bound(n: int, d: int, k: int) -> float:
     """Universal lower bound k^(-n/2) / (pi^d 5^(n+1) d^(n/2))."""
     if n < 1 or d < 1 or k < 1:
         raise ValidationError("need n >= 1, d >= 1, k >= 1")
+    _check_k(k)
     return k ** (-n / 2) / (math.pi ** d * 5.0 ** (n + 1) * d ** (n / 2))
 
 
@@ -36,6 +45,7 @@ def theorem2_upper_bound(n: int, d: int, c_a: float, k: int) -> float:
         raise ValidationError("approximation constant must be positive and finite")
     if n < 1 or d < 1 or k < 1:
         raise ValidationError("need n >= 1, d >= 1, k >= 1")
+    _check_k(k)
     return (1.5 ** d) * 20.0 * (n / (c_a * math.sqrt(2.0))) ** (n / d) * k ** (-n / (2 * d))
 
 
@@ -49,7 +59,10 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
         raise ValidationError("approximation constant must be positive and finite")
     if n < 1 or d < 1 or k < 1:
         raise ValidationError("need n >= 1, d >= 1, k >= 1")
+    _check_k(k)
     raw = (2.0 * k * c_a ** 2 / n ** 2) ** (n / (2 * d)) / 8.0
+    if raw == math.inf:
+        raise ValidationError(f"truncation index at k={k:.3g}, c_a={c_a} overflows a float")
     M = int(math.floor(raw))
     if M < 1:
         raise InfeasibleError(
@@ -60,13 +73,24 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
 
 def _cohort_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
     """exp(-(4k/n) {2Ah}^2) / R(h) for each integer row h of H; the same
-    at h and -h, bit for bit."""
+    at h and -h, bit for bit.
+
+    Rows whose term is provably +0.0 skip math.hypot and math.exp: the
+    hypot is at least the largest distance, and the rounded products that
+    scale it are monotone, so the exponent is at most the same products
+    taken of the largest distance.  Where those are below _UNDERFLOW, exp
+    returns +0.0.
+    """
     X = 2.0 * _phases(A, H)
     dist = np.abs(X - np.rint(X))
-    euc = np.fromiter(map(math.hypot, *dist.T.tolist()), dtype=float, count=len(H))
-    scaled = -(4.0 * k / A.shape[0]) * euc * euc
-    gauss = np.fromiter(map(math.exp, scaled.tolist()), dtype=float, count=len(H))
-    return gauss / _weight_rows(H)
+    c = 4.0 * k / A.shape[0]
+    top = _row_max(dist)
+    live = ~(-c * top * top < _UNDERFLOW)  # a NaN exponent is kept, as it was
+    euc = np.fromiter(map(math.hypot, *dist[live].T.tolist()), dtype=float)
+    scaled = -c * euc * euc
+    terms = np.zeros(len(H))
+    terms[live] = np.fromiter(map(math.exp, scaled.tolist()), dtype=float) / _weight_rows(H[live])
+    return terms
 
 
 def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
@@ -75,12 +99,14 @@ def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     with {.} the Euclidean nearest-integer distance, and the check
     S <= 0.5/(M+1) that the truncation analysis requires.
 
-    This is the actual sum, not a chained over-estimate of it.
+    This is the actual sum, not a chained over-estimate of it: each term
+    is computed as the definition has it (math.hypot, math.exp), except
+    those that a numpy screen proves to underflow to +0.0 (_cohort_terms),
+    which math.fsum would ignore.  At the paper's M every term underflows.
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_k(k)
     require(f"cohort sum to M={M}", _box_pass_cost(G, M), "a smaller --k or --ca")
     A = G.as_array()
     terms = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PER_CALL, InternalConsistencyError, ValidationError, require
 from . import fourier
-from .fourier import _digits, _phases
+from .fourier import _digits, _phases, _row_max
 from .generators import GeneratorMatrix
 
 
@@ -57,12 +57,6 @@ def _shell(d: int, s: int) -> np.ndarray:
     last = np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)
     last += np.where(on, 0, base - 2)[rows]
     return values[np.column_stack([prefix[rows], last])[:, ::-1]]
-
-
-def _row_max(X: np.ndarray) -> np.ndarray:
-    """Maximum of each row, taken over the columns: np.max(X, axis=1) is many
-    times slower on the few columns these arrays have."""
-    return reduce(np.maximum, X.T)
 
 
 def _sup_distance(A: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -121,13 +115,44 @@ class BadApproxEstimate:
     certified_up_to: int
 
 
+def _half_box(values: np.ndarray, d: int, rows: int):
+    """The half of the search box that estimate_bad_constant scans, in scan
+    order: (prefix indices, h_0 values) pairs of at most `rows` prefixes,
+    the index of a prefix (h_1, ..., h_{d-1}) having h_i as its digit of
+    weight base^(i-1).  First the zero prefix with every h_0 > 0
+    (values[1::2]); then, for L = 1, ..., d-1, every prefix whose most
+    significant nonzero digit, h_L, is odd (positive) with every h_0.  These
+    are the vectors whose last nonzero coordinate is positive, one of each
+    pair h, -h."""
+    base = len(values)
+    yield np.zeros(1, dtype=np.int64), values[1::2]
+    for L in range(1, d):
+        span = base ** (L - 1)  # prefixes of h_1, ..., h_{L-1}
+        count = base // 2 * span  # times the hmax positive digits of h_L
+        for start in range(0, count, rows):
+            j, t = np.divmod(np.arange(start, min(start + rows, count)), span)
+            yield (2 * j + 1) * span + t, values
+
+
+def _scale_table(hmax: int, d: int, n: int) -> np.ndarray:
+    """s^(d/n) for s = 0, ..., hmax by CPython's float power, whose bits
+    numpy's does not always match; for d = n, pow(s, 1.0) is s itself."""
+    if d == n:
+        return np.arange(hmax + 1, dtype=float)
+    return np.fromiter(map(pow, range(hmax + 1), repeat(d / n)), dtype=float, count=hmax + 1)
+
+
 def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     """Scan 0 < ||h||_inf <= hmax for the minimum of {Ah}_inf * ||h||_inf^(d/n).
 
-    The box is scanned with coordinate values 0, 1, -1, ..., hmax, -hmax and
+    The scan order takes coordinate values 0, 1, -1, ..., hmax, -hmax with
     the first coordinate varying fastest; the first minimum in that order is
-    kept.  Each block is a range of prefixes (h_1, ..., h_{d-1}) times a range
-    of h_0 values, at most _BLOCK vectors, whose phases are summed from
+    kept.  h and -h give the same value bit for bit (negation is exact and
+    rint symmetric), and of the two the scan meets first the one whose last
+    nonzero coordinate is positive, so only that half of the box is scanned
+    (_half_box): its first minimum is the first minimum of the whole box.
+    Each block is a range of prefixes (h_1, ..., h_{d-1}) times a range of
+    h_0 values, at most _BLOCK vectors, whose phases are summed from
     per-axis tables v * alpha_{.i} left to right as _phases sums them.  Time
     is proportional to the box size, memory to one block.
     """
@@ -139,8 +164,7 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     A = G.as_array()
     n, d = A.shape
     base = len(values)
-    # ||h||_inf^(d/n) by CPython's float power, whose bits numpy's does not always match
-    scale = np.fromiter(map(pow, range(hmax + 1), repeat(d / n)), dtype=float, count=hmax + 1)
+    scale = _scale_table(hmax, d, n)  # ||h||_inf^(d/n)
     tables = [A[:, i : i + 1] * values for i in range(1, d)]  # (n, base) each
     width = min(base, fourier._BLOCK)  # h_0 values per block
     rows = max(1, fourier._BLOCK // base)  # prefixes per block
@@ -148,13 +172,11 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     phases, dists = np.empty((2, n, rows, width))
     norms = np.empty((rows, width), dtype=np.int64)
     best_val, best_h = math.inf, None
-    prefixes = base ** (d - 1)
-    for start in range(0, prefixes, rows):
-        digits = _digits(np.arange(start, min(start + rows, prefixes)), base, d - 1)
-        digits = digits[:, ::-1]  # column i - 1 holds h_i
+    for prefixes, h0s in _half_box(values, d, rows):
+        digits = _digits(prefixes, base, d - 1)[:, ::-1]  # column i - 1 holds h_i
         top = np.abs(values[digits]).max(axis=1, initial=0)  # sup norm of each prefix
-        for lo in range(0, base, width):
-            h0 = values[lo : lo + width]
+        for lo in range(0, len(h0s), width):
+            h0 = h0s[lo : lo + width]
             P, J = len(digits), len(h0)  # the block: P prefixes x J values of h_0
             X = np.multiply(A[:, :1, None], h0, out=phases[:, :P, :J])
             for table, col in zip(tables, digits.T):
@@ -167,8 +189,6 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
             np.maximum(norm, top[:, None], out=norm)
             # norms lie in 0..hmax, so "clip" never acts; it spares take a buffered copy
             vals *= np.take(scale, norm, out=phases[0, :P, :J], mode="clip")
-            if start == 0 and lo == 0:
-                vals[0, 0] = math.inf  # h = 0
             i = int(np.argmin(vals))
             p, j = divmod(i, J)
             if vals[p, j] < best_val:

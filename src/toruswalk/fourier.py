@@ -6,7 +6,8 @@ Frequency boxes are always iterated in a fixed order, in blocks of at
 most _BLOCK rows, and summed with math.fsum so results are deterministic
 bit for bit and do not depend on the block size.  Every term is the same
 at h and -h, bit for bit, so the passes walk only the negative half of a
-box and double its exact sum.
+box and double its exact sum.  The ETK and cohort sums also skip every
+term that provably underflows to +0.0, which math.fsum would ignore.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ TWO_PI = 2.0 * math.pi
 
 # Rows per block of a frequency box: bounds the memory of every box pass.
 _BLOCK = 2**16
+
+# exp and float power return +0.0 for a true value below e^-800, which lies
+# far under 2^-1075 ~ e^-745.13, half the smallest subnormal: a term whose
+# logarithm is provably below this is +0.0 and never computed.
+_UNDERFLOW = -800.0
 
 
 def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
@@ -53,6 +59,12 @@ def frequency_box(d: int, bound: int):
     for start in range(0, half, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, half))
         yield _digits(idx, base, d) - bound
+
+
+def _row_max(X: np.ndarray) -> np.ndarray:
+    """Maximum of each row, taken over the columns: np.max(X, axis=1) is many
+    times slower on the few columns these arrays have."""
+    return reduce(np.maximum, X.T)
 
 
 def _fsum_rows(X: np.ndarray) -> np.ndarray:
@@ -90,14 +102,29 @@ def _weight_rows(H: np.ndarray) -> np.ndarray:
 
 def _qhat_rows(A: np.ndarray, H: np.ndarray) -> np.ndarray:
     """qhat of each row of H, with math.cos and the fsum order of its definition."""
-    X = (TWO_PI * _phases(A, H, exact=True)).ravel()
-    cosines = np.fromiter(map(math.cos, X.tolist()), dtype=float, count=len(X))
-    return _fsum_rows(cosines.reshape(len(H), A.shape[0])) / A.shape[0]
+    return _mean_cos(TWO_PI * _phases(A, H, exact=True))
+
+
+def _mean_cos(X: np.ndarray) -> np.ndarray:
+    """math.fsum of math.cos over each row of X, divided by the row length."""
+    cosines = np.fromiter(map(math.cos, X.ravel().tolist()), dtype=float, count=X.size)
+    return _fsum_rows(cosines.reshape(X.shape)) / X.shape[1]
 
 
 def _abs_pow(q: np.ndarray, k: int) -> np.ndarray:
     """|q|^k by CPython's float power, whose bits numpy's does not always match."""
     return np.fromiter(map(pow, np.abs(q).tolist(), repeat(k)), dtype=float, count=len(q))
+
+
+def _check_k(k: int) -> None:
+    """ValidationError unless 0 <= k and some float holds k (the bounds take
+    k as a float)."""
+    if k < 0:
+        raise ValidationError("k must be >= 0")
+    try:
+        float(k)
+    except OverflowError:
+        raise ValidationError(f"k of {k.bit_length()} bits is too large for a float") from None
 
 
 def _as_int(v) -> int:
@@ -147,8 +174,7 @@ def single_h_lower_bound(G: GeneratorMatrix, k: int, h, r=None) -> float:
     h = _check_h(G, h)
     if all(v == 0 for v in h):
         raise ValidationError("h must be nonzero")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_k(k)
     q = qhat(G, h)
     if r is None:
         return abs(q) ** k / (math.pi ** G.d * weight_R(h))
@@ -174,8 +200,7 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """
     if hmax < 1:
         raise ValidationError("hmax must be >= 1")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_k(k)
     require(f"best-bound box to hmax={hmax}", _box_pass_cost(G, hmax), "a smaller hmax")
     A = G.as_array()
     best_val, best_h = -math.inf, None
@@ -187,17 +212,39 @@ def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     return best_val, best_h
 
 
+def _etk_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
+    """|qhat|^k / R(h) of each row of H, bit for bit, +0.0 where it underflows.
+
+    A screen in numpy finds the rows whose term is provably +0.0 and spares
+    them math.cos and pow: |qhat| <= |mean of np.cos| + 1e-9 (the cosines
+    are taken of the same phases, and both cosines and both means agree far
+    closer than 1e-9), so k log of that bound below _UNDERFLOW puts
+    |qhat|^k under e^-800.  A bound >= 1 (|qhat| = 1, or k = 0) is never
+    screened.
+    """
+    X = TWO_PI * _phases(A, H, exact=True)
+    bound = np.abs(reduce(np.add, np.cos(X).T)) / A.shape[0] + 1e-9
+    live = float(k) * np.log(bound) >= _UNDERFLOW  # finite: bound >= 1e-9
+    terms = np.zeros(len(H))
+    terms[live] = _abs_pow(_mean_cos(X[live]), k) / _weight_rows(H[live])
+    return terms
+
+
 def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
     """Erdos-Turan-Koksma bound:
     (3/2)^d (2/(M+1) + sum over 0 < ||h||_inf <= M of |qhat|^k / R(h)).
+
+    Each term is computed as the definition has it (math.cos, math.fsum,
+    CPython's float power), except those that a numpy screen proves to
+    underflow to +0.0 (_etk_terms); math.fsum ignores them, so the value is
+    the same bit for bit.  At the paper's M every term underflows.
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_k(k)
     require(f"ETK sum to M={M}", _box_pass_cost(G, M), "a smaller M (--etk-m, or --ca in a scan)")
     A = G.as_array()
     terms = []
     for H in frequency_box(G.d, M):
-        terms.extend((_abs_pow(_qhat_rows(A, H), k) / _weight_rows(H)).tolist())
+        terms.extend(_etk_terms(A, H, k).tolist())
     return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(terms))

@@ -380,12 +380,13 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     Each trial draws its 2n per-direction step counts at once, from
     Multinomial(k, 1/(2n), ..., 1/(2n)) -- the law of the direction counts
     of k i.i.d. uniform steps -- on a counter-based Philox stream keyed by
-    the seed, which must lie in [0, 2^128).  Time and memory are
+    the seed, which must lie in [0, 2^128); k must lie below 2^63, as
+    numpy's multinomial takes it as a C long.  Time and memory are
     O(trials * n) whatever k is, and the output depends only on
     (seed, trials, k), never on scheduling.
     """
-    if k < 0:
-        raise ValidationError("step count k must be >= 0")
+    if not 0 <= k < 2**63:
+        raise ValidationError("step count k must lie in [0, 2^63), numpy's multinomial range")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if not 0 <= seed < 2**128:
@@ -417,7 +418,8 @@ def pointset_to_csv_text(P: WeightedPointSet) -> str:
 
 def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPointSet:
     """Parse one atom per line: d coordinates in [0, 1), then a finite weight
-    >= 0.  Equal points are merged, their weights added in file order."""
+    >= 0; the weights must sum to 1 within 1e-9, as a probability measure's
+    do.  Equal points are merged, their weights added in file order."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -445,6 +447,9 @@ def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPoin
     if not rows:
         raise ValidationError("empty point-set file")
     X = np.array(rows)
+    total = math.fsum(X[:, -1].tolist())
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"point-set weights sum to {total!r}, not 1")
     points, run = _merge(X[:, :-1])
     # bincount adds each point's weights in file order
     atoms = tuple(zip(map(tuple, points.tolist()), np.bincount(run, X[:, -1]).tolist()))

@@ -10,14 +10,37 @@ from toruswalk import (
     bound_report,
     builtin_generators,
     choose_M,
+    best_fourier_lower_bound,
     cohort_sum_S,
+    etk_upper_bound,
     fit_decay_exponent,
     load_generators,
+    single_h_lower_bound,
     theorem1_lower_bound,
     theorem2_upper_bound,
 )
 
 GOLDEN = builtin_generators("golden", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: theorem1_lower_bound(1, 1, k),
+        lambda k: theorem2_upper_bound(1, 1, 0.4, k),
+        lambda k: choose_M(1, 1, 0.4, k),
+        lambda k: cohort_sum_S(GOLDEN, k, 3),
+        lambda k: etk_upper_bound(GOLDEN, k, 3),
+        lambda k: best_fourier_lower_bound(GOLDEN, k, 3),
+        lambda k: single_h_lower_bound(GOLDEN, k, (1,)),
+    ],
+    ids=["theorem1", "theorem2", "choose_M", "cohort", "etk", "best-bound", "single-h"],
+)
+def test_k_beyond_every_float_is_refused(call):
+    # 2^1024 is the first integer that no float holds
+    with pytest.raises(ValidationError, match="k of 1025 bits is too large for a float"):
+        call(2**1024)
+    call(2**1000)
 
 
 class TestLowerBoundFormula:

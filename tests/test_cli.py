@@ -4,6 +4,13 @@ import time
 
 import pytest
 
+from toruswalk import (
+    builtin_generators,
+    discrepancy_exact,
+    exact_walk_distribution,
+    project_to_torus,
+    simulate_walk,
+)
 from toruswalk.cli import main
 from toruswalk.scan import ScanConfig, ScanRow, parse_config_text, parse_k_schedule, run_scan
 from toruswalk.errors import ValidationError
@@ -194,6 +201,59 @@ def test_disc_invalid_point_exits_2(capsys, tmp_path, text, problem, resolution)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"line 2 has {problem}" in err
+
+
+def test_disc_weights_not_summing_to_one_exit_2(capsys, tmp_path):
+    # a discrepancy above 1, labelled exact, came out of this file before
+    pts = tmp_path / "heavy.csv"
+    pts.write_text("0.25,1.5\n0.75,0.5\n")
+    code, out, err = run_cli(capsys, "disc", str(pts))
+    assert code == 2 and out == ""
+    assert "weights sum to 2.0, not 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--builtin", "golden", "--k", "32768"],
+        ["--builtin", "sqrt_primes", "--n", "2", "--k", "300", "--trials", "5000", "--seed", "3"],
+    ],
+    ids=["exact", "monte-carlo"],
+)
+def test_dist_output_round_trips_through_disc(capsys, tmp_path, argv):
+    pts = tmp_path / "dist.csv"
+    assert run_cli(capsys, "dist", *argv, "--out", str(pts))[0] == 0
+    code, out, _ = run_cli(capsys, "disc", str(pts))
+    assert code == 0
+    if "--trials" in argv:
+        P = simulate_walk(builtin_generators("sqrt_primes", 2, 1), 300, trials=5000, seed=3)
+    else:
+        G = builtin_generators("golden", 1, 1)
+        P = project_to_torus(exact_walk_distribution(G, 32768), G)
+    res = json.loads(out)
+    assert res["exactness"] == "exact"
+    assert res["value"] == discrepancy_exact(P).value
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bounds", "--builtin", "golden", "--k", str(10**400)], "too large for a float"),
+        (["bounds", "--builtin", "golden", "--k", str(10**400), "--ca", "0.4", "--etk-m", "3"],
+         "too large for a float"),
+        (["bounds", "--builtin", "golden", "--k", str(2**1023), "--ca", "2.0"],
+         "truncation index at k=8.99e+307, c_a=2.0 overflows a float"),
+        (["dist", "--builtin", "golden", "--k", str(10**20), "--trials", "10"],
+         "step count k must lie in [0, 2^63)"),
+        (["dist", "--builtin", "golden", "--k", str(2**63), "--trials", "10"],
+         "step count k must lie in [0, 2^63)"),
+    ],
+    ids=["bounds", "bounds-etk", "bounds-truncation-index", "dist-mc", "dist-mc-2^63"],
+)
+def test_huge_k_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "scan"])

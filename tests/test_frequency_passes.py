@@ -2,7 +2,10 @@
 the definitions (tests/conftest.py), at the default block size and with
 blocks of one row and of a size that ends inside rows of the box."""
 
+import builtins
+import math
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from conftest import (
     brute_etk,
     brute_qhat,
     lex_box,
+    scan_order_box,
 )
 
 from toruswalk import (
     best_fourier_lower_bound,
+    bounds,
     builtin_generators,
     cohort_sum_S,
+    diophantine,
     dirichlet_search,
     estimate_bad_constant,
     etk_upper_bound,
@@ -175,3 +181,129 @@ def test_d1_search_memory_holds_no_box_sized_table():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+def _half_box_vectors(d, hmax):
+    """The vectors of diophantine._half_box, in its order, and its block sizes."""
+    values = diophantine._coord_values(hmax)
+    base = len(values)
+    rows = max(1, fourier._BLOCK // base)
+    vectors, sizes = [], []
+    for prefixes, h0s in diophantine._half_box(values, d, rows):
+        sizes.append(len(prefixes))
+        digits = fourier._digits(prefixes, base, d - 1)[:, ::-1]
+        for prefix in values[digits].tolist():
+            vectors.extend((h0, *prefix) for h0 in h0s.tolist())
+    return vectors, sizes, rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_half_box_is_one_of_each_pair_in_scan_order(d, block):
+    hmax = 3
+    half, sizes, rows = _half_box_vectors(d, hmax)
+    assert max(sizes) <= rows
+    kept = set(half)
+    negated = {tuple(-v for v in h) for h in half}
+    assert len(kept) == len(half) and not negated & kept
+    assert negated | kept == set(lex_box(d, hmax))
+    # in scan order, each kept vector comes before its negation
+    order = list(scan_order_box(d, hmax))
+    assert half == [h for h in order if h in kept]
+    position = {h: i for i, h in enumerate(order)}
+    assert all(position[h] < position[tuple(-v for v in h)] for h in half)
+
+
+@pytest.mark.parametrize(
+    "spec,hmax,argmin_h",
+    [
+        (("diagonal:0.32", 1, 3, None), 4, (-1, 1, 0)),
+        (("sqrt_primes", 2, 3, None), 5, (-4, 5, 0)),
+        (("random", 1, 2, 4), 9, (-7, 9)),
+        (("random", 2, 3, 11), 3, (-1, 1, 1)),
+    ],
+    ids=["diagonal", "sqrt_primes-n2-d3", "random-n1-d2", "random-n2-d3"],
+)
+def test_search_finds_minimisers_with_a_negative_coordinate(spec, hmax, argmin_h, block):
+    # the mirrored vector (1, -1, 0), ... gives the same value but comes later
+    G = _matrix(spec)
+    est = estimate_bad_constant(G, hmax)
+    assert est.argmin_h == argmin_h
+    assert (est.c_est, est.argmin_h) == brute_bad_constant(G, hmax)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (1, 2), (3, 2)])
+def test_scale_table_is_cpython_power(d, n):
+    hmax = 10**5
+    expected = np.fromiter(map(pow, range(hmax + 1), repeat(d / n)), dtype=float)
+    assert diophantine._scale_table(hmax, d, n).tolist() == expected.tolist()
+
+
+def _spy(monkeypatch, target, name):
+    """Record the arguments of every call of target.name."""
+    calls = []
+    inner = getattr(target, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(target, name, spy, raising=False)
+    return calls
+
+
+def _spies(monkeypatch):
+    # _abs_pow finds pow among fourier's globals before the builtins
+    monkeypatch.setattr(fourier, "pow", builtins.pow, raising=False)
+    return {
+        name: _spy(monkeypatch, target, name)
+        for target, name in [(fourier, "pow"), (math, "exp"), (math, "cos"), (math, "hypot")]
+    }
+
+
+def test_underflowing_terms_reach_no_libm_call(monkeypatch):
+    G = builtin_generators("sqrt_primes", 2, 2)
+    expected = (brute_etk(G, 10**6, 7), brute_cohort_sum(G, 10**6, 7))
+    calls = _spies(monkeypatch)
+    etk = etk_upper_bound(G, 10**6, 7)
+    s, ok = cohort_sum_S(G, 10**6, 7)
+    assert calls == {"pow": [], "exp": [], "cos": [], "hypot": []}
+    assert (etk, s, ok) == (*expected, True)
+    assert s == 0.0 and etk == 1.5**2 * (2.0 / 8)  # every term underflows
+
+
+def test_rows_of_modulus_one_are_never_screened(monkeypatch):
+    G = builtin_generators("rational:7", 2, 2)
+    k, M = 10**6, 7
+    half = [h for h in lex_box(2, M) if h < (0, 0)]
+    ones = sum(abs(qhat(G, h)) == 1.0 for h in half)
+    assert ones == 4  # (-7, -7), (-7, 0), (-7, 7), (0, -7)
+    calls = _spies(monkeypatch)
+    assert etk_upper_bound(G, k, M) == brute_etk(G, k, M)
+    assert sum(q == 1.0 for q, _ in calls["pow"]) == ones
+    assert cohort_sum_S(G, k, M)[0] == pytest.approx(brute_cohort_sum(G, k, M), rel=1e-12)
+    assert sum(x == 0.0 for (x,) in calls["exp"]) >= ones
+
+
+@pytest.mark.parametrize("spec", MATRICES + [("rational:7", 2, 2, None)], ids=_ids)
+def test_screened_sums_equal_unscreened_sums_bit_for_bit(spec, monkeypatch):
+    G = _matrix(spec)
+    M = {1: 40, 2: 7, 3: 3}[G.d]
+    cases = [(k, m) for k in (0, 1, 30, 10**3, 10**5, 10**7) for m in (1, M)]
+    screened = [(etk_upper_bound(G, k, m), cohort_sum_S(G, k, m)) for k, m in cases]
+    monkeypatch.setattr(fourier, "_UNDERFLOW", -math.inf)
+    monkeypatch.setattr(bounds, "_UNDERFLOW", -math.inf)
+    unscreened = [(etk_upper_bound(G, k, m), cohort_sum_S(G, k, m)) for k, m in cases]
+    assert repr(screened) == repr(unscreened)
+
+
+def test_libm_underflows_past_the_screen():
+    # the screen drops a term whose logarithm is provably below _UNDERFLOW;
+    # this platform's exp and pow must return +0.0 there
+    cut = fourier._UNDERFLOW
+    assert bounds._UNDERFLOW == cut
+    for x in (cut, np.nextafter(cut, -math.inf), 2 * cut, -1e300):
+        assert math.copysign(1.0, math.exp(x)) == 1.0 and math.exp(x) == 0.0
+    for q in (0.5, 0.9, 0.999999, 1.0 - 2**-40):
+        k = math.floor(cut / math.log(q)) + 1  # smallest k with k log q < cut
+        assert k * math.log(q) < cut
+        assert pow(q, k) == 0.0 and math.copysign(1.0, pow(q, k)) == 1.0

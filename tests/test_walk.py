@@ -430,6 +430,7 @@ def test_pointset_csv_round_trip():
 def test_pointset_csv_merges_equal_points_in_file_order():
     # -0.0 and 0.0 are one point, spelled as it first appears; weights are
     # added in file order: (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3)
-    P = pointset_from_csv_text("0.5,0.1\n-0.0,0.125\n0.5,0.2\n0.0,0.5\n0.5,0.3\n")
-    assert P.atoms == (((0.0,), 0.625), ((0.5,), (0.1 + 0.2) + 0.3))
+    P = pointset_from_csv_text("0.5,0.1\n-0.0,0.15\n0.5,0.2\n0.0,0.25\n0.5,0.3\n")
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert P.atoms == (((0.0,), 0.15 + 0.25), ((0.5,), (0.1 + 0.2) + 0.3))
     assert math.copysign(1.0, P.atoms[0][0][0]) == -1.0

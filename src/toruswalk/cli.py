@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -44,7 +45,10 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=1, help="torus dimension for --builtin")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: every parse_args call
+    returns a fresh namespace, and no command writes to the parser."""
     ap = argparse.ArgumentParser(prog="toruswalk", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -10,13 +10,17 @@ independent lower oracle for larger inputs.
 
 Both estimators run on one enumerator, `_blocks`: it bins the atoms once
 into a summed-area table over the candidate faces, walks face pairs on the
-first d-1 axes and hands each block of boxes' final-axis masses, as a
-padded prefix sum read off that table, to the estimator's own final-axis
-reduction.  For the grid the table first has the volume subtracted, in
-place, so a block reads mass minus volume directly.  Each estimator builds
-its face arrays first and prices the elements and blocks `_blocks` would
-yield over them against the budget before it enumerates anything; the
-budget also bounds the table, which has (c+1)^d cells for c faces per axis.
+first d-1 axes and packs the boxes' final-axis masses, as padded prefix
+sums read off that table, strip after strip into blocks of one size for the
+estimator's own final-axis reduction.  For the grid the table first has the
+volume subtracted, in place, so a block reads mass minus volume directly.
+A strip bounds the values of its boxes (an excess by the strip's mass, a
+deficit by its width), so each left face skips the narrow strips that
+cannot beat the estimator's best value so far; values and witnesses are
+those of the full enumeration.  Each estimator builds its face arrays first
+and prices the worst case, every strip in blocks of one left face each,
+against the budget before it enumerates anything; the budget also bounds
+the table, which has (c+1)^d cells for c faces per axis.
 """
 
 from __future__ import annotations
@@ -85,8 +89,16 @@ def box_mass(P: WeightedPointSet, B: Box, mode: str = "closure") -> float:
 
 
 # Element budget of one block (rows x final-axis faces): it bounds the
-# enumerator's temporaries, which one block per left face would grow to c^2.
-_BLOCK = 1 << 13
+# enumerator's temporaries.  Smaller blocks leave much of a block's time to
+# its few numpy calls: on a 2-core Xeon, grid(512) on 441 atoms takes about
+# 0.19, 0.14 and 0.11 s at 2^13, 2^14 and 2^15 elements; 2^16 gains little.
+_BLOCK = 1 << 15
+# The budget charges blocks of at most this many elements that each hold one
+# left face's boxes, the enumerator's before it packed them (see _elements).
+_PRICED_BLOCK = 1 << 13
+# The least margin by which a strip's bound must miss the best value so far
+# before _blocks skips the strip (see _blocks).
+_MARGIN = 2.0**-40
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -95,17 +107,38 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _blocks(pts, wts, faces, rule, minus_volume=False):
-    """Yield (lo, hi, P, W) for each block of boxes with faces from `faces`.
+def _blocks(pts, wts, faces, rule, floor, bounds, minus_volume=False):
+    """Yield (lo, hi, P, W, segments) for each block of boxes with faces from `faces`.
 
     An atom's index on an axis is that of the last face at or below it;
     under rule = (a, b, jmin) the face pair (i, j), j >= i + jmin, holds
     indices i + a .. j - b, so in the table S of atoms binned at index + 1
     and summed along every axis it holds S[j - b + 1] - S[i + a].  Each pair
-    on axes 0..d-3 subtracts its axis out of S; a block fixes the left face
-    lo[-1] on axis d-2, and its row r takes the right face hi[-1] + r.
-    P[r, t + 1] is the row's mass up to final-axis face t, W[r] its volume
-    on axes 0..d-2.
+    on axes 0..d-3 subtracts its axis out of S, leaving a slab T; lo and hi
+    are those pairs' left and right faces.  The slab's rows T[j - b + 1] -
+    T[i + a], left faces i on axis d-2 in order and each one's right faces j
+    in order, are packed into blocks of at most _BLOCK elements of one reused
+    buffer, one np.subtract per run of a left face's rows in a block:
+    segments lists the runs as (r0, i, j0, n), block rows r0 .. r0 + n - 1
+    standing for the pairs (i, j0) .. (i, j0 + n - 1).  P[r, t + 1] is row
+    r's mass up to final-axis face t, W[r] its volume on axes 0..d-2.  In
+    d = 1 the one block is the table, with no segments.
+
+    floor is a one-element list that the caller keeps at its best value so
+    far; bounds names one or both strip bounds that its box values obey,
+    each nondecreasing in j: "mass", the strip's mass T[j - b + 1, -1] -
+    T[i + a, -1], and "volume", its width W * (u_j - u_i).  Each left face
+    skips the right faces, a prefix found by one searchsorted per bound,
+    whose strip has every named bound below floor[0] - margin, so skipped
+    boxes cannot beat floor[0] and the first box attaining the maximum is
+    still yielded.  The margin covers rounding.  The bounds hold exactly for
+    the exact sums of the binned cells; a box value and its bound read at
+    most 12 table entries, each a sum over at most sum(shape) additions and
+    so within sum(shape) * 2^-53 * M of its exact sum (M the total mass, the
+    table's last entry), and take at most 60 more roundings of numbers below
+    2 * max(1, M).  Together that is below (12 * sum(shape) + 60) * 2^-53 *
+    max(1, M), which is at most margin = _MARGIN * max(1, M) * max(1,
+    sum(shape) / 512).
 
     minus_volume is for the half-open rule (0, 1, 1), under which slab row
     r stands for face u_r on axis d-2 on both sides of a pair: each slab
@@ -122,8 +155,9 @@ def _blocks(pts, wts, faces, rule, minus_volume=False):
     if len(faces) == 1:
         if minus_volume:
             S[:-1] -= g
-        yield (), (), S[None], None if minus_volume else np.ones(1)
+        yield (), (), S[None], None if minus_volume else np.ones(1), ()
         return
+    margin = _MARGIN * max(1.0, float(S.flat[-1])) * max(1.0, sum(shape) / 512)
 
     def slabs(T, lo, hi, W):  # the face pairs on axes len(lo)..d-3
         if len(lo) == len(faces) - 2:
@@ -135,58 +169,90 @@ def _blocks(pts, wts, faces, rule, minus_volume=False):
                 yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), W * (f[j] - f[i]))
 
     u, rows = faces[-2], max(1, _BLOCK // shape[-1])
+    buf = np.empty((rows, shape[-1]))
+    widths = None if minus_volume else np.empty(rows)
     for lo, hi, T, W in slabs(S, (), (), 1.0):  # T is S itself in d = 2, else a fresh slab
         if minus_volume:  # in row chunks, so no temporary holds more than _BLOCK elements
             V = T[:-1, :-1]  # the rows of faces u_r and the columns of faces g_t
             for r in range(0, u.size, rows):
                 V[r : r + rows] -= np.multiply.outer(W * u[r : r + rows], g)
+        # a running max, since in d = 3 the slab's rounded masses need not rise
+        mass = np.maximum.accumulate(T[:, -1]) if "mass" in bounds else None
+        n, segments = 0, []
         for i in range(u.size):
-            for j0 in range(i + jmin, u.size, rows):
-                n = min(rows, u.size - j0)
-                P = T[j0 - b + 1 : j0 - b + 1 + n] - T[i + a]
-                Wr = None if minus_volume else W * (u[j0 : j0 + n] - u[i])
-                yield lo + (i,), hi + (j0,), P, Wr
+            j, cut = i + jmin, floor[0] - margin
+            if cut > 0:
+                skip = u.size
+                if mass is not None:  # first row whose strip mass can reach the cut
+                    skip = int(mass.searchsorted(T[i + a, -1] + cut)) + b - 1
+                if "volume" in bounds:  # W > 0: jmin = 1 here
+                    skip = min(skip, int(u.searchsorted(u[i] + cut / W)))
+                j = max(j, skip)
+            while j < u.size:
+                k = min(rows - n, u.size - j)
+                np.subtract(T[j - b + 1 : j - b + 1 + k], T[i + a], out=buf[n : n + k])
+                if widths is not None:
+                    np.subtract(u[j : j + k], u[i], out=widths[n : n + k])
+                segments.append((n, i, j, k))
+                n, j = n + k, j + k
+                if n == rows:
+                    yield lo, hi, buf, None if widths is None else W * widths, segments
+                    n, segments = 0, []
+        if n:
+            yield lo, hi, buf[:n], None if widths is None else W * widths[:n], segments
 
 
 def _elements(faces, jmin: int) -> int:
-    """Element operations of _blocks over these faces: the face pairs
-    j >= i + jmin on axes 0..d-2 times the c + 1 columns of the final axis,
-    and 10 * PER_CALL (about 10 us of numpy calls) for each block."""
+    """Element operations charged for _blocks over these faces, its worst
+    case: the face pairs j >= i + jmin on axes 0..d-2 times the c + 1
+    columns of the final axis, as if no strip were skipped, and 10 * PER_CALL
+    (about 10 us of numpy calls) for each block of an enumerator that gives
+    every left face on axis d-2 blocks of its own of at most _PRICED_BLOCK
+    elements.  _blocks packs left faces into fewer, larger blocks: at 8 calls
+    a block and 2 a segment it stays within that charge."""
     width = faces[-1].size + 1
     pairs = [(f.size - jmin) * (f.size - jmin + 1) // 2 for f in faces[:-1]]
     blocks = 1
     if pairs:  # m right faces of one left face on axis d-2 make ceil(m / rows) blocks
-        rows = max(1, _BLOCK // width)
+        rows = max(1, _PRICED_BLOCK // width)
         q, s = divmod(faces[-2].size - jmin, rows)
         blocks = math.prod(pairs[:-1]) * (rows * q * (q + 1) // 2 + s * (q + 1))
     return math.prod(pairs) * width + 10 * PER_CALL * blocks
 
 
-def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool):
-    """Max over candidate boxes of one branch; returns (value, lo, hi).
+def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, start: float):
+    """Max over candidate boxes of one branch, if above start; returns
+    (value, lo, hi), or (start, None, None) when no box beats start.
 
     Excess boxes are closed with faces at atom coordinates, deficit boxes
     open with the cube boundary added; on the final axis the best interval
-    of each row comes from one running-min sweep.
+    of each row comes from one running-min sweep.  A box's excess is at most
+    its strip's mass and its deficit at most its strip's width: the bounds
+    by which _blocks skips strips.
     """
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
-    best = (-math.inf, None, None)
-    for lo, hi, P, W in _blocks(pts, wts, faces, (jmin, jmin, jmin)):
+    floor, best = [start], (start, None, None)
+    bound = "mass" if excess else "volume"
+    for lo, hi, P, W, segments in _blocks(pts, wts, faces, (jmin, jmin, jmin), floor, (bound,)):
         wu = W[:, None] * u
         c, below = P[:, 1:], P[:, :-1]  # mass up to and including face t, mass below it
         if excess:
-            top, bot = c - wu, below - wu
+            bot, top = below - wu, np.subtract(c, wu, out=wu)
         else:
-            top, bot = wu - below, wu - c
+            bot, top = wu - c, np.subtract(wu, below, out=wu)
+        low = np.minimum.accumulate(bot, axis=1, out=bot)  # low[t] = min of bot[: t + 1]
         # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
-        vals = top[:, jmin:] - np.minimum.accumulate(bot, axis=1)[:, : u.size - jmin]
+        vals = np.subtract(top[:, jmin:], low[:, : u.size - jmin], out=top[:, jmin:])
         r, t = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[r, t] > best[0]:
-            s = int(np.argmin(bot[r, : t + 1]))
-            hi = hi[:-1] + (hi[-1] + r,) if hi else ()
+        if vals[r, t] > floor[0]:
+            s = int(np.argmax(low[r, : t + 1] == low[r, t]))  # first s where bot hit that min
+            if segments:  # the run holding row r gives its pair on axis d-2
+                r0, i, j0, _ = next(seg for seg in reversed(segments) if seg[0] <= r)
+                lo, hi = lo + (i,), hi + (j0 + r - r0,)
+            floor[0] = float(vals[r, t])
             best = (
-                float(vals[r, t]),
+                floor[0],
                 tuple(float(f[i]) for f, i in zip(faces, lo + (s,))),
                 tuple(float(f[j]) for f, j in zip(faces, hi + (t + jmin,))),
             )
@@ -209,9 +275,10 @@ def discrepancy_exact(P: WeightedPointSet) -> DiscrepancyResult:
     cost = _elements(exc_faces, 0) + _elements(def_faces, 1)
     require(f"exact discrepancy of {len(P.atoms)} atoms in d={d}", cost, fallback)
 
-    exc = _exact_branch(pts, wts, exc_faces, excess=True)
-    def_ = _exact_branch(pts, wts, def_faces, excess=False)
-    (val, lo, hi), direction = (exc, "excess") if exc[0] >= def_[0] else (def_, "deficit")
+    exc = _exact_branch(pts, wts, exc_faces, excess=True, start=-math.inf)
+    # only a deficit above the excess is reported
+    def_ = _exact_branch(pts, wts, def_faces, excess=False, start=exc[0])
+    (val, lo, hi), direction = (exc, "excess") if def_[1] is None else (def_, "deficit")
     return DiscrepancyResult(max(val, 0.0), Box(a=lo, b=hi), direction, exactness="exact")
 
 
@@ -246,9 +313,10 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
     kind = f"grid({resolution}) discrepancy of {len(P.atoms)} atoms in d={P.d}"
     require(kind, _elements(faces, 1), "a coarser --resolution")
-    best = 0.0
-    # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
-    for _, _, F, _ in _blocks(pts, wts, faces, (0, 1, 1), minus_volume=True):
+    # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j; a box's
+    # |mass - volume| is at most the larger of its strip's mass and width
+    floor = [0.0]
+    for _, _, F, _, _ in _blocks(pts, wts, faces, (0, 1, 1), floor, ("mass", "volume"), True):
         F = F[:, :-1]  # mass below g_t minus the volume there, for each final-axis face g_t
-        best = max(best, float((F.max(axis=1) - F.min(axis=1)).max()))
-    return best
+        floor[0] = max(floor[0], float((F.max(axis=1) - F.min(axis=1)).max()))
+    return floor[0]

@@ -529,3 +529,31 @@ def test_scan_mc_method(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert all(r["method"] == "mc" for r in report["rows"])
+
+
+def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path, monkeypatch):
+    from toruswalk import cli
+
+    def spy(args):
+        seen.append(args)
+        return commands[args.command](args)
+
+    seen, commands = [], dict(cli._COMMANDS)
+    for name in ("scan", "bounds"):
+        monkeypatch.setitem(cli._COMMANDS, name, spy)
+    assert cli.build_parser() is cli.build_parser()
+    scan = ["scan", "--builtin", "golden", "--out", str(tmp_path), "--format", "json"]
+    bounds = ["bounds", "--builtin", "golden", "--k", "10"]
+    assert run_cli(capsys, *scan, "--k-schedule", "4,8")[0] == 0
+    assert run_cli(capsys, *bounds)[0] == 0
+    config = tmp_path / "scan.cfg"
+    config.write_text("k_schedule = 2,3\n")
+    code, out, _ = run_cli(capsys, *scan, "--config", str(config))
+    assert code == 0
+    first, second, third = seen
+    # _cmd_scan rewrote the first namespace's schedule to a list; the
+    # namespaces that follow start from the parser's defaults
+    assert first.k_schedule == [4, 8]
+    assert not hasattr(second, "k_schedule") and second.k == 10
+    assert third.k_schedule is None
+    assert [row["k"] for row in json.loads(out)["rows"]] == [2, 3]

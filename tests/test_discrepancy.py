@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -222,42 +223,217 @@ class TestTiedCoordinates:
         )
 
 
+RULES = {  # rule triple, strip bounds and minus_volume of each estimator's _blocks call
+    "excess": ((0, 0, 0), ("mass",), False),
+    "deficit": ((1, 1, 1), ("volume",), False),
+    "grid": ((0, 1, 1), ("mass", "volume"), True),
+}
+
+
+def _faces(P, rule, resolution=6):
+    """The atoms and the face arrays an estimator hands _blocks."""
+    pts = np.array([pt for pt, _ in P.atoms])
+    faces = [discrepancy_module._distinct(pts[:, ax]) for ax in range(P.d)]
+    if rule == "deficit":
+        faces = [discrepancy_module._distinct(np.concatenate((f, [0.0, 1.0]))) for f in faces]
+    if rule == "grid":
+        grid = discrepancy_module._grid_candidates
+        faces = [grid(pts[:, ax], resolution) / resolution for ax in range(P.d)]
+    return pts, faces
+
+
+def _blocks_of(P, rule):
+    """Every block _blocks yields for P under one estimator's rule; the
+    floor stays at -inf, so no strip is skipped."""
+    (pts, faces), (triple, bounds, minus_volume) = _faces(P, rule), RULES[rule]
+    wts = np.array([w for _, w in P.atoms])
+    yielded = discrepancy_module._blocks(pts, wts, faces, triple, [-math.inf], bounds, minus_volume)
+    return faces, triple, [(lo, hi, prefix.copy(), segs) for lo, hi, prefix, _, segs in yielded]
+
+
+# sqrt_primes n = d = 2 at the k of the disc-d2 benchmark scan: value,
+# witness corners and direction, as the enumerator gave them before it packed blocks
+DISC_D2_EXACT = {
+    4: (0.24240223412226286, (0.0, 0.0), (0.650281539872885, 0.7084973778708186)),
+    6: (0.2053698927996687, (0.1715728752538097, 0.07179676972449123),
+        (0.7060096298737257, 0.8419037337712223)),
+    8: (0.1849688918231062, (0.1715728752538097, 0.07179676972449123),
+        (0.7060096298737257, 0.8419037337712223)),
+    10: (0.1672022452102575, (0.29399037012627427, 0.1580962662287777),
+         (0.7060096298737257, 0.8419037337712223)),
+}
+
+
+def _disc_d2(k):
+    G = builtin_generators("sqrt_primes", 2, 2)
+    return project_to_torus(exact_walk_distribution(G, k), G)
+
+
+class TestPackedBlocks:
+    """Blocks pack the rows of consecutive left faces; a small _BLOCK splits
+    a left face's rows across blocks, a large one packs many left faces."""
+
+    @pytest.mark.parametrize("block", [1, 20, 1000, None])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_brute_force(self, d, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
+        for trial in range(3):
+            rng = np.random.Generator(np.random.PCG64(7000 + 10 * d + trial))
+            P = random_point_set(rng, 9 if d == 2 else 5, d)
+            assert discrepancy_exact(P).value == pytest.approx(
+                brute_discrepancy_exact(P), abs=1e-12
+            )
+            res = 6 if d == 2 else 3
+            assert discrepancy_grid(P, res) == pytest.approx(
+                brute_discrepancy_grid(P, res), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_are_the_face_pairs_in_order(self, d, rule, monkeypatch):
+        # 25 elements: 2 or 3 rows of at most 11 columns, so runs split and share blocks
+        monkeypatch.setattr(discrepancy_module, "_BLOCK", 25)
+        P = random_point_set(np.random.Generator(np.random.PCG64(7100 + d)), 8, d)
+        faces, (a, b, jmin), blocks = _blocks_of(P, rule)
+        u = faces[-2].size
+        pairs, split, shared = {}, False, False
+        for lo, hi, prefix, segments in blocks:
+            assert prefix.shape[0] == sum(n for _, _, _, n in segments)
+            assert [r0 for r0, _, _, _ in segments] == [
+                sum(n for _, _, _, n in segments[:m]) for m in range(len(segments))
+            ]
+            shared |= len({i for _, i, _, _ in segments}) > 1
+            for r0, i, j0, n in segments:
+                split |= n < u - i - jmin  # fewer than the left face's rows
+                pairs.setdefault((lo, hi), []).extend((i, j) for j in range(j0, j0 + n))
+        assert split and shared
+        for slab in pairs.values():
+            assert slab == [(i, j) for i in range(u) for j in range(i + jmin, u)]
+
+    def test_disc_d2_outputs_are_pinned(self):
+        for k, (value, lo, hi) in DISC_D2_EXACT.items():
+            res = discrepancy_exact(_disc_d2(k))
+            assert (res.value, res.witness.a, res.witness.b, res.direction) == (
+                value, lo, hi, "excess"
+            )
+        assert discrepancy_grid(_disc_d2(20), 512) == 0.10942318922025152
+
+
+def _rows_yielded(monkeypatch):
+    """Wrap _blocks so that the returned list sums the rows it yields."""
+    seen, blocks = [0], discrepancy_module._blocks
+
+    def counted(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            seen[0] += block[2].shape[0]
+            yield block
+
+    monkeypatch.setattr(discrepancy_module, "_blocks", counted)
+    return seen
+
+
+def _heavy_atom_set(d):
+    # 0.9 of the mass on one atom with the largest coordinates: the winner is
+    # the degenerate closed box on it, a strip of width 0 that comes last
+    rng = np.random.Generator(np.random.PCG64(7200 + d))
+    light = random_point_set(rng, 10 if d == 2 else 4, d).atoms
+    atoms = tuple((pt, 0.1 * w) for pt, w in light) + (((0.97,) * d, 0.9),)
+    return WeightedPointSet(d=d, atoms=atoms, provenance="exact")
+
+
+def _tied_set():
+    # excess 0.75 on the closed [0, 1/2]^2, deficit 0.75 on the open (0, 1)^2
+    atoms = tuple(((x, y), 0.25) for x in (0.0, 0.5) for y in (0.0, 0.5))
+    return WeightedPointSet(d=2, atoms=atoms, provenance="exact")
+
+
+class TestStripBound:
+    """Skipping strips whose bound misses the best value so far changes no
+    value, witness or direction: each case is run with the skip and with the
+    margin at infinity, which skips nothing."""
+
+    CASES = {
+        "heavy atom d=2": (lambda: _heavy_atom_set(2), "excess"),
+        "deficit wins": (
+            lambda: random_point_set(np.random.Generator(np.random.PCG64(6001)), 8, 2), "deficit"
+        ),
+        "tie": (_tied_set, "excess"),
+        "heavy atom d=3": (lambda: _heavy_atom_set(3), "excess"),
+    }
+
+    @pytest.mark.parametrize("block", [1, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_skip_keeps_value_and_witness(self, case, block, monkeypatch):
+        make, direction = self.CASES[case]
+        P = make()
+        if block is not None:  # one-row blocks raise the floor after every row
+            monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
+        rows = _rows_yielded(monkeypatch)
+        res, grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+        skipped_rows = rows[0]
+        with monkeypatch.context() as m:
+            m.setattr(discrepancy_module, "_MARGIN", math.inf)
+            rows[0] = 0
+            ref, ref_grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+        assert (res.value, res.witness, res.direction) == (ref.value, ref.witness, ref.direction)
+        assert res.direction == direction
+        assert grid == ref_grid
+        assert res.value == pytest.approx(brute_discrepancy_exact(P), abs=1e-12)
+        assert grid == pytest.approx(brute_discrepancy_grid(P, 4), abs=1e-12)
+        mode = "closure" if res.direction == "excess" else "interior"
+        assert abs(box_mass(P, res.witness, mode) - res.witness.volume()) == pytest.approx(
+            res.value, abs=1e-12
+        )
+        if block is not None:
+            assert skipped_rows < rows[0]
+
+
 class TestPricing:
-    """The budget charges exactly the work the enumerator yields."""
+    """The budget charges the enumerator's worst case before it starts."""
 
     @pytest.mark.parametrize("block", [None, 1, 20])
     @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_price_counts_the_yielded_elements_and_blocks(self, d, rule, block, monkeypatch):
+        # unskipped, the blocks hold exactly the charged elements; at 8 numpy
+        # calls a packed block and 2 a segment they cost no more calls than
+        # the 10 charged for each block of one left face's rows
         if block is not None:
             monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
-        rng = np.random.Generator(np.random.PCG64(5000 + d))
-        P = random_point_set(rng, 7, d)
-        pts = np.array([pt for pt, _ in P.atoms])
-        wts = np.array([w for _, w in P.atoms])
-        faces = [discrepancy_module._distinct(pts[:, ax]) for ax in range(d)]
-        if rule == "deficit":
-            faces = [discrepancy_module._distinct(np.concatenate((f, [0.0, 1.0]))) for f in faces]
-        if rule == "grid":
-            faces = [discrepancy_module._grid_candidates(pts[:, ax], 6) / 6 for ax in range(d)]
-        triple = {"excess": (0, 0, 0), "deficit": (1, 1, 1), "grid": (0, 1, 1)}[rule]
-        elements = blocks = 0
-        for _, _, prefix, W in discrepancy_module._blocks(pts, wts, faces, triple):
-            assert prefix.shape == (W.size, faces[-1].size + 1)
-            elements, blocks = elements + prefix.size, blocks + 1
-        assert blocks > 0
+            monkeypatch.setattr(discrepancy_module, "_PRICED_BLOCK", block)
+        P = random_point_set(np.random.Generator(np.random.PCG64(5000 + d)), 7, d)
+        faces, triple, yielded = _blocks_of(P, rule)
+        elements = sum(prefix.size for _, _, prefix, _ in yielded)
+        assert all(prefix.shape[1] == faces[-1].size + 1 for _, _, prefix, _ in yielded)
+        segments = sum(len(segs) for _, _, _, segs in yielded)
         charged = discrepancy_module._elements(faces, triple[2])
-        assert charged == elements + 10 * errors.PER_CALL * blocks
+        unpacked, rest = divmod(charged - elements, 10 * errors.PER_CALL)
+        assert rest == 0 and len(yielded) > 0
+        assert 8 * len(yielded) + 2 * segments <= 10 * unpacked
+
+    def test_disc_d2_prices_are_pinned(self):
+        P = _disc_d2(20)
+        assert discrepancy_module._elements(_faces(P, "grid", 512)[1], 1) == 73_259_392
+        exact = sum(
+            discrepancy_module._elements(_faces(P, rule)[1], jmin)
+            for rule, jmin in (("excess", 0), ("deficit", 1))
+        )
+        assert exact == 93_452_985
+        with pytest.raises(CapExceededError, match="would cost 9.35e[+]07"):
+            discrepancy_exact(P)
 
     def test_many_small_blocks_are_refused_before_any(self, monkeypatch):
         # 50 atoms in d = 4 at grid(16): about 4.5e7 elements, under the
         # budget, but in about 3e5 blocks
-        def no_blocks(*args):
+        def no_blocks(*args, **kwargs):
             raise AssertionError("boxes were enumerated")
 
         monkeypatch.setattr(discrepancy_module, "_blocks", no_blocks)
         P = random_point_set(np.random.Generator(np.random.PCG64(0)), 50, 4)
-        with pytest.raises(CapExceededError, match="grid.16. discrepancy of 50 atoms"):
+        assert discrepancy_module._elements(_faces(P, "grid", 16)[1], 1) == 234_677_248
+        refusal = "grid.16. discrepancy of 50 atoms in d=4 would cost 2.35e[+]08"
+        with pytest.raises(CapExceededError, match=refusal):
             discrepancy_grid(P, 16)
 
 

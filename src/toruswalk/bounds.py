@@ -13,24 +13,24 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, require
-from .fourier import (
-    _UNDERFLOW,
-    _box_pass_cost,
-    _check_k,
-    _phases,
-    _row_max,
-    _weight_rows,
-    frequency_box,
-)
+from .errors import InfeasibleError, ValidationError
+from .fourier import _UNDERFLOW, _box_terms, _check_k, _phases, _row_max, _weight_rows
 from .generators import GeneratorMatrix
+
+
+def _check_args(n: int, d: int, k: int, c_a: float | None = None) -> None:
+    """ValidationError unless c_a (when given) is positive and finite, n, d
+    and k are >= 1 and some float holds k; checked in that order."""
+    if c_a is not None and not 0.0 < c_a < math.inf:
+        raise ValidationError("approximation constant must be positive and finite")
+    if n < 1 or d < 1 or k < 1:
+        raise ValidationError("need n >= 1, d >= 1, k >= 1")
+    _check_k(k)
 
 
 def theorem1_lower_bound(n: int, d: int, k: int) -> float:
     """Universal lower bound k^(-n/2) / (pi^d 5^(n+1) d^(n/2))."""
-    if n < 1 or d < 1 or k < 1:
-        raise ValidationError("need n >= 1, d >= 1, k >= 1")
-    _check_k(k)
+    _check_args(n, d, k)
     return k ** (-n / 2) / (math.pi ** d * 5.0 ** (n + 1) * d ** (n / 2))
 
 
@@ -41,11 +41,7 @@ def theorem2_upper_bound(n: int, d: int, c_a: float, k: int) -> float:
     matrix badly approximable; c_a <= 0 means no such certificate, and a
     c_a that is not finite is refused.
     """
-    if not 0.0 < c_a < math.inf:
-        raise ValidationError("approximation constant must be positive and finite")
-    if n < 1 or d < 1 or k < 1:
-        raise ValidationError("need n >= 1, d >= 1, k >= 1")
-    _check_k(k)
+    _check_args(n, d, k, c_a)
     return (1.5 ** d) * 20.0 * (n / (c_a * math.sqrt(2.0))) ** (n / d) * k ** (-n / (2 * d))
 
 
@@ -55,11 +51,7 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
     Raises InfeasibleError when the value is below 1: k is too small for
     the upper-bound pipeline at this approximation constant.
     """
-    if not 0.0 < c_a < math.inf:
-        raise ValidationError("approximation constant must be positive and finite")
-    if n < 1 or d < 1 or k < 1:
-        raise ValidationError("need n >= 1, d >= 1, k >= 1")
-    _check_k(k)
+    _check_args(n, d, k, c_a)
     raw = (2.0 * k * c_a ** 2 / n ** 2) ** (n / (2 * d)) / 8.0
     if raw == math.inf:
         raise ValidationError(f"truncation index at k={k:.3g}, c_a={c_a} overflows a float")
@@ -104,15 +96,8 @@ def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     those that a numpy screen proves to underflow to +0.0 (_cohort_terms),
     which math.fsum would ignore.  At the paper's M every term underflows.
     """
-    if M < 1:
-        raise ValidationError("M must be >= 1")
-    _check_k(k)
-    require(f"cohort sum to M={M}", _box_pass_cost(G, M), "a smaller --k or --ca")
-    A = G.as_array()
-    terms = []
-    for H in frequency_box(G.d, M):
-        terms.extend(_cohort_terms(A, H, k).tolist())
-    s = 2.0 * math.fsum(terms)
+    terms = _box_terms(G, k, "M", M, "cohort sum", "a smaller --k or --ca", _cohort_terms)
+    s = 2.0 * math.fsum(terms.tolist())
     return s, s <= 0.5 / (M + 1)
 
 

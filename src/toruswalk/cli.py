@@ -121,13 +121,7 @@ def _cmd_disc(args) -> int:
             "exactness": f"grid({args.resolution})",
         }
     else:
-        res = discrepancy_exact(P)
-        out = {
-            "value": res.value,
-            "witness": {"a": list(res.witness.a), "b": list(res.witness.b)},
-            "direction": res.direction,
-            "exactness": res.exactness,
-        }
+        out = dataclasses.asdict(discrepancy_exact(P))
     print(json.dumps(out, indent=2))
     return 0
 
@@ -160,10 +154,7 @@ def _cmd_dirichlet(args) -> int:
 
 def _cmd_badapprox(args) -> int:
     G = resolve_matrix(args)[0]
-    est = estimate_bad_constant(G, args.hmax)
-    out = dataclasses.asdict(est)
-    out["argmin_h"] = list(out["argmin_h"])
-    print(json.dumps(out, indent=2))
+    print(json.dumps(dataclasses.asdict(estimate_bad_constant(G, args.hmax)), indent=2))
     return 0
 
 

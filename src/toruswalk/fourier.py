@@ -2,9 +2,12 @@
 they feed: a single-frequency lower bound and the Erdos-Turan-Koksma
 upper bound.
 
-Frequency boxes are always iterated in a fixed order, in blocks of at
-most _BLOCK rows, and summed with math.fsum so results are deterministic
-bit for bit and do not depend on the block size.  Every term is the same
+Every pass over a frequency box goes through _box_terms, which checks and
+prices the box and returns one term per frequency; the ETK sum, the cohort
+sum (bounds.cohort_sum_S) and the best single-frequency bound supply only
+their term and their reduction.  Boxes are always iterated in a fixed
+order, in blocks of at most _BLOCK rows, and summed with math.fsum so
+results are deterministic bit for bit and do not depend on the block size.  Every term is the same
 at h and -h, bit for bit, so the passes walk only the negative half of a
 box and double its exact sum.  The ETK and cohort sums also skip every
 term that provably underflows to +0.0, which math.fsum would ignore.
@@ -192,24 +195,37 @@ def single_h_lower_bound(G: GeneratorMatrix, k: int, h, r=None) -> float:
     return math.sqrt(q ** (2 * k) * prod)
 
 
+def _box_terms(G: GeneratorMatrix, k: int, name: str, bound: int, kind: str, fallback: str, term):
+    """term(A, H, k) of every block H of frequency_box(G.d, bound), in box
+    order, as one array: the one pass over a frequency box.
+
+    The bound (named `name` in the error) must be >= 1 and k valid; the
+    box is priced against the budget, as "<kind> to <name>=<bound>" with
+    the given fallback, before any block is built.
+    """
+    if bound < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    _check_k(k)
+    require(f"{kind} to {name}={bound}", _box_pass_cost(G, bound), fallback)
+    A = G.as_array()
+    return np.concatenate([term(A, H, k) for H in frequency_box(G.d, bound)])
+
+
+def _best_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
+    """The default single-frequency bound |qhat|^k / (pi^d R(h)) of each row of H."""
+    return _abs_pow(_qhat_rows(A, H), k) / (math.pi ** A.shape[1] * _weight_rows(H))
+
+
 def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """Max of the default single-frequency bound over 0 < ||h||_inf <= hmax.
 
     Returns (value, h); ties go to the lexicographically smallest h, which
     lies in the negative half of the box that the scan walks.
     """
-    if hmax < 1:
-        raise ValidationError("hmax must be >= 1")
-    _check_k(k)
-    require(f"best-bound box to hmax={hmax}", _box_pass_cost(G, hmax), "a smaller hmax")
-    A = G.as_array()
-    best_val, best_h = -math.inf, None
-    for H in frequency_box(G.d, hmax):
-        vals = _abs_pow(_qhat_rows(A, H), k) / (math.pi ** G.d * _weight_rows(H))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_h = float(vals[i]), tuple(int(v) for v in H[i])
-    return best_val, best_h
+    vals = _box_terms(G, k, "hmax", hmax, "best-bound box", "a smaller hmax", _best_terms)
+    i = int(np.argmax(vals))  # the first maximum in box order
+    h = _digits(np.array([i]), 2 * hmax + 1, G.d)[0] - hmax
+    return float(vals[i]), tuple(int(v) for v in h)
 
 
 def _etk_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
@@ -239,12 +255,6 @@ def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
     underflow to +0.0 (_etk_terms); math.fsum ignores them, so the value is
     the same bit for bit.  At the paper's M every term underflows.
     """
-    if M < 1:
-        raise ValidationError("M must be >= 1")
-    _check_k(k)
-    require(f"ETK sum to M={M}", _box_pass_cost(G, M), "a smaller M (--etk-m, or --ca in a scan)")
-    A = G.as_array()
-    terms = []
-    for H in frequency_box(G.d, M):
-        terms.extend(_etk_terms(A, H, k).tolist())
-    return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(terms))
+    fallback = "a smaller M (--etk-m, or --ca in a scan)"
+    terms = _box_terms(G, k, "M", M, "ETK sum", fallback, _etk_terms)
+    return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(terms.tolist()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def _first_primes(count: int) -> list[int]:
     primes: list[int] = []
     cand = 2
     while len(primes) < count:
-        if all(cand % p for p in primes if p * p <= cand):
+        if all(cand % p for p in takewhile(math.isqrt(cand).__ge__, primes)):
             primes.append(cand)
         cand += 1
     return primes

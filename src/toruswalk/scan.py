@@ -15,6 +15,7 @@ import datetime
 import io
 import json
 import os
+import typing
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import __version__
@@ -61,6 +62,8 @@ def parse_k_schedule(text: str) -> list:
             raise ValidationError(f"bad pow2 schedule {text!r}") from None
         if hi < lo:
             raise ValidationError("pow2 schedule upper exponent below lower")
+        if hi > 1023:
+            raise ValidationError(f"pow2 schedule exponent {hi} above 1023: no float holds 2^{hi}")
         return [2 ** e for e in range(lo, hi + 1)]
     try:
         ks = [int(t) for t in text.split(",") if t.strip()]
@@ -69,24 +72,15 @@ def parse_k_schedule(text: str) -> list:
     return ks
 
 
-_CONFIG_KEYS = {
-    "builtin": str,
-    "matrix": str,
-    "n": int,
-    "d": int,
-    "k_schedule": parse_k_schedule,
-    "method": str,
-    "trials": int,
-    "seed": int,
-    "resolution": int,
-    "ca": float,
-    "ca_hmax": int,
-    "out": str,
-    "svg": lambda v: v.lower() in ("1", "true", "yes"),
-}
+def _config_parser(annotation):
+    """The parser of a config value for a ScanConfig field annotation: int,
+    float and str themselves, list a k schedule, bool 1, true or yes."""
+    tp = next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
+    return {list: parse_k_schedule, bool: lambda v: v.lower() in ("1", "true", "yes")}.get(tp, tp)
 
 
 def parse_config_text(text: str) -> ScanConfig:
+    parsers = {key: _config_parser(tp) for key, tp in typing.get_type_hints(ScanConfig).items()}
     cfg = ScanConfig()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -96,10 +90,10 @@ def parse_config_text(text: str) -> ScanConfig:
         if not sep:
             raise ValidationError(f"config line {lineno}: expected key = value")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in parsers:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _CONFIG_KEYS[key](value))
+            setattr(cfg, key, parsers[key](value))
         except ValueError as e:
             raise ValidationError(f"config line {lineno}: {e}") from None
     return cfg

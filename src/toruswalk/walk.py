@@ -381,9 +381,10 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     Multinomial(k, 1/(2n), ..., 1/(2n)) -- the law of the direction counts
     of k i.i.d. uniform steps -- on a counter-based Philox stream keyed by
     the seed, which must lie in [0, 2^128); k must lie below 2^63, as
-    numpy's multinomial takes it as a C long.  Time and memory are
-    O(trials * n) whatever k is, and the output depends only on
-    (seed, trials, k), never on scheduling.
+    numpy's multinomial takes it as a C long.  Time and memory grow with
+    trials * n whatever k is, and are priced before the generator is
+    built; the output depends only on (seed, trials, k), never on
+    scheduling.
     """
     if not 0 <= k < 2**63:
         raise ValidationError("step count k must lie in [0, 2^63), numpy's multinomial range")
@@ -391,10 +392,10 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
         raise ValidationError("trials must be >= 1")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
-    n, d = G.n, G.d
-    if k == 0:
-        return WeightedPointSet(d=d, atoms=(((0.0,) * d, 1.0),), provenance="empirical")
-
+    n = G.n
+    # the trials x 2n draw matrix, then a sort of the trials x n coefficient rows
+    cost = trials * 2 * n + trials * n * trials.bit_length()
+    require(f"Monte Carlo walk of {trials} trials (n={n})", cost, "fewer --trials")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     # direction 2j is +alpha_j, 2j+1 is -alpha_j
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)

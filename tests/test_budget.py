@@ -5,13 +5,13 @@ import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from conftest import enumerate_walk_counts
 
 from toruswalk import (
     CapExceededError,
     best_fourier_lower_bound,
-    bounds,
     builtin_generators,
     cohort_sum_S,
     diophantine,
@@ -24,6 +24,7 @@ from toruswalk import (
     etk_upper_bound,
     exact_walk_distribution,
     fourier,
+    simulate_walk,
     walk,
 )
 from toruswalk.walk import WeightedPointSet
@@ -47,11 +48,15 @@ LAYERS = [
     # 5 blocks of 640
     ("grid", lambda: discrepancy_grid(ATOM, 8), 15 * 7 + 640 * 5, 1 - 1 / 64,
      (discrepancy, "_blocks"), "coarser --resolution"),
+    # 8 trials: an 8 x 4 draw matrix and a sort of 8 rows of n = 2 by
+    # 8.bit_length() = 4 comparisons each
+    ("mc", lambda: simulate_walk(WALK_G, 3, 8, 1).total_weight(), 8 * 4 + 8 * 2 * 4, 1.0,
+     (np.random, "Philox"), "fewer --trials"),
     # the frequency passes: 5 * 5 frequencies of n = 2 phases at PER_CALL = 64
     ("etk", lambda: etk_upper_bound(SQ, 50, 2), 25 * 2 * 64, 1.637357453459063,
      (fourier, "frequency_box"), "smaller M"),
     ("cohort", lambda: cohort_sum_S(SQ, 50, 2), 25 * 2 * 64, (0.11097183499056888, True),
-     (bounds, "frequency_box"), "smaller --k or --ca"),
+     (fourier, "frequency_box"), "smaller --k or --ca"),
     ("best bound", lambda: best_fourier_lower_bound(SQ, 50, 2), 25 * 2 * 64,
      (0.003092715250783808, (-1, 2)), (fourier, "frequency_box"), "smaller hmax"),
     # the array passes: 9 * 9 vectors of n * d = 4 products, and a float

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 
+import numpy as np
 import pytest
 
 from toruswalk import (
@@ -129,6 +130,36 @@ def test_dirichlet_oversize_box_exits_3_at_once(capsys):
     assert "Dirichlet search box" in err
 
 
+def test_badapprox_on_many_primes_exits_3_quickly(capsys):
+    # sqrt_primes with n = d = 200 takes the first 40 000 primes
+    t0 = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "badapprox", "--builtin", "sqrt_primes", "--n", "200", "--d", "200", "--hmax", "1"
+    )
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 3
+    assert "search box of sup norm 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "--builtin", "golden", "--k", "10"],
+     ["scan", "--builtin", "golden", "--method", "mc", "--k-schedule", "10"]],
+    ids=["dist", "scan"],
+)
+def test_too_many_trials_exits_3_before_any_draw(capsys, tmp_path, monkeypatch, argv):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the random generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_generator)
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, "--trials", str(10**12))
+    assert code == 3 and out == ""
+    assert "Monte Carlo walk of 1000000000000 trials" in err and "use fewer --trials" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dirichlet(capsys):
     code, out, _ = run_cli(capsys, "dirichlet", "--builtin", "golden", "--q", "3")
     assert code == 0
@@ -247,8 +278,10 @@ def test_dist_output_round_trips_through_disc(capsys, tmp_path, argv):
          "step count k must lie in [0, 2^63)"),
         (["dist", "--builtin", "golden", "--k", str(2**63), "--trials", "10"],
          "step count k must lie in [0, 2^63)"),
+        (["scan", "--builtin", "golden", "--k-schedule", "pow2:0..20000"],
+         "pow2 schedule exponent 20000 above 1023"),
     ],
-    ids=["bounds", "bounds-etk", "bounds-truncation-index", "dist-mc", "dist-mc-2^63"],
+    ids=["bounds", "bounds-etk", "bounds-truncation-index", "dist-mc", "dist-mc-2^63", "scan-pow2"],
 )
 def test_huge_k_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -507,6 +540,7 @@ def test_scan_empty_schedule_rejected():
 def test_parse_k_schedule():
     assert parse_k_schedule("1, 2,3") == [1, 2, 3]
     assert parse_k_schedule("pow2:2..4") == [4, 8, 16]
+    assert parse_k_schedule("pow2:1023..1023") == [2**1023]
     with pytest.raises(ValidationError):
         parse_k_schedule("pow2:a..b")
 

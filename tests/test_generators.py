@@ -9,6 +9,7 @@ from toruswalk import (
     matrix_to_text,
     parse_matrix_text,
 )
+from toruswalk.generators import _first_primes
 
 
 def test_mod_one_reduction():
@@ -58,6 +59,11 @@ def test_builtin_sqrt_primes():
     assert G.entries[0][1] == pytest.approx(math.sqrt(3) - 1, abs=1e-15)
     G22 = builtin_generators("sqrt_primes", 2, 2)
     assert G22.entries[1][1] == pytest.approx(math.sqrt(7) - 2, abs=1e-15)
+
+
+def test_first_primes_are_the_primes_in_order():
+    primes = _first_primes(300)
+    assert primes == [p for p in range(2, primes[-1] + 1) if all(p % q for q in range(2, p))]
 
 
 def test_builtin_rational():

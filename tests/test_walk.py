@@ -322,9 +322,10 @@ def test_projection_memory_follows_the_surviving_atoms():
 
 
 def test_simulate_no_steps():
-    P = simulate_walk(GOLDEN, 0, trials=100, seed=7)
-    assert P.atoms == (((0.0,), 1.0),)
-    assert P.provenance == "empirical"
+    for G in (GOLDEN, builtin_generators("sqrt_primes", 2, 2)):
+        P = simulate_walk(G, 0, trials=100, seed=7)
+        assert P.atoms == (((0.0,) * G.d, 1.0),)
+        assert P.provenance == "empirical"
 
 
 def test_simulate_forced_support():

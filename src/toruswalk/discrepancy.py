@@ -77,15 +77,12 @@ def box_mass(P: WeightedPointSet, B: Box, mode: str = "closure") -> float:
         raise ValidationError(f"box dimension {B.d} != point-set dimension {P.d}")
     if mode not in ("closure", "interior"):
         raise ValidationError(f"unknown mode {mode!r}")
-    total = []
-    for pt, w in P.atoms:
-        if mode == "closure":
-            inside = all(lo <= x <= hi for x, lo, hi in zip(pt, B.a, B.b))
-        else:
-            inside = all(lo < x < hi for x, lo, hi in zip(pt, B.a, B.b))
-        if inside:
-            total.append(w)
-    return math.fsum(total)
+    a, b = np.array(B.a, dtype=float), np.array(B.b, dtype=float)
+    if mode == "closure":
+        inside = ((a <= P.points) & (P.points <= b)).all(axis=1)
+    else:
+        inside = ((a < P.points) & (P.points < b)).all(axis=1)
+    return math.fsum(P.weights[inside].tolist())
 
 
 # Element budget of one block (rows x final-axis faces): it bounds the
@@ -268,12 +265,11 @@ def discrepancy_exact(P: WeightedPointSet) -> DiscrepancyResult:
     fallback = "--resolution (discrepancy_grid)"
     if d > 3:
         require(f"exact discrepancy in d={d} (supported for d <= 3)", math.inf, fallback)
-    pts = np.array([pt for pt, _ in P.atoms], dtype=float)
-    wts = np.array([w for _, w in P.atoms], dtype=float)
+    pts, wts = P.points, P.weights
     exc_faces = [_distinct(pts[:, ax]) for ax in range(d)]
     def_faces = [_distinct(np.concatenate((f, [0.0, 1.0]))) for f in exc_faces]
     cost = _elements(exc_faces, 0) + _elements(def_faces, 1)
-    require(f"exact discrepancy of {len(P.atoms)} atoms in d={d}", cost, fallback)
+    require(f"exact discrepancy of {len(wts)} atoms in d={d}", cost, fallback)
 
     exc = _exact_branch(pts, wts, exc_faces, excess=True, start=-math.inf)
     # only a deficit above the excess is reported
@@ -308,10 +304,9 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     never exceeds discrepancy_exact and misses it by at most d*(2/r).
     """
     check_grid_resolution(resolution)
-    pts = np.array([pt for pt, _ in P.atoms], dtype=float)
-    wts = np.array([w for _, w in P.atoms], dtype=float)
+    pts, wts = P.points, P.weights
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
-    kind = f"grid({resolution}) discrepancy of {len(P.atoms)} atoms in d={P.d}"
+    kind = f"grid({resolution}) discrepancy of {len(wts)} atoms in d={P.d}"
     require(kind, _elements(faces, 1), "a coarser --resolution")
     # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j; a box's
     # |mass - volume| is at most the larger of its strip's mass and width

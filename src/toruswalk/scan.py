@@ -171,19 +171,17 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
         etk = etk_upper_bound(G, k, M)
 
     # Each layer checks its cost before it starts.  auto falls back from the
-    # exact walk to Monte Carlo, and every row from exact to grid discrepancy,
-    # when the budget refuses.
-    L = None
+    # exact walk, or its projection, to Monte Carlo, and every row from exact
+    # to grid discrepancy, when the budget refuses.
+    P = None
     if cfg.method != "mc":
         try:
-            L = exact_walk_distribution(G, k)
+            P = project_to_torus(exact_walk_distribution(G, k), G)
+            method = "exact"
         except CapExceededError:
             if cfg.method == "exact":
                 raise
-    if L is not None:
-        P = project_to_torus(L, G)
-        method = "exact"
-    else:
+    if P is None:
         P = simulate_walk(G, k, trials=cfg.trials, seed=cfg.seed + k)
         method = "mc"
 
@@ -222,7 +220,13 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         raise ValidationError(f"k schedule repeats k = {', '.join(map(str, repeated))}")
     check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
     G, descriptor = resolve_matrix(cfg)
-    # a Monte Carlo row at k is keyed by seed + k, which Philox needs in [0, 2^128)
+    # any row of auto or mc may run Monte Carlo, which takes k below 2^63 and
+    # keys the row by seed + k, which Philox needs in [0, 2^128)
+    if cfg.method != "exact" and ks[-1] >= 2**63:
+        raise ValidationError(
+            f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"
+            " (numpy's multinomial range)"
+        )
     if cfg.method != "exact" and not 0 <= cfg.seed < 2**128 - ks[-1]:
         msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"
         raise ValidationError(f"{msg} for k up to {ks[-1]}")

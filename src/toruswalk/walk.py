@@ -10,6 +10,8 @@ the first generator, C(k, j) L_1(j) (x) L_{n-1}(k-j).  Floats enter only when
 projecting to the torus.  The law depends on n and k alone, so a
 LatticeDistribution is the pair (k, n).  Equal rows -- Monte Carlo draws,
 torus points, the points of a point-set file -- are merged by one sort (_merge).
+A WeightedPointSet holds its points and weights as two numpy arrays, which
+the discrepancy estimators read directly.
 
 A count whose weight rounds to 0.0 cannot reach a point set, so the
 projection of an exact walk builds only the counts above a threshold: for
@@ -20,17 +22,22 @@ sqrt(k) of them for n = 1, not the k + 1 counts.
 A weight needs only its 53 correctly rounded bits, so for one generator
 from k = 1087, where the threshold is positive, not even those counts are
 built: each is bracketed by a 128-bit mantissa with a proven error bound,
-and each weight is rounded once from its bracket.  Where a bracket cannot
-decide the rounding or the threshold, the exact counts are built after all.
-This is Ziv's strategy (ACM TOMS 1991): work at a little more than the
-output precision, and fall back to exact work only when rounding cannot be
-decided.
+and each weight is rounded once from its bracket.  The centre count
+C(k, floor(k/2)) is bracketed directly from Stirling's series for log Gamma
+(_centre), and the recurrence walks outward only across the window of
+counts above the threshold, about 39 sqrt(k) rows; only those rows get a
+torus point.  So the whole projection does O(sqrt(k)) Python-level work.
+Where a bracket cannot decide the rounding or the threshold, the exact
+counts are built after all, at their own price.  This is Ziv's strategy
+(ACM TOMS 1991): work at a little more than the output precision, and fall
+back to exact work only when rounding cannot be decided.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -50,6 +57,19 @@ _ZERO_EXP = 1075
 # Bits of the mantissa that carries a binomial count in _brackets:
 # 53 for the weight plus enough guard bits that rounding is decided at once.
 _MANT = 128
+# Bits beyond _MANT to which _centre computes the centre count.
+_GUARD = 32
+# Below this k, _centre takes the centre count from math.comb; from here on
+# the remainder of Stirling's series is below 2^-154 of it (n >= 512).
+_STIRLING_K = 1024
+# B_2j / (2j (2j - 1)) for j = 1..8, the terms of Stirling's series for
+# log Gamma, and B_18 / (18 * 17), which bounds its remainder.
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156), (-3617, 122400))
+_STIRLING_REM = (43867, 244188)
+# floor(pi 2^256)
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
+
+_MC_FALLBACK = "--method mc (simulate_walk)"
 
 
 def _binomial_pairs(k: int, tau: int):
@@ -71,6 +91,14 @@ def _binomial_pairs(k: int, tau: int):
         j -= 1
 
 
+def _centre_out(k: int, rows: int) -> np.ndarray:
+    """The first `rows` coefficient vectors of the one-generator walk from the
+    centre outward, as an (N, 1) int64 array: m = 0, -2, 2, ... (k even) or
+    -1, 1, -3, 3, ... (k odd), the order of _binomial_pairs and _brackets."""
+    m = np.arange(k % 2, min(k, rows) + 1, 2)
+    return np.column_stack([-m, m]).ravel()[1 - k % 2 : rows + 1 - k % 2, None]
+
+
 def _rows(n: int, k: int, tau: int = 0):
     """Every coefficient vector of the k-step walk with n generators, and the
     counts of those whose count exceeds tau.
@@ -80,10 +108,7 @@ def _rows(n: int, k: int, tau: int = 0):
     the same order, built as it is consumed.  Every count left out is <= tau.
     """
     if n == 1:
-        # centre outward: m = 0, -2, 2, ... (k even) or -1, 1, -3, 3, ... (k odd)
-        m = np.arange(k % 2, k + 1, 2)
-        m = np.column_stack([-m, m]).ravel()[1 - k % 2 :]
-        return m[:, None], _binomial_pairs(k, tau)
+        return _centre_out(k, k + 1), _binomial_pairs(k, tau)
     if n == 2:
         # counts(m1, m2) = C(k, u) C(k, v) with u = (k+m1+m2)/2, v = (k+m1-m2)/2,
         # which is b[p] b[q] for p = min(u, k-u), q = min(v, k-v) and the
@@ -119,7 +144,8 @@ def _rows(n: int, k: int, tau: int = 0):
 class LatticeDistribution:
     """Exact law count(m) / (2n)^k of the net coefficient vector m in Z^n
     after k steps with n generators.  Constructing it checks the cost of the
-    exact walk, so no count is ever built past the budget."""
+    exact walk and its projection, so no work starts past the budget; the
+    exact counts are priced again, on their own, where they are built."""
 
     k: int
     n: int
@@ -130,7 +156,7 @@ class LatticeDistribution:
         if self.n < 1:
             raise ValidationError("generator count n must be >= 1")
         cost = _walk_cost(self.n, self.k)
-        require(f"exact walk (n={self.n}, k={self.k})", cost, "--method mc (simulate_walk)")
+        require(f"exact walk (n={self.n}, k={self.k})", cost, _MC_FALLBACK)
 
     @property
     def denominator(self) -> int:
@@ -139,7 +165,9 @@ class LatticeDistribution:
     @cached_property
     def counts(self) -> Mapping:
         """Read-only m tuple -> positive count, every count built on first
-        lookup; project_to_torus builds only the counts that can survive."""
+        lookup (priced by _count_cost first); project_to_torus builds only
+        the counts that can survive."""
+        _require_counts(self.n, self.k)
         rows, counts = _rows(self.n, self.k)
         return MappingProxyType(dict(zip(map(tuple, rows.tolist()), counts)))
 
@@ -152,20 +180,45 @@ class LatticeDistribution:
             assert self.counts.get(tuple(-v for v in m)) == c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedPointSet:
-    """Finite set of distinct torus points with probability weights."""
+    """Finite set of distinct torus points with probability weights.
+
+    WeightedPointSet(d, atoms, provenance=...) takes the atoms as
+    ((point tuple, weight), ...); WeightedPointSet(d, provenance=...,
+    points=..., weights=...) takes the two arrays as they are, and `atoms`
+    is then built from them on first read.  The arrays are read-only.
+    """
 
     d: int
-    atoms: tuple  # ((point tuple in [0,1)^d, weight in (0,1]), ...)
+    points: np.ndarray  # (N, d) floats in [0, 1)
+    weights: np.ndarray  # (N,) floats in (0, 1]
     provenance: str  # "exact" | "empirical"
 
+    def __init__(self, d: int, atoms=None, *, provenance: str, points=None, weights=None):
+        if atoms is not None:
+            atoms = tuple(atoms)
+            object.__setattr__(self, "atoms", atoms)
+            points = np.array([pt for pt, _ in atoms], dtype=float).reshape(len(atoms), d)
+            weights = np.array([w for _, w in atoms], dtype=float)
+        elif points is None or weights is None:
+            raise TypeError("WeightedPointSet needs atoms, or points and weights")
+        points, weights = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+        points.flags.writeable = weights.flags.writeable = False
+        for name, value in (("d", d), ("points", points), ("weights", weights), ("provenance", provenance)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """((point tuple in [0,1)^d, weight in (0,1]), ...), in array order."""
+        return tuple(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
+
     def total_weight(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
+        return math.fsum(self.weights.tolist())
 
 
-def _walk_cost(n: int, k: int) -> int:
-    """Predicted element operations of the exact walk and its projection.
+def _count_cost(n: int, k: int) -> int:
+    """Predicted element operations of building every exact count.
 
     Every reachable coefficient vector, sum_i C(n-1, i) C(k-i+n, n) of them
     (the coefficient of x^k in (1+x)^(n-1) / (1-x)^(n+1)), is a row of n
@@ -180,6 +233,29 @@ def _walk_cost(n: int, k: int) -> int:
     elif n >= 3:
         cost += (2 * k + 1) ** n
     return cost
+
+
+def _require_counts(n: int, k: int) -> None:
+    """Check the price of building every exact count against the budget."""
+    require(f"exact counts of the walk (n={n}, k={k})", _count_cost(n, k), _MC_FALLBACK)
+
+
+def _walk_cost(n: int, k: int) -> int:
+    """Predicted element operations of the exact walk and its projection.
+
+    For n >= 2 that is building the counts, _count_cost.  For n = 1 the
+    projection brackets only the window of counts above tau (see
+    project_to_torus), one Python-level step per row.  By Hoeffding,
+    C(k, j) / 2^k <= exp(-m^2 / (2k)) for m = 2j - k, so a count above
+    tau = 2^k / ((2k+1) 2^1075) has m^2 < 2k ln((2k+1) 2^1075): at most
+    isqrt(2kL) + 1 rows for L = ceil(ln((2k+1) 2^1075)), about 39 sqrt(k)
+    (38 978 rows at k = 10^6).  Exact counts, where the projection falls back
+    to them, are priced by _count_cost where they are built.
+    """
+    if n >= 2:
+        return _count_cost(n, k)
+    ln_zero = math.ceil(math.log(2 * k + 1) + _ZERO_EXP * math.log(2))
+    return PER_CALL * min(k + 1, math.isqrt(2 * k * ln_zero) + 1)
 
 
 def exact_walk_distribution(G: GeneratorMatrix, k: int) -> LatticeDistribution:
@@ -270,74 +346,192 @@ def _times(m: int, e: int, t: int, a: int, b: int):
     return q, e - s, t + (r != 0)
 
 
+def _exp_bracket(x: int, f: int):
+    """(lo, hi) with lo <= exp(x / 2^f) 2^f <= hi, for |x| <= 2^(f-1).
+
+    Each term x^i / i! 2^f of the Taylor series comes from the one before by
+    one floor, off by less than one unit; as |x / 2^f| <= 1/2 shrinks the
+    error it inherits, every term is within 2 units.  The sum stops at the
+    first term that floors to 0, i, whose true value is below 2, so the
+    terms from there on add up to less than 4.
+    """
+    total, term, i = 0, 1 << f, 0
+    while term:
+        total += term
+        i += 1
+        term = term * x // (i << f)
+    return total - 2 * i - 4, total + 2 * i + 4
+
+
+def _centre(k: int):
+    """The bracket (m, e, t) of the centre count c = C(k, floor(k/2)), in the
+    form _times keeps: m 2^e <= c <= m 2^e / (1 - t 2^-(P-1)) for P = _MANT,
+    with m < 2^(P+1).
+
+    Below k = _STIRLING_K, c is math.comb, cut to P bits (t = 1 when the cut
+    drops a bit).  From there c = 2^k w(n) with n = ceil(k/2), since for odd
+    k C(2n-1, n-1) = C(2n, n) / 2, and w(n) = C(2n, n) / 4^n is
+    exp(s) / sqrt(pi n) for s = S(2n) - 2 S(n).  Here Stirling's series
+    log Gamma(x + 1) = (x + 1/2) log x - x + log(2 pi) / 2 + S(x) has
+    S(x) = sum_{j=1..8} B_2j / (2j (2j-1) x^(2j-1)) + R(x), and for real
+    x > 0 the remainder R(x) after the B_16 term lies between 0 and the
+    first omitted term, B_18 / (306 x^17) (Whittaker & Watson, section
+    12.33), so s lies within 2 B_18 / (306 n^17) of the sum of the eight
+    terms.  In fixed point with f bits those terms take one floor each, exp
+    one bracket (_exp_bracket), pi one of _PI's 256 bits and the square root
+    one isqrt, each widening the bracket [lo, hi] of w 2^f by a few units.
+    f = P + _GUARD + bits(n) leaves lo at least P + _GUARD bits, so cutting
+    lo to P bits, m 2^s, dominates the width, and
+    t = ceil((hi - m 2^s) 2^(P-1) / hi) is at most 2 at _MANT <= 128.  A
+    larger _MANT only widens the bracket, through t.
+    """
+    P = _MANT
+    if k < _STIRLING_K:
+        c = math.comb(k, k // 2)
+        s = max(0, c.bit_length() - P)
+        return c >> s, s, int(c & ((1 << s) - 1) != 0)
+    n = (k + 1) // 2
+    f = P + _GUARD + n.bit_length()
+    # each term floors once, so s 2^f lies in [total, total + 8), widened by r
+    total = sum((a * (1 - 4**j) << f) // (b * (2 * n) ** (2 * j - 1)) for j, (a, b) in enumerate(_STIRLING, 1))
+    r = -((-2 * _STIRLING_REM[0] << f) // (_STIRLING_REM[1] * n**17))
+    lo, hi = _exp_bracket(total - r, f)[0], _exp_bracket(total + 8 + r, f)[1]
+    # w^2 2^(2f) = exp(s)^2 2^(2f) / (pi n), with pi in [_PI, _PI + 1] 2^-256
+    lo = math.isqrt((lo * lo << 256) // ((_PI + 1) * n))
+    hi = math.isqrt(-(-(hi * hi << 256) // (_PI * n))) + 1
+    s = lo.bit_length() - P
+    m = lo >> s
+    return m, k - f + s, -(-((hi - (m << s)) << (P - 1)) // hi)
+
+
 def _brackets(k: int):
     """Brackets of C(k, j) for j = floor(k/2) down to 0, one per j: (m, err, e)
     with the count in [m, m + err] 2^e.  No exact count is built: every
     integer held has at most a few hundred bits.
 
-    Each count is carried as (m, e, t): a mantissa, an exponent and the
-    number t of floors that dropped bits.  The recurrence
-    C(k, j+1) = C(k, j) (k-j) / (j+1) runs up from C(k, 0) = 1 to the centre,
-    eight steps per floor, then C(k, j-1) = C(k, j) j / (k-j+1) outward.
-    Each floor leaves a quotient above 2^(P-1), P = _MANT, so it loses less
-    than 2^-(P-1) of the value, and the count c >= m 2^e is at most
+    Each count is carried as (m, e, t): a mantissa, an exponent and t, the
+    number of floors that dropped bits.  _centre gives the centre count with
+    t <= 2; then C(k, j-1) = C(k, j) j / (k-j+1) runs outward, one floor per
+    step.  Each floor leaves a quotient above 2^(P-1), P = _MANT, so it loses
+    less than 2^-(P-1) of the value, and the count c >= m 2^e is at most
     m 2^e / (1 - t 2^-(P-1)).  Since m < 2^(P+1), c / 2^e exceeds
     m + m t / 2^(P-1) by less than one while 4 t^2 < 2^(P-1) - t, which holds
-    for every t <= k + 1 at an admitted k (<= 69 534, where err / m < 2^-100).
-    So err = ceil(m t / 2^(P-1)) + 1, and err = 0 while no bit was dropped.
+    at _MANT >= 56 for t <= 2 + k / 2 at every k up to 2^26 and, as
+    project_to_torus walks only the window, for t up to the 2 + 39 sqrt(k)
+    / 2 it reaches at every admitted k.  So err = ceil(m t / 2^(P-1)) + 1,
+    and err = 0 while no bit was dropped.
     """
-    m, e, t = 1, 0, 0
-    for j in range(0, k // 2, 8):
-        b = min(8, k // 2 - j)
-        m, e, t = _times(m, e, t, math.perm(k - j, b), math.perm(j + b, b))
+    m, e, t = _centre(k)
     for j in range(k // 2, -1, -1):
         yield m, -(-m * t >> (_MANT - 1)) + 1 if t else 0, e
         m, e, t = _times(m, e, t, j, k - j + 1)
 
 
-def _bracketed_weights(runs, k: int, denominator: int, tau: int):
-    """The weight of each run of the one-generator walk from the brackets of
-    its counts (_brackets), or None; no exact count is built.
+def _distance_to_integers(alpha: float, qmax: int):
+    """min ||q alpha|| over 1 <= q <= qmax, exactly, as (numerator, b) with
+    alpha = a / b in [0, 1) the float's own value.
 
-    Rows come in the order of _binomial_pairs.  A row whose whole bracket is
-    <= tau ends the walk, as its exact count ends _binomial_pairs.  A
-    single-row run takes m / 2^(k-e), correctly rounded by int / int;
-    rounding is monotone, so that is c / denominator whenever
-    (m + err) / 2^(k-e) rounds to the same float.  A bracket that straddles
-    tau, a weight whose two ends round apart, or a reached row in a run of
-    several rows (a rational generator) returns None, as does a tail of rows
-    left out that _exact_weights would refuse.
+    The minimum is |q_i alpha - p_i| for the last convergent p_i / q_i of
+    alpha's continued fraction with q_i <= qmax, as |q alpha - p| >=
+    |q_i alpha - p_i| for every 1 <= q < q_(i+1) (Lagrange; Khinchin,
+    Continued Fractions, section 6).  A float has a finite expansion, whose
+    last convergent is alpha itself."""
+    a, b = alpha.as_integer_ratio()
+    p0, q0, p, q = 1, 0, 0, 1  # convergents p_(i-1)/q_(i-1) and p_i/q_i, from 0/1
+    x, y = b, a  # the next partial quotient is x // y
+    best = min(a, b - a)  # ||alpha||
+    while y:
+        c, (x, y) = x // y, (y, x % y)
+        p0, q0, p, q = p, q, c * p + p0, c * q + q0
+        if q > qmax:
+            break
+        best = min(best, abs(q * a - p * b))
+    return best, b
+
+
+def _separated(G: GeneratorMatrix, k: int) -> bool:
+    """Whether the k+1 rows of a one-generator walk are shown to land on
+    pairwise distinct torus points, by one coordinate alpha of the generator.
+
+    A point lies within (|m| + 1) 2^-53 of m alpha mod 1 (see
+    project_to_torus), so rows m != m' with |m|, |m'| <= k share a point
+    only if ||q alpha|| < (2k + 2) 2^-53 for q = |m - m'| <= 2k; the least
+    ||q alpha|| over those q is _distance_to_integers(alpha, 2k).
     """
-    _, run, single = runs
+    for alpha in G.entries[0]:
+        dist, b = _distance_to_integers(alpha, 2 * k)
+        if dist << 53 >= (2 * k + 2) * b:
+            return True
+    return False
+
+
+def _rounded(x: int, e: int) -> float:
+    """x 2^e correctly rounded to a float, for e < 0.  float(x) rounds once,
+    to nearest, and while the result is normal ldexp scales it exactly; a
+    result below the least normal float is rounded by int / int instead."""
+    w = math.ldexp(float(x), e)
+    return w if w >= sys.float_info.min else x / (1 << -e)
+
+
+def _bracketed_weights(G: GeneratorMatrix, k: int):
+    """The torus points of the one-generator walk at k >= 1087 and the
+    weight of each, from the brackets of its counts (_brackets), or None; no
+    exact count is built.
+
+    With tau = floor(2^k / D), D = (2k+1) 2^1075, the counts above tau are a
+    window of N rows about the centre, which ends at the first bracket wholly
+    <= tau (for e >= 0, x 2^e <= tau exactly when x D <= 2^(k-e)); only
+    these rows get a torus point.  A weight m 2^(e-k) is correctly rounded
+    (_rounded); rounding is monotone, so that is c / 2^k whenever
+    (m + err) 2^(e-k) rounds to the same float.
+
+    The k + 1 - N rows left out total T <= (k + 1 - N) tau.  A point made
+    only of them vanishes, since T / 2^k <= (k + 1 - N) / D rounds to 0.0.
+    When _separated shows that no window point holds a left-out row, each
+    window weight stands on its bracket; otherwise each must also round to
+    the same float with its bracket widened by T.  A bracket that straddles
+    tau, a weight whose ends round apart, a window point of several rows (a
+    rational generator) or a tail that might not vanish returns None.
+    """
+    D = (2 * k + 1) << _ZERO_EXP
+    near = D.bit_length() - 2  # m D >= 2^(bits(m) + near), so m 2^e > tau while that exceeds 2^(k-e)
+    window = []
+    for m, err, e in _brackets(k):
+        if m.bit_length() + near <= k - e:
+            # x 2^e <= tau iff x <= bound; e < 0 only for a count below 2^(_MANT+1), when 2^k is small
+            bound = (1 << (k - e)) // D if e >= 0 else ((1 << k) // D) << -e
+            if m <= bound:
+                if m + err <= bound:
+                    break
+                return None
+        window.append((m, err, e))
+    rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
+    if (k + 1 - rows) / D != 0.0:
+        return None
+    tail = 0 if _separated(G, k) else k + 1 - rows
+    points, run, single = _runs(G, _centre_out(k, rows))
     run = run.tolist()
     weights = [0.0] * len(single)
-    reached, width = 0, 1 + k % 2  # the centre is one row for even k, two for odd k
-    for m, err, e in _brackets(k):
-        bound = tau >> e if e >= 0 else tau << -e  # x 2^e <= tau iff x <= bound
-        if m <= bound:
-            if m + err <= bound:
-                break
-            return None
-        scale = 1 << (k - e)
-        w = m / scale
-        if err and (m + err) / scale != w:
+    reached, width = 0, 1 + k % 2
+    for m, err, e in window:
+        w = _rounded(m, e - k)
+        # err plus T / 2^e <= tail 2^(k-e) / D, rounded up
+        hi = m + err + (-(-(tail << (k - e)) // D) if tail else 0)
+        if hi != m and _rounded(hi, e - k) != w:
             return None
         for r in run[reached : reached + width]:
             if not single[r]:
                 return None
             weights[r] = w
         reached, width = reached + width, 2
-    if (len(run) - reached) * tau / denominator != 0.0:
-        return None
-    return weights
+    return points, weights
 
 
 def _pointset(G: GeneratorMatrix, points, weights, provenance: str) -> WeightedPointSet:
-    """The atoms of the points; atoms whose weight underflows to 0.0 are dropped."""
-    weights = np.array(weights)
+    """The point set of the points; points whose weight underflows to 0.0 are dropped."""
+    weights = np.asarray(weights, dtype=float)
     survive = weights > 0.0
-    atoms = tuple(zip(map(tuple, points[survive].tolist()), weights[survive].tolist()))
-    return WeightedPointSet(d=G.d, atoms=atoms, provenance=provenance)
+    return WeightedPointSet(G.d, provenance=provenance, points=points[survive], weights=weights[survive])
 
 
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
@@ -348,25 +542,42 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     denominator.
 
     For one generator and tau > 0 (k >= 1087) not even those are built: each
-    count C(k, j) lies in a bracket [m, m + err] 2^e with a _MANT-bit
-    mantissa m and err / m < 2^-100 (see _brackets), and each weight is
-    rounded once from its bracket (see _bracketed_weights).  The exact path
-    runs for n >= 2, for tau = 0, and where a bracket cannot decide: a count
-    whose bracket straddles tau, a weight whose two ends round apart, or a
-    point shared by several rows.  It builds the exact counts above tau and,
-    if leaving out the rest could move a weight (see _exact_weights), every
-    count.  The torus points and their runs are computed once for the
-    bracketed pass and the first exact pass.
+    count C(k, j) above tau lies in a bracket [m, m + err] 2^e with a
+    _MANT-bit mantissa m and err / m < 2^-100 (see _brackets), each weight
+    is rounded once from its bracket, and only the rows of that window get a
+    torus point (see _bracketed_weights).  The exact path runs for n >= 2,
+    for tau = 0, and where a bracket cannot decide: a count whose bracket
+    straddles tau, a weight whose two ends round apart, a point shared by
+    several rows, or a window point that might also hold rows left out.  It
+    first checks the price of every exact count (_count_cost) against the
+    budget, then builds the exact counts above tau and, if leaving out the
+    rest could move a weight (see _exact_weights), every count.
+
+    Positions: for one generator a point is frac(fl(m alpha)), and
+    fl(m alpha) is off from m alpha by at most |m alpha| 2^-53, so by at most
+    about |m| 2^-53 (1.1e-10 at |m| = 10^6); frac itself is exact except for
+    -1 < fl(m alpha) < 0, where it adds at most 2^-54.  In general each
+    coordinate sums n such products, off by at most about sum_j |m_j| 2^-53.
+    Moving each atom by at most eps moves the box discrepancy D by at most
+    2 d eps, since a box's mass changes only by atoms within eps of one of
+    its 2d faces, which as many boxes eps larger or smaller exclude or take
+    in.  The exception is a point within eps of an integer coordinate, which
+    frac may put at either end of [0, 1): boxes do not wrap around the torus,
+    so such a point can move D by up to its own weight.
     """
     if L.n != G.n:
         raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
-    n, k, denominator = L.n, L.k, L.denominator
+    n, k = L.n, L.k
+    if n == 1 and (2 * k + 1).bit_length() <= k - _ZERO_EXP:  # tau > 0
+        found = _bracketed_weights(G, k)
+        if found is not None:
+            return _pointset(G, *found, "exact")
+    _require_counts(n, k)
+    denominator = L.denominator
     tau = denominator // ((2 * k + 1) ** n << _ZERO_EXP)
     rows, built = _rows(n, k, tau)
     runs = _runs(G, rows)
-    weights = _bracketed_weights(runs, k, denominator, tau) if n == 1 and tau else None
-    if weights is None:
-        weights = _exact_weights(runs, built, denominator, tau)
+    weights = _exact_weights(runs, built, denominator, tau)
     if weights is None:
         rows, built = _rows(n, k)
         runs = _runs(G, rows)
@@ -412,7 +623,7 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
 def pointset_to_csv_text(P: WeightedPointSet) -> str:
     """One atom per line: d coordinates then weight, 17 significant digits."""
     lines = []
-    for pt, w in P.atoms:
+    for pt, w in zip(P.points.tolist(), P.weights.tolist()):
         lines.append(",".join("%.17g" % v for v in pt) + ",%.17g" % w)
     return "\n".join(lines) + "\n"
 
@@ -453,5 +664,5 @@ def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPoin
         raise ValidationError(f"point-set weights sum to {total!r}, not 1")
     points, run = _merge(X[:, :-1])
     # bincount adds each point's weights in file order
-    atoms = tuple(zip(map(tuple, points.tolist()), np.bincount(run, X[:, -1]).tolist()))
-    return WeightedPointSet(d=X.shape[1] - 1, atoms=atoms, provenance=provenance)
+    weights = np.bincount(run, X[:, -1])
+    return WeightedPointSet(X.shape[1] - 1, provenance=provenance, points=points, weights=weights)

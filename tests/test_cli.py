@@ -11,6 +11,7 @@ from toruswalk import (
     exact_walk_distribution,
     project_to_torus,
     simulate_walk,
+    walk,
 )
 from toruswalk.cli import main
 from toruswalk.scan import ScanConfig, ScanRow, parse_config_text, parse_k_schedule, run_scan
@@ -29,6 +30,28 @@ def test_dist_exact(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 3
     assert sum(float(l.split(",")[-1]) for l in lines) == pytest.approx(1.0)
+
+
+def test_dist_exact_at_a_million_steps(capsys):
+    # the window of counts above tau: 38 415 surviving atoms of 10^6 + 1 rows
+    code, out, _ = run_cli(capsys, "dist", "--builtin", "golden", "--k", "1000000")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 38415
+    assert sum(float(l.split(",")[-1]) for l in lines) == pytest.approx(1.0)
+
+
+def test_dist_undecided_bracket_at_a_million_steps_exits_3(capsys, monkeypatch):
+    # a 56-bit mantissa cannot decide the weights; every exact count at
+    # k = 10^6 is far over the budget, so the fallback is refused at once
+    def no_counts(*args):
+        raise AssertionError("counts were built")
+
+    monkeypatch.setattr(walk, "_MANT", 56)
+    monkeypatch.setattr(walk, "_rows", no_counts)
+    code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "1000000")
+    assert code == 3 and out == ""
+    assert "exact counts of the walk (n=1, k=1000000)" in err and "--method mc" in err
 
 
 def test_dist_mc(capsys):
@@ -324,8 +347,11 @@ def _no_row(*args, **kwargs):
          "seed -200000 puts the Monte Carlo key seed + k outside [0, 2^128) for k up to 100000"),
         (["--method", "mc", "--seed", str(2**128 - 8), "--k-schedule", "4,8"],
          f"seed {2**128 - 8} puts the Monte Carlo key"),
+        (["--method", "mc", "--k-schedule", "pow2:0..63"],
+         f"k = {2**63} is past 2^63 - 1, the largest step count of a Monte Carlo row"),
+        (["--method", "auto", "--k-schedule", "pow2:0..200"], f"k = {2**200} is past 2^63 - 1"),
     ],
-    ids=["repeat", "repeats", "auto-negative", "mc-past-2^128"],
+    ids=["repeat", "repeats", "auto-negative", "mc-past-2^128", "mc-past-2^63", "auto-past-2^63"],
 )
 def test_scan_checks_schedule_and_seed_before_any_row(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.setattr("toruswalk.scan.exact_walk_distribution", _no_row)
@@ -363,18 +389,32 @@ def test_scan_csv_header_is_the_row_fields():
 def test_scan_auto_falls_back_to_mc_past_the_bit_cap(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
-        "scan", "--builtin", "golden", "--method", "auto", "--k-schedule", "1000000",
+        "scan", "--builtin", "golden", "--method", "auto", "--k-schedule", "10000000000",
         "--trials", "1000", "--out", str(tmp_path),
     )
     assert code == 0
     rows = json.loads((tmp_path / "report.json").read_text())["rows"]
-    assert [(r["k"], r["method"]) for r in rows] == [(1000000, "mc")]
+    assert [(r["k"], r["method"]) for r in rows] == [(10**10, "mc")]
+
+
+def test_scan_auto_falls_back_to_mc_when_the_projection_is_refused(capsys, tmp_path, monkeypatch):
+    # the walk is admitted, but a 56-bit mantissa sends the projection to
+    # exact counts, which the budget refuses at k = 10^6
+    monkeypatch.setattr(walk, "_MANT", 56)
+    code, _, _ = run_cli(
+        capsys,
+        "scan", "--builtin", "golden", "--method", "auto", "--k-schedule", "4096,1000000",
+        "--trials", "1000", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [(r["k"], r["method"]) for r in rows] == [(4096, "exact"), (10**6, "mc")]
 
 
 def test_scan_exact_past_the_bit_cap_exits_3(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
-        "scan", "--builtin", "golden", "--method", "exact", "--k-schedule", "1000000",
+        "scan", "--builtin", "golden", "--method", "exact", "--k-schedule", "10000000000",
         "--out", str(tmp_path),
     )
     assert code == 3

@@ -2,16 +2,19 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import enumerate_walk_counts, project_counts
+from conftest import enumerate_walk_counts, project_counts, random_point_set
 from toruswalk import errors, walk
 from toruswalk import (
     CapExceededError,
     LatticeDistribution,
     ValidationError,
     builtin_generators,
+    discrepancy_exact,
+    discrepancy_grid,
     exact_walk_distribution,
     load_generators,
     pointset_from_csv_text,
@@ -85,18 +88,30 @@ def test_state_cap_guard(monkeypatch):
 
 
 def test_bit_cap_guard_refuses_before_counting(monkeypatch):
+    # the n = 1 walk is priced by its window of about 39 sqrt(k) rows; reading
+    # every count is priced apart, at k(k+1)/64 words more
     monkeypatch.setattr(walk, "_rows", _no_rows)
     with pytest.raises(CapExceededError, match="simulate_walk"):
-        exact_walk_distribution(GOLDEN, 10**6)
-    assert exact_walk_distribution(GOLDEN, 2**16).k == 2**16  # admitted, nothing counted
+        exact_walk_distribution(GOLDEN, 10**10)
+    L = exact_walk_distribution(GOLDEN, 10**6)  # admitted, nothing counted
+    with pytest.raises(CapExceededError, match=r"exact counts of the walk \(n=1, k=1000000\)"):
+        L.counts
+    assert exact_walk_distribution(GOLDEN, 2**16).k == 2**16
 
 
 def test_bit_cap_guard_boundary(monkeypatch):
-    # n = 1, k = 8: 9 rows at PER_CALL = 64 each, plus 8 * 9 // 64 = 1 count word
+    # n = 1, k = 8: the walk is 9 rows at PER_CALL = 64 each; its counts, which
+    # both L.counts and the projection (tau = 0) build, 8 * 9 // 64 = 1 word more
     monkeypatch.setattr(errors, "BUDGET", 64 * 9 + 1)
     assert exact_walk_distribution(GOLDEN, 8).counts == enumerate_walk_counts(1, 8)
     monkeypatch.setattr(errors, "BUDGET", 64 * 9)
     monkeypatch.setattr(walk, "_rows", _no_rows)
+    L = exact_walk_distribution(GOLDEN, 8)
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        L.counts
+    with pytest.raises(CapExceededError, match="simulate_walk"):
+        project_to_torus(L, GOLDEN)
+    monkeypatch.setattr(errors, "BUDGET", 64 * 9 - 1)
     with pytest.raises(CapExceededError, match="simulate_walk"):
         exact_walk_distribution(GOLDEN, 8)
 
@@ -110,7 +125,7 @@ def test_constructed_distribution_checks_its_cost(monkeypatch):
     # the budget is the type's own: no constructor builds a count past it
     monkeypatch.setattr(walk, "_rows", _no_rows)
     with pytest.raises(CapExceededError, match="simulate_walk"):
-        LatticeDistribution(k=10**6, n=1)
+        LatticeDistribution(k=10**10, n=1)
     for k, n in [(-1, 1), (2, 0), (2, -1)]:
         with pytest.raises(ValidationError):
             LatticeDistribution(k=k, n=n)
@@ -166,7 +181,7 @@ ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7"]
 # Weights 1/2^k round to 0.0 from k = 1075; tau > 0, so tails are left out
 # and counts are bracketed, from k = 1087.
 @pytest.mark.parametrize("family", ONE_GENERATOR)
-@pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1086, 1087, 1088, 2001, 4096, 4097])
+@pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1086, 1087, 1088, 2001, 4096, 4097, 8192, 8193])
 def test_windowed_projection_matches_complete_n1(family, k):
     G = builtin_generators(family, 1, 1)
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
@@ -216,13 +231,47 @@ def test_brackets_hold_every_count(monkeypatch, mant, k):
 
 
 @pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 1), ("sqrt_primes", 2)])
-@pytest.mark.parametrize("k", [1088, 2001, 4096, 4097])
+@pytest.mark.parametrize("k", [1088, 2001, 4096, 4097, 8192, 8193])
 def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
     G = builtin_generators(family, 1, d)
     expected = _complete_atoms(G, k)
     bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
     assert bracketed[0] is not None and exact == []
+
+
+@pytest.mark.parametrize("mant", [56, 128])
+@pytest.mark.parametrize("k", [1087, 1088, 4097, 2**15, 10**5 + 1, 10**6])
+def test_centre_bracket_holds_the_centre_count(monkeypatch, mant, k):
+    # mpmath at 600 bits stands in for C(k, floor(k/2)), which has up to k bits
+    monkeypatch.setattr(walk, "_MANT", mant)
+    m, err, e = next(walk._brackets(k))
+    with mpmath.workprec(600):
+        c = mpmath.binomial(k, k // 2)
+        assert mpmath.ldexp(m, e) <= c <= mpmath.ldexp(m + err, e)
+    # the width _centre states: t <= 2 floors' worth
+    assert 0 < err <= -(-2 * m >> (mant - 1)) + 1
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.0, 0.25, 0.5, 0.32, 1 / 3, 0.7, 1e-9, 1 - 2**-53, 0.6180339887498949, 0.41421356237309515]
+)
+def test_distance_to_integers_is_the_least_over_every_q(alpha):
+    a, b = alpha.as_integer_ratio()
+    for qmax in (1, 2, 3, 7, 25, 60, 400):
+        least = min(min(q * a % b, b - q * a % b) for q in range(1, qmax + 1))
+        assert walk._distance_to_integers(alpha, qmax) == (least, b)
+
+
+def test_separation_holds_where_rows_cannot_meet():
+    # golden: ||q alpha|| > 0.38 / q, far above (2k + 2) 2^-53 at k = 2^15; a
+    # float 1/3 or 0.32 has ||3 alpha|| or ||25 alpha|| near 2^-53
+    assert walk._separated(GOLDEN, 2**15)
+    assert not walk._separated(GOLDEN, 10**8)
+    for family in ("rational:3", "diagonal:0.32"):
+        assert not walk._separated(builtin_generators(family, 1, 1), 2**11)
+    # one coordinate is enough
+    assert walk._separated(load_generators([[1 / 3, 0.6180339887498949]]), 2**15)
 
 
 # Golden at k = 1087: tau = 1 = C(k, 0), whose bracket, after lossy floors,
@@ -246,6 +295,19 @@ def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k,
     bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
     assert bracketed == [None] and exact[0] is not None
+
+
+# Without the separation certificate each window weight must also round
+# alike with its bracket widened by every left-out count, T = (k+1-N) tau.
+# Near k = 1087 the window is nearly the whole row and T is tiny; at 4096
+# T / 2^k is about 2^-1077, which some subnormal weight's bracket cannot take.
+@pytest.mark.parametrize("k,decided", [(1100, True), (1200, True), (4096, False)])
+def test_unseparated_window_widens_every_weight_by_the_tail(monkeypatch, k, decided):
+    expected = _complete_atoms(GOLDEN, k)
+    monkeypatch.setattr(walk, "_separated", lambda G, k: False)
+    bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
+    assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
+    assert (bracketed[0] is not None) == decided and (exact == []) == decided
 
 
 def test_bracketed_projection_builds_no_exact_count(monkeypatch):
@@ -284,6 +346,18 @@ def test_window_builds_only_surviving_counts():
     atoms = len(project_to_torus(L, GOLDEN).atoms)
     assert len(rows) == k + 1
     assert atoms <= built < 1.02 * atoms  # 6937 atoms of 32 769 vectors
+
+
+def test_projection_computes_phases_only_for_the_window(monkeypatch):
+    phased, phases = [], walk._phases
+
+    def spy(A, H, exact=False):
+        phased.append(len(H))
+        return phases(A, H, exact)
+
+    monkeypatch.setattr(walk, "_phases", spy)
+    atoms = len(project_to_torus(exact_walk_distribution(GOLDEN, 2**15), GOLDEN).weights)
+    assert atoms <= sum(phased) <= 1.02 * atoms  # 6937 atoms of 32 769 vectors
 
 
 def test_dropped_tail_that_moves_a_weight_is_refused():
@@ -419,6 +493,18 @@ def test_diagonal_walk_stays_on_diagonal():
     P = project_to_torus(exact_walk_distribution(G, 5), G)
     for pt, _ in P.atoms:
         assert pt[0] == pt[1] == pt[2]
+
+
+def test_point_set_from_atoms_matches_point_set_from_arrays():
+    P = random_point_set(np.random.default_rng(5), 40, 2)
+    Q = walk.WeightedPointSet(
+        2, provenance="exact", points=np.array([pt for pt, _ in P.atoms]),
+        weights=np.array([w for _, w in P.atoms]),
+    )
+    assert Q.atoms == P.atoms and Q.total_weight() == P.total_weight()
+    assert discrepancy_exact(Q) == discrepancy_exact(P)
+    assert discrepancy_grid(Q, 64) == discrepancy_grid(P, 64)
+    assert not Q.points.flags.writeable and not P.weights.flags.writeable
 
 
 def test_pointset_csv_round_trip():

@@ -14,10 +14,13 @@ first d-1 axes and packs the boxes' final-axis masses, as padded prefix
 sums read off that table, strip after strip into blocks of one size for the
 estimator's own final-axis reduction.  For the grid the table first has the
 volume subtracted, in place, so a block reads mass minus volume directly.
-A strip bounds the values of its boxes (an excess by the strip's mass, a
-deficit by its width), so each left face skips the narrow strips that
-cannot beat the estimator's best value so far; values and witnesses are
-those of the full enumeration.  Each estimator builds its face arrays first
+Strips run coarse to fine: the strips between every _COARSE-th face on axis
+d-2 come first, and each cell pair of strips between them is bounded by
+the values of its outer and inner coarse strips plus the volume the two
+differ by, so the fine pass skips the cell pairs that cannot beat the
+estimator's best value so far by more than a rounding margin; values and
+witnesses are those of the full enumeration, and each strip is evaluated
+at most once.  Each estimator builds its face arrays first
 and prices the worst case, every strip in blocks of one left face each,
 against the budget before it enumerates anything; the budget also bounds
 the table, which has (c+1)^d cells for c faces per axis.
@@ -93,9 +96,12 @@ _BLOCK = 1 << 15
 # The budget charges blocks of at most this many elements that each hold one
 # left face's boxes, the enumerator's before it packed them (see _elements).
 _PRICED_BLOCK = 1 << 13
-# The least margin by which a strip's bound must miss the best value so far
-# before _blocks skips the strip (see _blocks).
+# The least margin by which a cell pair's bound must miss the best value so
+# far before _blocks skips the cell pair's strips (see _blocks).
 _MARGIN = 2.0**-40
+# The stride of the coarse faces on axis d-2, whose strips bound the others
+# (see _blocks).
+_COARSE = 4
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -104,8 +110,8 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _blocks(pts, wts, faces, rule, floor, bounds, minus_volume=False):
-    """Yield (lo, hi, P, W, segments) for each block of boxes with faces from `faces`.
+def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
+    """Yield (lo, hi, P, W, segments, best) for each block of boxes with faces from `faces`.
 
     An atom's index on an axis is that of the last face at or below it;
     under rule = (a, b, jmin) the face pair (i, j), j >= i + jmin, holds
@@ -113,29 +119,48 @@ def _blocks(pts, wts, faces, rule, floor, bounds, minus_volume=False):
     and summed along every axis it holds S[j - b + 1] - S[i + a].  Each pair
     on axes 0..d-3 subtracts its axis out of S, leaving a slab T; lo and hi
     are those pairs' left and right faces.  The slab's rows T[j - b + 1] -
-    T[i + a], left faces i on axis d-2 in order and each one's right faces j
-    in order, are packed into blocks of at most _BLOCK elements of one reused
-    buffer, one np.subtract per run of a left face's rows in a block:
-    segments lists the runs as (r0, i, j0, n), block rows r0 .. r0 + n - 1
-    standing for the pairs (i, j0) .. (i, j0 + n - 1).  P[r, t + 1] is row
-    r's mass up to final-axis face t, W[r] its volume on axes 0..d-2.  In
-    d = 1 the one block is the table, with no segments.
+    T[i + a], one per strip (i, j) on axis d-2, are packed into blocks of at
+    most _BLOCK elements of one reused buffer, one np.subtract per run of a
+    left face's rows in a block: segments lists the runs as (r0, i, js), a
+    range js, block rows r0, r0 + 1, ... standing for the pairs (i, js[0]),
+    (i, js[1]), ....  P[r, t + 1] is row r's mass up to final-axis face t,
+    W[r] its volume on axes 0..d-2.  Before it asks for the next block the
+    caller writes into best[r] row r's value, the largest value of its
+    boxes, and keeps floor, a one-element list, at its best value so far.
+    In d = 1 the one block is the table, with no segments.
 
-    floor is a one-element list that the caller keeps at its best value so
-    far; bounds names one or both strip bounds that its box values obey,
-    each nondecreasing in j: "mass", the strip's mass T[j - b + 1, -1] -
-    T[i + a, -1], and "volume", its width W * (u_j - u_i).  Each left face
-    skips the right faces, a prefix found by one searchsorted per bound,
-    whose strip has every named bound below floor[0] - margin, so skipped
-    boxes cannot beat floor[0] and the first box attaining the maximum is
-    still yielded.  The margin covers rounding.  The bounds hold exactly for
-    the exact sums of the binned cells; a box value and its bound read at
-    most 12 table entries, each a sum over at most sum(shape) additions and
-    so within sum(shape) * 2^-53 * M of its exact sum (M the total mass, the
-    table's last entry), and take at most 60 more roundings of numbers below
-    2 * max(1, M).  Together that is below (12 * sum(shape) + 60) * 2^-53 *
-    max(1, M), which is at most margin = _MARGIN * max(1, M) * max(1,
-    sum(shape) / 512).
+    Coarse to fine.  Every _COARSE-th face u_i on axis d-2, counted back
+    from the last, and the first are coarse: K_0 = 0 < K_1 < ... < K_m =
+    c - 1.  Each slab yields first the coarse strips (K_p, K_q) in (i, j)
+    order, then the others, left face by left face, so each strip comes
+    once; a coarse left face's right faces come by residue mod _COARSE, out
+    of order.  A strip (i, j) of the cell pair (A, B), K_A <= i <= K_(A+1)
+    and K_B <= j <= K_(B+1), holds the inner strip (K_(A+1), K_B) and lies
+    in the outer strip (K_A, K_(B+1)), with widths w_in <= w_ij <= w_out on
+    axis d-2.  Widened to the outer strip, a box gains mass, and volume at
+    most W (w_out - w_ij) <= W (w_out - w_in), as its final-axis side is at
+    most 1; narrowed to the inner strip, it loses mass, and volume at most
+    as much.  So its excess is at most the outer strip's value plus that
+    slack, its deficit at most the inner strip's value plus it, and every
+    box of the cell pair has a value of at most bound(A, B) = max(v_out,
+    v_in) + W (w_out - w_in), v a strip's value.  An inner strip that is no
+    pair (K_B < K_(A+1) + jmin) counts as a strip of width and value 0: a
+    deficit is at most the box's volume.  At each left face the fine pass
+    skips the cell pairs whose bound is below floor[0] - margin, so a
+    skipped box cannot reach floor[0] and the first box attaining the
+    maximum is still yielded.  In d >= 3 a box's excess is also at most its
+    slab's mass and its deficit at most the slab's volume on axes 0..d-3,
+    so a slab whose larger one is below floor[0] - margin is skipped whole.
+
+    The margin covers rounding.  The bounds hold exactly for the exact sums
+    of the binned cells.  A box value, and the value or mass that bounds
+    it, read at most 2^d table entries each, each a sum over at most
+    sum(shape) additions and so within sum(shape) * 2^-53 * M of its exact
+    sum (M the total mass, the table's last entry); the two values, the
+    slack and the bound take at most 8 * 2^d + 8 d + 16 more roundings of
+    numbers below 2 * max(1, M).  As sum(shape) >= 2 d, that is below
+    max(2^13, 2^(d+5) * sum(shape)) * 2^-53 * max(1, M), which is margin =
+    _MARGIN * max(1, M) * max(1, 2^d * sum(shape) / 256).
 
     minus_volume is for the half-open rule (0, 1, 1), under which slab row
     r stands for face u_r on axis d-2 on both sides of a pair: each slab
@@ -152,51 +177,95 @@ def _blocks(pts, wts, faces, rule, floor, bounds, minus_volume=False):
     if len(faces) == 1:
         if minus_volume:
             S[:-1] -= g
-        yield (), (), S[None], None if minus_volume else np.ones(1), ()
+        yield (), (), S[None], None if minus_volume else np.ones(1), (), np.empty(1)
         return
-    margin = _MARGIN * max(1.0, float(S.flat[-1])) * max(1.0, sum(shape) / 512)
+    margin = _MARGIN * max(1.0, float(S.flat[-1])) * max(1.0, 2 ** len(faces) * sum(shape) / 256)
 
-    def slabs(T, lo, hi, W):  # the face pairs on axes len(lo)..d-3
+    def slabs(T, lo, hi, W):  # the face pairs on axes len(lo)..d-3, less the skipped slabs
         if len(lo) == len(faces) - 2:
             yield lo, hi, T, W
             return
         f = faces[len(lo)]
         for i in range(f.size):
             for j in range(i + jmin, f.size):
-                yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), W * (f[j] - f[i]))
+                w = W * (f[j] - f[i])
+                if max(T[j - b + 1].flat[-1] - T[i + a].flat[-1], w) >= floor[0] - margin:
+                    yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), w)
 
     u, rows = faces[-2], max(1, _BLOCK // shape[-1])
-    buf = np.empty((rows, shape[-1]))
+    buf, best = np.empty((rows, shape[-1])), np.empty(rows)
     widths = None if minus_volume else np.empty(rows)
+
+    def pack(runs, lo, hi, T, W):  # the blocks of these runs of strips (i, js)
+        n, segments = 0, []
+        for i, js in runs:
+            while js:
+                k = min(rows - n, len(js))
+                part, js = js[:k], js[k:]
+                rows_j = slice(part.start - b + 1, part.stop - b + 1, part.step)
+                np.subtract(T[rows_j], T[i + a], out=buf[n : n + k])
+                if widths is not None:
+                    np.subtract(u[part.start : part.stop : part.step], u[i], out=widths[n : n + k])
+                segments.append((n, i, part))
+                n += k
+                if n == rows:
+                    yield lo, hi, buf, None if widths is None else W * widths, segments, best
+                    n, segments = 0, []
+        if n:
+            yield lo, hi, buf[:n], None if widths is None else W * widths[:n], segments, best[:n]
+
+    c, offset = u.size, (u.size - 1) % _COARSE  # the last face is coarse, and the first
+    K = [0, *range(offset, c, _COARSE)] if offset else list(range(0, c, _COARSE))
+    m, rank, coarse = len(K) - 1, {x: p for p, x in enumerate(K)}, []
+    for p, i in enumerate(K[: m + 1 - jmin]):  # the coarse strips (K_p, K_q), q >= p + jmin
+        q = p + jmin
+        if K[q] % _COARSE != offset:  # the pair (0, 0), as K_0 = 0 is off the stride
+            coarse.append((i, range(0, 1)))
+            q += 1
+        if q <= m:
+            coarse.append((i, range(K[q], c, _COARSE)))
+    uk, cell = u[K], np.arange(m)
+    upper = cell >= cell[:, None]  # [A, B]: whether B >= A
+    inner = cell >= cell[:, None] + 1 + jmin  # and whether the inner strip is a pair
+    slack = uk[1:] - uk[:-1, None] - np.where(inner, uk[:-1] - uk[1:, None], 0.0)
+    value = np.zeros((m + 1, m + 1))  # [p, q]: the value of the coarse strip (K_p, K_q)
+    bound = value[:-1, 1:]  # [A, B], B >= A: bound(A, B), in place of the outer strip's value
+
+    def fine():  # the strips that are not coarse, by left face, less the skipped cell pairs
+        cut = None
+        for A in range(m):
+            for i in range(K[A], K[A + 1]):
+                if floor[0] - margin != cut:
+                    cut = floor[0] - margin
+                    spans = [[] for _ in range(m)]  # [A]: live cells B >= A, as runs [B0, B1]
+                    for x in np.flatnonzero((bound >= cut) & upper).tolist():
+                        row, B = spans[x // m], x % m
+                        if row and row[-1][1] == B - 1:
+                            row[-1][1] = B
+                        else:
+                            row.append([B, B])
+                if i == K[A]:  # a coarse left face: the live cells' right faces less the
+                    for B0, B1 in spans[A]:  # coarse ones, by residue mod _COARSE
+                        for j in range(K[B0] + 1, min(K[B0] + 1 + _COARSE, K[B1 + 1])):
+                            if j % _COARSE != offset:
+                                yield i, range(j, K[B1 + 1], _COARSE)
+                else:
+                    for B0, B1 in spans[A]:
+                        yield i, range(max(K[B0], i + jmin), K[B1 + 1] + (B1 == m - 1))
+
     for lo, hi, T, W in slabs(S, (), (), 1.0):  # T is S itself in d = 2, else a fresh slab
         if minus_volume:  # in row chunks, so no temporary holds more than _BLOCK elements
             V = T[:-1, :-1]  # the rows of faces u_r and the columns of faces g_t
             for r in range(0, u.size, rows):
                 V[r : r + rows] -= np.multiply.outer(W * u[r : r + rows], g)
-        # a running max, since in d = 3 the slab's rounded masses need not rise
-        mass = np.maximum.accumulate(T[:, -1]) if "mass" in bounds else None
-        n, segments = 0, []
-        for i in range(u.size):
-            j, cut = i + jmin, floor[0] - margin
-            if cut > 0:
-                skip = u.size
-                if mass is not None:  # first row whose strip mass can reach the cut
-                    skip = int(mass.searchsorted(T[i + a, -1] + cut)) + b - 1
-                if "volume" in bounds:  # W > 0: jmin = 1 here
-                    skip = min(skip, int(u.searchsorted(u[i] + cut / W)))
-                j = max(j, skip)
-            while j < u.size:
-                k = min(rows - n, u.size - j)
-                np.subtract(T[j - b + 1 : j - b + 1 + k], T[i + a], out=buf[n : n + k])
-                if widths is not None:
-                    np.subtract(u[j : j + k], u[i], out=widths[n : n + k])
-                segments.append((n, i, j, k))
-                n, j = n + k, j + k
-                if n == rows:
-                    yield lo, hi, buf, None if widths is None else W * widths, segments
-                    n, segments = 0, []
-        if n:
-            yield lo, hi, buf[:n], None if widths is None else W * widths[:n], segments
+        for block in pack(coarse, lo, hi, T, W):
+            yield block
+            for r0, i, js in block[4]:
+                p, q = rank[i], rank[js[0]]
+                value[p, q : q + len(js)] = block[5][r0 : r0 + len(js)]
+        np.maximum(bound, np.where(inner, value[1:, :-1], 0.0), out=bound)
+        bound += W * slack
+        yield from pack(fine(), lo, hi, T, W)
 
 
 def _elements(faces, jmin: int) -> int:
@@ -223,15 +292,17 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
 
     Excess boxes are closed with faces at atom coordinates, deficit boxes
     open with the cube boundary added; on the final axis the best interval
-    of each row comes from one running-min sweep.  A box's excess is at most
-    its strip's mass and its deficit at most its strip's width: the bounds
-    by which _blocks skips strips.
+    of each row comes from one running-min sweep.  _blocks yields a slab's
+    coarse strips before the others, and some rows out of (i, j) order, so
+    of the boxes attaining a block's best value, and of a block's best box
+    and the best so far on a tie, the one whose strip comes first in (i, j)
+    order wins: the witness is the first box of the full enumeration that
+    attains the maximum.
     """
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
-    floor, best = [start], (start, None, None)
-    bound = "mass" if excess else "volume"
-    for lo, hi, P, W, segments in _blocks(pts, wts, faces, (jmin, jmin, jmin), floor, (bound,)):
+    floor, best, first = [start], (start, None, None), None
+    for lo, hi, P, W, segments, rowbest in _blocks(pts, wts, faces, (jmin, jmin, jmin), floor):
         wu = W[:, None] * u
         c, below = P[:, 1:], P[:, :-1]  # mass up to and including face t, mass below it
         if excess:
@@ -241,18 +312,28 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
         low = np.minimum.accumulate(bot, axis=1, out=bot)  # low[t] = min of bot[: t + 1]
         # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
         vals = np.subtract(top[:, jmin:], low[:, : u.size - jmin], out=top[:, jmin:])
-        r, t = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[r, t] > floor[0]:
-            s = int(np.argmax(low[r, : t + 1] == low[r, t]))  # first s where bot hit that min
-            if segments:  # the run holding row r gives its pair on axis d-2
-                r0, i, j0, _ = next(seg for seg in reversed(segments) if seg[0] <= r)
-                lo, hi = lo + (i,), hi + (j0 + r - r0,)
-            floor[0] = float(vals[r, t])
-            best = (
-                floor[0],
-                tuple(float(f[i]) for f, i in zip(faces, lo + (s,))),
-                tuple(float(f[j]) for f, j in zip(faces, hi + (t + jmin,))),
-            )
+        v = float(np.max(vals, axis=1, out=rowbest).max())
+        if v < floor[0]:
+            continue
+        rows = np.flatnonzero(rowbest == v).tolist()
+        if segments:  # the runs give the rows' pairs on axis d-2: the first strip wins a tie
+            pairs = {}
+            for r in rows:
+                r0, i, js = next(seg for seg in reversed(segments) if seg[0] <= r)
+                pairs[lo + (i,), hi + (js[r - r0],)] = r
+            (lo, hi), r = min(pairs.items())
+        else:
+            r = rows[0]
+        if v == floor[0] and (first is None or (lo, hi) > first):
+            continue  # a tie with the start or with an earlier strip
+        t = int(np.argmax(vals[r]))
+        s = int(np.argmax(low[r, : t + 1] == low[r, t]))  # first s where bot hit that min
+        floor[0], first = v, (lo, hi)
+        best = (
+            floor[0],
+            tuple(float(f[i]) for f, i in zip(faces, lo + (s,))),
+            tuple(float(f[j]) for f, j in zip(faces, hi + (t + jmin,))),
+        )
     return best
 
 
@@ -308,10 +389,10 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     faces = [_grid_candidates(pts[:, ax], resolution) / resolution for ax in range(P.d)]
     kind = f"grid({resolution}) discrepancy of {len(wts)} atoms in d={P.d}"
     require(kind, _elements(faces, 1), "a coarser --resolution")
-    # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j; a box's
-    # |mass - volume| is at most the larger of its strip's mass and width
+    # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
     floor = [0.0]
-    for _, _, F, _, _ in _blocks(pts, wts, faces, (0, 1, 1), floor, ("mass", "volume"), True):
+    for _, _, F, _, _, rowbest in _blocks(pts, wts, faces, (0, 1, 1), floor, True):
         F = F[:, :-1]  # mass below g_t minus the volume there, for each final-axis face g_t
-        floor[0] = max(floor[0], float((F.max(axis=1) - F.min(axis=1)).max()))
+        np.subtract(F.max(axis=1), F.min(axis=1), out=rowbest)
+        floor[0] = max(floor[0], float(rowbest.max()))
     return floor[0]

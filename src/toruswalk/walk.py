@@ -491,8 +491,15 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     window weight stands on its bracket; otherwise each must also round to
     the same float with its bracket widened by T.  A bracket that straddles
     tau, a weight whose ends round apart, a window point of several rows (a
-    rational generator) or a tail that might not vanish returns None.
+    rational generator) or a tail that might not vanish returns None.  The
+    widened test fails from about k = 2000, and the exact counts are the
+    fallback, so without _separated their price is checked first
+    (_require_counts): a walk whose fallback the budget refuses is refused
+    before its window is walked.
     """
+    separated = _separated(G, k)
+    if not separated:
+        _require_counts(1, k)
     D = (2 * k + 1) << _ZERO_EXP
     near = D.bit_length() - 2  # m D >= 2^(bits(m) + near), so m 2^e > tau while that exceeds 2^(k-e)
     window = []
@@ -508,7 +515,7 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
     if (k + 1 - rows) / D != 0.0:
         return None
-    tail = 0 if _separated(G, k) else k + 1 - rows
+    tail = 0 if separated else k + 1 - rows
     points, run, single = _runs(G, _centre_out(k, rows))
     run = run.tolist()
     weights = [0.0] * len(single)

@@ -54,6 +54,20 @@ def test_dist_undecided_bracket_at_a_million_steps_exits_3(capsys, monkeypatch):
     assert "exact counts of the walk (n=1, k=1000000)" in err and "--method mc" in err
 
 
+def test_dist_unseparated_golden_exits_3_before_its_window(capsys, monkeypatch):
+    # past k = 41 963 799 no certificate keeps left-out rows off the window's
+    # points, and the exact counts it would fall back to are over the budget
+    def no_window(*args):
+        raise AssertionError("the window was walked")
+
+    monkeypatch.setattr(walk, "_brackets", no_window)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "100000000")
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "exact counts of the walk (n=1, k=100000000)" in err and "--method mc" in err
+
+
 def test_dist_mc(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--builtin", "golden", "--k", "3", "--trials", "1000", "--seed", "5"

@@ -223,10 +223,10 @@ class TestTiedCoordinates:
         )
 
 
-RULES = {  # rule triple, strip bounds and minus_volume of each estimator's _blocks call
-    "excess": ((0, 0, 0), ("mass",), False),
-    "deficit": ((1, 1, 1), ("volume",), False),
-    "grid": ((0, 1, 1), ("mass", "volume"), True),
+RULES = {  # rule triple and minus_volume of each estimator's _blocks call
+    "excess": ((0, 0, 0), False),
+    "deficit": ((1, 1, 1), False),
+    "grid": ((0, 1, 1), True),
 }
 
 
@@ -243,12 +243,19 @@ def _faces(P, rule, resolution=6):
 
 
 def _blocks_of(P, rule):
-    """Every block _blocks yields for P under one estimator's rule; the
-    floor stays at -inf, so no strip is skipped."""
-    (pts, faces), (triple, bounds, minus_volume) = _faces(P, rule), RULES[rule]
+    """Every block _blocks yields for P under one estimator's rule, with the
+    pair (slab, i, j) of each row; the floor stays at -inf, so no strip is
+    skipped."""
+    (pts, faces), (triple, minus_volume) = _faces(P, rule), RULES[rule]
     wts = np.array([w for _, w in P.atoms])
-    yielded = discrepancy_module._blocks(pts, wts, faces, triple, [-math.inf], bounds, minus_volume)
-    return faces, triple, [(lo, hi, prefix.copy(), segs) for lo, hi, prefix, _, segs in yielded]
+    blocks = []
+    for lo, hi, prefix, _, segs, best in discrepancy_module._blocks(
+        pts, wts, faces, triple, [-math.inf], minus_volume
+    ):
+        best[:] = 0.0
+        pairs = [(lo, hi, i, js[r]) for _, i, js in segs for r in range(len(js))]
+        blocks.append((lo, hi, prefix.copy(), segs, pairs))
+    return faces, triple, blocks
 
 
 # sqrt_primes n = d = 2 at the k of the disc-d2 benchmark scan: value,
@@ -292,24 +299,33 @@ class TestPackedBlocks:
     @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_rows_are_the_face_pairs_in_order(self, d, rule, monkeypatch):
-        # 25 elements: 2 or 3 rows of at most 11 columns, so runs split and share blocks
+        # 25 elements: 2 or 3 rows of at most 11 columns, so runs split and
+        # share blocks; each slab yields its coarse pairs in order, then the
+        # others left face by left face
         monkeypatch.setattr(discrepancy_module, "_BLOCK", 25)
         P = random_point_set(np.random.Generator(np.random.PCG64(7100 + d)), 8, d)
         faces, (a, b, jmin), blocks = _blocks_of(P, rule)
-        u = faces[-2].size
-        pairs, split, shared = {}, False, False
-        for lo, hi, prefix, segments in blocks:
-            assert prefix.shape[0] == sum(n for _, _, _, n in segments)
-            assert [r0 for r0, _, _, _ in segments] == [
-                sum(n for _, _, _, n in segments[:m]) for m in range(len(segments))
+        u, stride = faces[-2].size, discrepancy_module._COARSE
+        coarse = [x for x in range(u) if (u - 1 - x) % stride == 0 or x == 0]
+        pairs, split, shared, last = {}, False, False, None
+        for lo, hi, prefix, segments, rows in blocks:
+            assert prefix.shape[0] == len(rows)
+            assert [r0 for r0, _, _ in segments] == [
+                sum(len(js) for _, _, js in segments[:m]) for m in range(len(segments))
             ]
-            shared |= len({i for _, i, _, _ in segments}) > 1
-            for r0, i, j0, n in segments:
-                split |= n < u - i - jmin  # fewer than the left face's rows
-                pairs.setdefault((lo, hi), []).extend((i, j) for j in range(j0, j0 + n))
+            shared |= len({i for _, i, _ in segments}) > 1
+            _, i, js = segments[0]  # a run split across blocks goes on where it stopped
+            split |= last == (lo, hi, i, js[0] - js.step)
+            _, i, js = segments[-1]
+            last = (lo, hi, i, js[-1])
+            pairs.setdefault((lo, hi), []).extend((i, j) for _, _, i, j in rows)
         assert split and shared
+        first = [(i, j) for i in coarse for j in coarse if j >= i + jmin]
+        rest = [(i, j) for i in range(u) for j in range(i + jmin, u) if (i, j) not in first]
         for slab in pairs.values():
-            assert slab == [(i, j) for i in range(u) for j in range(i + jmin, u)]
+            assert slab[: len(first)] == first
+            assert sorted(slab[len(first) :]) == rest
+            assert sorted(slab[len(first) :], key=lambda pair: pair[0]) == slab[len(first) :]
 
     def test_disc_d2_outputs_are_pinned(self):
         for k, (value, lo, hi) in DISC_D2_EXACT.items():
@@ -349,9 +365,10 @@ def _tied_set():
 
 
 class TestStripBound:
-    """Skipping strips whose bound misses the best value so far changes no
-    value, witness or direction: each case is run with the skip and with the
-    margin at infinity, which skips nothing."""
+    """Skipping the cell pairs whose bound misses the best value so far
+    changes no value, witness or direction: each case is run with the skip
+    and with the margin at infinity, which skips nothing, at coarse strides
+    of 2, 3 and 4 faces and one past every face count."""
 
     CASES = {
         "heavy atom d=2": (lambda: _heavy_atom_set(2), "excess"),
@@ -369,24 +386,144 @@ class TestStripBound:
         P = make()
         if block is not None:  # one-row blocks raise the floor after every row
             monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
-        rows = _rows_yielded(monkeypatch)
-        res, grid = discrepancy_exact(P), discrepancy_grid(P, 4)
-        skipped_rows = rows[0]
-        with monkeypatch.context() as m:
-            m.setattr(discrepancy_module, "_MARGIN", math.inf)
+        rows, skipped = _rows_yielded(monkeypatch), False
+        for stride in (2, 3, 4, 10**6):
+            monkeypatch.setattr(discrepancy_module, "_COARSE", stride)
             rows[0] = 0
-            ref, ref_grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+            res, grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+            skipped_rows = rows[0]
+            with monkeypatch.context() as m:
+                m.setattr(discrepancy_module, "_MARGIN", math.inf)
+                rows[0] = 0
+                ref, ref_grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+            assert (res.value, res.witness) == (ref.value, ref.witness)
+            assert res.direction == ref.direction == direction
+            assert grid == ref_grid
+            assert res.value == pytest.approx(brute_discrepancy_exact(P), abs=1e-12)
+            assert grid == pytest.approx(brute_discrepancy_grid(P, 4), abs=1e-12)
+            mode = "closure" if res.direction == "excess" else "interior"
+            assert abs(box_mass(P, res.witness, mode) - res.witness.volume()) == pytest.approx(
+                res.value, abs=1e-12
+            )
+            assert skipped_rows <= rows[0]
+            skipped |= skipped_rows < rows[0]
+        assert skipped or case == "tie"  # the tie's bounds reach its value at every stride
+
+
+def _oracle_set(family, n, d, k):
+    G = builtin_generators(family, n, d)
+    return project_to_torus(exact_walk_distribution(G, k), G)
+
+
+def _wall_set(x, seed):
+    # a wall of 0.2 of the mass on the line x guards the empty region right
+    # of it: the best deficit box starts at the wall, and the outer strip of
+    # its cell pair holds the wall unless the wall is a coarse face
+    rng = np.random.Generator(np.random.PCG64(seed))
+    light = [(p, q) for p, q in rng.random((40, 2)).tolist() if not (p > x and q < 0.75)]
+    wall = [(x, q) for q in np.linspace(0.05, 0.7, 6).tolist()]
+    atoms = tuple((pt, 0.2 / 6) for pt in wall) + tuple((pt, 0.8 / len(light)) for pt in light)
+    return WeightedPointSet(d=2, atoms=atoms, provenance="exact")
+
+
+# (32 x, 32 y, 64 w): atoms in pairs p, 1 - p of equal weight, all dyadic,
+# so a box and its mirror image have the same value exactly, and the best
+# value is attained twice (by excess boxes in the first set, deficit boxes
+# in the second)
+_MIRRORED = (
+    [
+        (3, 23, 4), (5, 27, 16), (9, 21, 4), (11, 21, 4), (15, 29, 4),
+        (17, 3, 4), (21, 11, 4), (23, 11, 4), (27, 5, 16), (29, 9, 4),
+    ],
+    [
+        (1, 3, 4), (1, 11, 2), (3, 11, 16), (3, 25, 4), (5, 17, 4), (11, 29, 2),
+        (21, 3, 2), (27, 15, 4), (29, 7, 4), (29, 21, 16), (31, 21, 2), (31, 29, 4),
+    ],
+)
+
+
+def _mirrored_set(n):
+    atoms = tuple(((x / 32, y / 32), w / 64) for x, y, w in _MIRRORED[n])
+    return WeightedPointSet(d=2, atoms=atoms, provenance="exact")
+
+
+class TestCellPairBound:
+    """The coarse pass and the cell-pair skip against the brute-force
+    oracles and against the full enumeration in (i, j) order, which is
+    _COARSE = 1 (every strip coarse) with the margin at infinity."""
+
+    SETS = {
+        **{
+            f"random d={d} #{trial}": (
+                lambda d=d, trial=trial: random_point_set(
+                    np.random.Generator(np.random.PCG64(7300 + 10 * d + trial)), {2: 12, 3: 5}[d], d
+                ),
+                None,
+            )
+            for d in (2, 3)
+            for trial in range(3)
+        },
+        "tied rational:5 d=2": (lambda: _oracle_set("rational:5", 2, 2, 3), None),
+        "tied rational:3 d=3": (lambda: _oracle_set("rational:3", 1, 3, 4), None),
+        "tied diagonal d=3": (lambda: _oracle_set("diagonal:0.32", 1, 3, 3), None),
+        "heavy atom d=2": (lambda: _heavy_atom_set(2), "excess"),
+        "heavy atom d=3": (lambda: _heavy_atom_set(3), "excess"),
+        "tie": (_tied_set, "excess"),
+        "deficit wins": (
+            lambda: random_point_set(np.random.Generator(np.random.PCG64(6001)), 8, 2), "deficit"
+        ),
+        **{
+            f"wall at {x} #{seed}": (lambda x=x, seed=seed: _wall_set(x, seed), "deficit")
+            for x, seed in ((0.3, 4), (0.35, 2), (0.5, 9))
+        },
+        "mirrored excess": (lambda: _mirrored_set(0), "excess"),
+        "mirrored deficit": (lambda: _mirrored_set(1), "deficit"),
+    }
+
+    @pytest.mark.parametrize("stride", [2, 3, 4, 10**6])
+    @pytest.mark.parametrize("case", list(SETS))
+    def test_matches_brute_force_and_the_full_enumeration(self, case, stride, monkeypatch):
+        make, direction = self.SETS[case]
+        P = make()
+        resolutions = (3, 5, 8) if P.d == 2 else (2, 3)
+        with monkeypatch.context() as m:
+            m.setattr(discrepancy_module, "_COARSE", 1)
+            m.setattr(discrepancy_module, "_MARGIN", math.inf)
+            ref = discrepancy_exact(P)
+            ref_grids = [discrepancy_grid(P, r) for r in resolutions]
+        monkeypatch.setattr(discrepancy_module, "_COARSE", stride)
+        res = discrepancy_exact(P)
         assert (res.value, res.witness, res.direction) == (ref.value, ref.witness, ref.direction)
-        assert res.direction == direction
-        assert grid == ref_grid
-        assert res.value == pytest.approx(brute_discrepancy_exact(P), abs=1e-12)
-        assert grid == pytest.approx(brute_discrepancy_grid(P, 4), abs=1e-12)
-        mode = "closure" if res.direction == "excess" else "interior"
-        assert abs(box_mass(P, res.witness, mode) - res.witness.volume()) == pytest.approx(
-            res.value, abs=1e-12
+        brute = P.weights.size <= 16  # the walls' 45 atoms would take the oracle minutes
+        if brute:
+            assert res.value == pytest.approx(brute_discrepancy_exact(P), abs=1e-12)
+        if direction is not None:
+            assert res.direction == direction
+        for r, ref_grid in zip(resolutions, ref_grids):
+            grid = discrepancy_grid(P, r)
+            assert grid == ref_grid
+            if brute:
+                assert grid == pytest.approx(brute_discrepancy_grid(P, r), abs=1e-12)
+
+    def test_grid_on_the_disc_d2_set_yields_few_rows(self, monkeypatch):
+        # grid(512) on sqrt_primes n = d = 2 at k = 20: 513 faces a side
+        rows = _rows_yielded(monkeypatch)
+        P = _disc_d2(20)
+        assert discrepancy_grid(P, 512) == 0.10942318922025152
+        c = _faces(P, "grid", 512)[1][0].size
+        assert c == 513
+        assert rows[0] <= 0.1 * (c * (c - 1) // 2)
+
+    def test_unbudgeted_exact_on_the_disc_d2_set(self, monkeypatch):
+        # 441 atoms, priced over the budget; value and witness as the full enumeration gave them
+        monkeypatch.setattr(errors, "BUDGET", math.inf)
+        res = discrepancy_exact(_disc_d2(20))
+        assert (res.value, res.witness.a, res.witness.b, res.direction) == (
+            0.11141701616903568,
+            (0.28741766050677864, 0.1580962662287777),
+            (0.7125823394932214, 0.8419037337712223),
+            "excess",
         )
-        if block is not None:
-            assert skipped_rows < rows[0]
 
 
 class TestPricing:
@@ -396,17 +533,20 @@ class TestPricing:
     @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_price_counts_the_yielded_elements_and_blocks(self, d, rule, block, monkeypatch):
-        # unskipped, the blocks hold exactly the charged elements; at 8 numpy
-        # calls a packed block and 2 a segment they cost no more calls than
-        # the 10 charged for each block of one left face's rows
+        # unskipped, the blocks hold exactly the charged elements, each face
+        # pair once; at 8 numpy calls a packed block and 2 a segment they
+        # cost no more calls than the 10 charged for each block of one left
+        # face's rows
         if block is not None:
             monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
             monkeypatch.setattr(discrepancy_module, "_PRICED_BLOCK", block)
         P = random_point_set(np.random.Generator(np.random.PCG64(5000 + d)), 7, d)
         faces, triple, yielded = _blocks_of(P, rule)
-        elements = sum(prefix.size for _, _, prefix, _ in yielded)
-        assert all(prefix.shape[1] == faces[-1].size + 1 for _, _, prefix, _ in yielded)
-        segments = sum(len(segs) for _, _, _, segs in yielded)
+        elements = sum(prefix.size for _, _, prefix, _, _ in yielded)
+        assert all(prefix.shape[1] == faces[-1].size + 1 for _, _, prefix, _, _ in yielded)
+        rows = [pair for *_, pairs in yielded for pair in pairs]
+        assert len(set(rows)) == len(rows)
+        segments = sum(len(segs) for _, _, _, segs, _ in yielded)
         charged = discrepancy_module._elements(faces, triple[2])
         unpacked, rest = divmod(charged - elements, 10 * errors.PER_CALL)
         assert rest == 0 and len(yielded) > 0

@@ -14,6 +14,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import typing
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -159,6 +160,32 @@ class ScanReport:
         return buf.getvalue()
 
 
+# The chance that a Monte Carlo row's slack fails to cover its sampling error.
+_MC_DELTA = 1e-9
+
+
+def _mc_slack(d: int, trials: int) -> float:
+    """A bound, holding with probability at least 1 - _MC_DELTA, on how far
+    any box's mass under the empirical law of the trials lies from its mass
+    under the walk's law, and so on how far their discrepancies lie apart.
+
+    d = 1: the DKW inequality with Massart's constant,
+    P(sup_x |F_N(x) - F(x)| > e) <= 2 exp(-2 N e^2), and an interval's mass
+    is a difference of two CDF values: 2 sqrt(ln(2 / delta) / (2 N)).
+    d >= 2: the Vapnik-Chervonenkis inequality,
+    P(sup_B |P_N(B) - P(B)| > e) <= 4 S(2N) exp(-N e^2 / 8), where boxes
+    have VC dimension V = 2d and Sauer's lemma bounds the shatter
+    coefficient S(m) by (e m / V)^V for m >= V (by 2^m always):
+    sqrt(8 (ln(4 / delta) + ln S(2N)) / N).
+    At N = 10^5 this is 0.0207 in d = 1 and 0.0745 in d = 2.
+    """
+    if d == 1:
+        return 2.0 * math.sqrt(math.log(2.0 / _MC_DELTA) / (2.0 * trials))
+    V, m = 2 * d, 2 * trials
+    log_shatter = m * math.log(2.0) if m < V else V * math.log(math.e * m / V)
+    return math.sqrt(8.0 * (math.log(4.0 / _MC_DELTA) + log_shatter) / trials)
+
+
 def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
     n, d = G.n, G.d
     # The bounds come first: an infeasible c_a (M < 1) or an oversize
@@ -196,7 +223,7 @@ def _row_for_k(G: GeneratorMatrix, cfg: ScanConfig, k: int) -> ScanRow:
     if disc_method != "exact":
         slack += d * 2.0 / cfg.resolution
     if method != "exact":
-        slack += 5.0 / max(cfg.trials, 1) ** 0.5
+        slack += _mc_slack(d, cfg.trials)
     if D + slack < lower or (upper is not None and D - slack > min(1.0, upper)):
         raise InternalConsistencyError(
             f"bound violation at k={k}: lower={lower}, D={D}, upper={upper}"

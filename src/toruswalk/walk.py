@@ -8,8 +8,9 @@ generator; C(k, (k+m1+m2)/2) C(k, (k+m1-m2)/2) for two (the 2-D simple walk
 turned by 45 degrees); for n >= 3 a sum over the number j of steps taken by
 the first generator, C(k, j) L_1(j) (x) L_{n-1}(k-j).  Floats enter only when
 projecting to the torus.  The law depends on n and k alone, so a
-LatticeDistribution is the pair (k, n).  Equal rows -- Monte Carlo draws,
-torus points, the points of a point-set file -- are merged by one sort (_merge).
+LatticeDistribution is the pair (k, n).  Equal rows -- torus points, the
+points of a point-set file -- are merged by one sort (_merge); Monte Carlo
+draws, integer rows, are counted by sorting one int64 key per trial (_tally).
 A WeightedPointSet holds its points and weights as two numpy arrays, which
 the discrepancy estimators read directly.
 
@@ -275,6 +276,37 @@ def _merge(X):
     run = np.empty_like(sorted_run)
     run[order] = sorted_run
     return X, run
+
+
+def _tally(m):
+    """The distinct rows of an (N, n) int64 array, N >= 1, in the sorted order
+    of _merge, and the number of times each occurs.
+
+    Each row is folded into one int64 key in mixed radix over its columns'
+    observed ranges, column 0 the most significant, so the sorted keys order
+    the rows as _merge does.  Where the product of the ranges reaches 2^63 a
+    key would not fit, and the rows are merged by _merge instead.
+    """
+    # column by column: on a 10^5 x 2 array numpy's axis-0 min takes about
+    # 5 ms, the two column mins 0.2 ms (2-core Xeon)
+    lo = [int(column.min()) for column in m.T]
+    spans = [int(column.max()) - low + 1 for column, low in zip(m.T, lo)]
+    if math.prod(spans) >= 2**63:
+        rows, run = _merge(m)
+        return rows, np.bincount(run)
+    key = m[:, 0] - lo[0]
+    for j in range(1, len(spans)):
+        key *= spans[j]
+        key += m[:, j] - lo[j]
+    key.sort()
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    counts = np.diff(starts, append=len(key))
+    key = key[starts]
+    rows = np.empty((len(key), len(spans)), dtype=np.int64)
+    for j in range(len(spans) - 1, -1, -1):
+        key, rows[:, j] = np.divmod(key, spans[j])
+        rows[:, j] += lo[j]
+    return rows, counts
 
 
 def _runs(G: GeneratorMatrix, rows):
@@ -603,6 +635,10 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     trials * n whatever k is, and are priced before the generator is
     built; the output depends only on (seed, trials, k), never on
     scheduling.
+
+    Equal draws are counted by _tally: one int64 key per trial, sorted in
+    place, or _merge's sort of the rows where their ranges multiply past
+    2^63.  The rows come out in the same order either way.
     """
     if not 0 <= k < 2**63:
         raise ValidationError("step count k must lie in [0, 2^63), numpy's multinomial range")
@@ -611,7 +647,10 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
     n = G.n
-    # the trials x 2n draw matrix, then a sort of the trials x n coefficient rows
+    # the trials x 2n draw matrix, then a sort of the trials x n coefficient
+    # rows.  _tally folds the rows into trials keys (trials * n operations)
+    # and sorts those (trials * log2 trials), which this charge covers, as it
+    # covers _merge's sort where the keys would not fit.
     cost = trials * 2 * n + trials * n * trials.bit_length()
     require(f"Monte Carlo walk of {trials} trials (n={n})", cost, "fewer --trials")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -619,9 +658,8 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
     m = steps[:, 0::2] - steps[:, 1::2]
     del steps  # not held through the projection
-    rows, run = _merge(m)
+    rows, counts = _tally(m)  # trials per distinct coefficient vector
     del m
-    counts = np.bincount(run)  # trials per distinct coefficient vector
     points, run, _ = _runs(G, rows)
     # each point's summed count is an integer below 2^53, exact in float64
     return _pointset(G, points, np.bincount(run, counts) / trials, "empirical")

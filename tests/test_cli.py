@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +19,16 @@ from toruswalk import (
     walk,
 )
 from toruswalk.cli import main
-from toruswalk.scan import ScanConfig, ScanRow, parse_config_text, parse_k_schedule, run_scan
+from toruswalk.scan import (
+    _MC_DELTA,
+    ScanConfig,
+    ScanRow,
+    _mc_slack,
+    parse_config_text,
+    parse_k_schedule,
+    run_scan,
+    theorem1_lower_bound,
+)
 from toruswalk.errors import ValidationError
 
 
@@ -617,6 +631,47 @@ def test_scan_mc_method(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert all(r["method"] == "mc" for r in report["rows"])
+
+
+def test_mc_slack_meets_its_confidence():
+    for trials in (1, 2, 1000, 10**5):
+        e = _mc_slack(1, trials)  # DKW with Massart's constant, on half the slack
+        assert 2.0 * math.exp(-2.0 * trials * (e / 2.0) ** 2) == pytest.approx(_MC_DELTA)
+        for d in (2, 3):
+            e, V = _mc_slack(d, trials), 2 * d
+            shatter = 2.0 ** (2 * trials) if 2 * trials < V else (math.e * 2 * trials / V) ** V
+            assert 4.0 * shatter * math.exp(-trials * e**2 / 8.0) == pytest.approx(_MC_DELTA)
+    assert round(_mc_slack(1, 10**5), 4) == 0.0207
+    assert round(_mc_slack(2, 10**5), 4) == 0.0745
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("past", [False, True])
+def test_mc_row_past_its_slack_exits_4(capsys, tmp_path, monkeypatch, d, past):
+    # a Monte Carlo row's exact discrepancy moved just inside, or just past,
+    # its slack below Theorem 1's lower bound
+    n, k, trials = 2, 64, 1000
+    lower = theorem1_lower_bound(n, d, k)
+    slack = _mc_slack(d, trials)
+    D = lower - slack + (-1e-6 if past else 1e-6)
+    monkeypatch.setattr("toruswalk.scan.discrepancy_exact", lambda P: SimpleNamespace(value=D))
+    code, _, err = run_cli(
+        capsys,
+        "scan", "--builtin", "sqrt_primes", "--n", str(n), "--d", str(d), "--method", "mc",
+        "--k-schedule", str(k), "--trials", str(trials), "--out", str(tmp_path),
+    )
+    assert code == (4 if past else 0)
+    assert ("bound violation at k=64" in err) == past
+
+
+def test_python_m_toruswalk_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "toruswalk", "scan", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert "--k-schedule" in done.stdout
 
 
 def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path, monkeypatch):

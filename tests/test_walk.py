@@ -5,6 +5,8 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_walk_counts, project_counts, random_point_set
 from toruswalk import errors, walk
@@ -446,17 +448,69 @@ def test_simulate_memory_does_not_grow_with_k():
     assert peaks[1] < peaks[0] + 2**20
 
 
-@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2)])
-def test_simulate_aggregates_each_distinct_draw(n, d):
+@pytest.mark.parametrize(
+    "n,d,k,trials",
+    [(1, 1, 40, 5000), (2, 1, 40, 5000), (3, 2, 40, 5000), (4, 1, 2**40, 1000)],
+    ids=["1-1", "2-1", "3-2", "4-1-past-the-key"],
+)
+def test_simulate_aggregates_each_distinct_draw(n, d, k, trials):
     # the same Philox draw, aggregated independently with a Counter
     G = builtin_generators("sqrt_primes", n, d)
-    k, trials, seed = 40, 5000, 3
+    seed = 3
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
-    counts = Counter(map(tuple, (steps[:, 0::2] - steps[:, 1::2]).tolist()))
+    m = steps[:, 0::2] - steps[:, 1::2]
+    counts = Counter(map(tuple, m.tolist()))
+    # at k = 2^40 the four columns' ranges multiply past 2^63: no int64 key fits
+    spans = math.prod(int(hi) - int(lo) + 1 for lo, hi in zip(m.min(axis=0), m.max(axis=0)))
+    assert (spans >= 2**63) == (k == 2**40)
     P = simulate_walk(G, k, trials, seed)
     assert P.atoms == project_counts(G, counts, trials)
     assert P.d == d and P.provenance == "empirical"
+
+
+@st.composite
+def _integer_rows(draw):
+    """Rows of n = 1..5 integers in [-k, k], often +-k, drawn from a small
+    pool so that rows repeat; k up to 2^63 - 1, so the ranges of the
+    columns can multiply past 2^63."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.one_of(st.integers(1, 40), st.sampled_from([2**20, 2**31, 2**40, 2**62, 2**63 - 1])))
+    entry = st.one_of(st.sampled_from([-k, 0, k]), st.integers(-k, k))
+    pool = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@given(_integer_rows())
+@settings(max_examples=300, deadline=None)
+def test_tally_counts_each_distinct_row(rows):
+    distinct, counts = walk._tally(np.array(rows, dtype=np.int64))
+    assert distinct.dtype == np.int64
+    assert list(zip(map(tuple, distinct.tolist()), counts.tolist())) == sorted(Counter(rows).items())
+
+
+@pytest.mark.parametrize(
+    "rows,merged",
+    [
+        ([[0], [2**63 - 2], [0]], False),  # a range of 2^63 - 1: the widest one key holds
+        ([[0], [2**63 - 1], [0]], True),
+        ([[-(2**63 - 1)], [2**63 - 1], [2**63 - 1]], True),
+        ([[0, 0], [2**31 - 1, 2**32 - 2], [0, 0]], False),  # 2^31 (2^32 - 1) < 2^63
+        ([[0, 0], [2**31 - 1, 2**32 - 1], [0, 0]], True),  # 2^31 2^32 = 2^63
+        ([[5, -7, 3]] * 4 + [[5, -8, 3]], False),
+    ],
+)
+def test_tally_merges_only_where_no_key_fits(monkeypatch, rows, merged):
+    calls, merge = [], walk._merge
+
+    def spy(X):
+        calls.append(len(X))
+        return merge(X)
+
+    monkeypatch.setattr(walk, "_merge", spy)
+    distinct, counts = walk._tally(np.array(rows, dtype=np.int64))
+    assert bool(calls) == merged
+    assert list(zip(map(tuple, distinct.tolist()), counts.tolist())) == sorted(Counter(map(tuple, rows)).items())
 
 
 def test_simulate_deterministic():

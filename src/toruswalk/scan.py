@@ -73,11 +73,19 @@ def parse_k_schedule(text: str) -> list:
     return ks
 
 
+def _parse_bool(text: str) -> bool:
+    """1, true or yes, or 0, false or no, in any case."""
+    value = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"expected 1, true, yes, 0, false or no, not {text!r}")
+    return value
+
+
 def _config_parser(annotation):
     """The parser of a config value for a ScanConfig field annotation: int,
-    float and str themselves, list a k schedule, bool 1, true or yes."""
+    float and str themselves, list a k schedule, bool _parse_bool."""
     tp = next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
-    return {list: parse_k_schedule, bool: lambda v: v.lower() in ("1", "true", "yes")}.get(tp, tp)
+    return {list: parse_k_schedule, bool: _parse_bool}.get(tp, tp)
 
 
 def parse_config_text(text: str) -> ScanConfig:
@@ -248,7 +256,10 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
     G, descriptor = resolve_matrix(cfg)
     # any row of auto or mc may run Monte Carlo, which takes k below 2^63 and
-    # keys the row by seed + k, which Philox needs in [0, 2^128)
+    # at least one trial, and keys the row by seed + k, which Philox needs in
+    # [0, 2^128)
+    if cfg.method != "exact" and cfg.trials < 1:
+        raise ValidationError("trials must be >= 1")
     if cfg.method != "exact" and ks[-1] >= 2**63:
         raise ValidationError(
             f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"

@@ -14,29 +14,25 @@ draws, integer rows, are counted by sorting one int64 key per trial (_tally).
 A WeightedPointSet holds its points and weights as two numpy arrays, which
 the discrepancy estimators read directly.
 
-A count whose weight rounds to 0.0 cannot reach a point set, so the
-projection of an exact walk builds only the counts above a threshold: for
-one generator, one big integer at a time, from the centre of the row
-outward.  The big-integer work then follows the surviving atoms, about
-sqrt(k) of them for n = 1, not the k + 1 counts.
-
-A weight needs only its 53 correctly rounded bits, so for one generator
-from k = 1087, where the threshold is positive, not even those counts are
-built: each is bracketed by a 128-bit mantissa with a proven error bound,
-and each weight is rounded once from its bracket.  The centre count
-C(k, floor(k/2)) is bracketed directly from Stirling's series for log Gamma
-(_centre), and the recurrence walks outward only across the window of
-counts above the threshold, about 39 sqrt(k) rows; only those rows get a
-torus point.  So the whole projection does O(sqrt(k)) Python-level work.
-Where a bracket cannot decide the rounding or the threshold, the exact
-counts are built after all, at their own price.  This is Ziv's strategy
-(ACM TOMS 1991): work at a little more than the output precision, and fall
-back to exact work only when rounding cannot be decided.
+A weight needs only its 53 correctly rounded bits, and one that rounds to
+0.0 cannot reach a point set.  So for one generator from k = 1087, where
+the threshold tau, at or below which a count's weight rounds to 0.0, is
+positive, no exact count is built: each count above tau is bracketed by a 128-bit mantissa
+with a proven error bound, and each weight is rounded once from its
+bracket.  The centre count C(k, floor(k/2)) is bracketed directly from
+Stirling's series for log Gamma (_centre), and the recurrence walks outward
+only across the window of counts above tau, about 39 sqrt(k) rows; only
+those rows get a torus point.  So the whole projection does O(sqrt(k))
+Python-level work.  Where a bracket cannot decide the rounding or the
+threshold, or the rows might not land on distinct points (_separated),
+the projection falls back to exact work: one pass that builds every count,
+one big integer at a time for n <= 2, at the price of every exact count.  This is
+Ziv's strategy (ACM TOMS 1991): work at a little more than the output
+precision, and fall back to exact work only when rounding cannot be decided.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from collections import defaultdict
@@ -73,19 +69,16 @@ _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
 _MC_FALLBACK = "--method mc (simulate_walk)"
 
 
-def _binomial_pairs(k: int, tau: int):
+def _binomial_pairs(k: int):
     """C(k, j) for j = floor(k/2) down to 0, each twice (for j and k - j) but
-    a centre j = k/2 once, stopping at the first count <= tau.  One big
-    integer is held at a time."""
+    a centre j = k/2 once.  One big integer is held at a time."""
     j = k // 2
     c = math.comb(k, j)
     if k % 2 == 0:
-        if c <= tau:
-            return
         yield c
         c = c * j // (k - j + 1)  # C(k, j-1) = C(k, j) j / (k - j + 1)
         j -= 1
-    while j >= 0 and c > tau:
+    while j >= 0:
         yield c
         yield c
         c = c * j // (k - j + 1)
@@ -100,29 +93,23 @@ def _centre_out(k: int, rows: int) -> np.ndarray:
     return np.column_stack([-m, m]).ravel()[1 - k % 2 : rows + 1 - k % 2, None]
 
 
-def _rows(n: int, k: int, tau: int = 0):
-    """Every coefficient vector of the k-step walk with n generators, and the
-    counts of those whose count exceeds tau.
+def _rows(n: int, k: int):
+    """Every coefficient vector of the k-step walk with n generators, and its
+    count.
 
-    Returns (rows, counts): rows is an (N, n) int64 array holding the vectors
-    whose count exceeds tau first; counts is an iterator over their counts in
-    the same order, built as it is consumed.  Every count left out is <= tau.
+    Returns (rows, counts): rows is an (N, n) int64 array of the vectors;
+    counts is an iterator over their counts in the same order, built as it is
+    consumed, so for n <= 2 one count is held at a time.
     """
     if n == 1:
-        return _centre_out(k, k + 1), _binomial_pairs(k, tau)
+        return _centre_out(k, k + 1), _binomial_pairs(k)
     if n == 2:
         # counts(m1, m2) = C(k, u) C(k, v) with u = (k+m1+m2)/2, v = (k+m1-m2)/2,
-        # which is b[p] b[q] for p = min(u, k-u), q = min(v, k-v) and the
-        # increasing half row b; b[p] b[q] > tau for q >= qlo[p]
+        # which is b[p] b[q] for p = min(u, k-u), q = min(v, k-v) and the half row b
         b = [math.comb(k, j) for j in range(k // 2 + 1)]
-        qlo = np.array([bisect.bisect_right(b, tau // c) for c in b])
         U, V = np.divmod(np.arange((k + 1) ** 2), k + 1)
         P, Q = np.minimum(U, k - U), np.minimum(V, k - V)
-        keep = Q >= qlo[P]
-        order = np.argsort(~keep, kind="stable")
-        U, V, P, Q = U[order], V[order], P[order], Q[order]
-        kept = int(keep.sum())
-        counts = (b[p] * b[q] for p, q in zip(P[:kept].tolist(), Q[:kept].tolist()))
+        counts = (b[p] * b[q] for p, q in zip(P.tolist(), Q.tolist()))
         return np.column_stack([U + V - k, U - V]), counts
     # n >= 3: split off the first generator, over a dense object array on [-k, k]^n
     total = np.zeros((2 * k + 1,) * n, dtype=object)
@@ -135,10 +122,7 @@ def _rows(n: int, k: int, tau: int = 0):
         for m1, c1 in zip(first[:, 0].tolist(), first_counts):
             total[(m1 + k, *at)] += cj * c1 * rest_counts
     rows = np.argwhere(total != 0)
-    counts = total[tuple(rows.T)]
-    order = np.argsort(counts <= tau, kind="stable")
-    kept = int(np.count_nonzero(counts > tau))
-    return rows[order] - k, iter(counts[order][:kept].tolist())
+    return rows - k, iter(total[tuple(rows.T)].tolist())
 
 
 @dataclass(frozen=True)
@@ -166,19 +150,11 @@ class LatticeDistribution:
     @cached_property
     def counts(self) -> Mapping:
         """Read-only m tuple -> positive count, every count built on first
-        lookup (priced by _count_cost first); project_to_torus builds only
-        the counts that can survive."""
+        lookup (priced by _count_cost first); project_to_torus brackets the
+        counts instead where it can."""
         _require_counts(self.n, self.k)
         rows, counts = _rows(self.n, self.k)
         return MappingProxyType(dict(zip(map(tuple, rows.tolist()), counts)))
-
-    def check(self) -> None:
-        """Assert the defining invariants; raises AssertionError on violation."""
-        assert sum(self.counts.values()) == self.denominator
-        for m, c in self.counts.items():
-            s = sum(map(abs, m))
-            assert c > 0 and s <= self.k and (s - self.k) % 2 == 0
-            assert self.counts.get(tuple(-v for v in m)) == c
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -323,28 +299,17 @@ def _runs(G: GeneratorMatrix, rows):
     return points, run, (np.bincount(run) == 1).tolist()
 
 
-def _exact_weights(runs, counts, denominator: int, tau: int = 0):
-    """The weight of each run from integer counts, or None.
+def _exact_weights(runs, counts, denominator: int):
+    """The weight of each run from the integer count of every row.
 
-    counts iterates over the counts of the first rows, and every row it does
-    not reach has a count <= tau.  Counts are summed as integers within a run
-    and divided by the denominator once, so each float weight carries a
-    single rounding.
-
-    The rows left out total T <= (N - reached) tau.  A point made only of
-    them vanishes when T / denominator rounds to 0.0, and a point that
-    merges them with reached rows keeps its weight when (c + T) / denominator
-    rounds as c / denominator does; other points receive nothing from them.
-    When either test fails the result would depend on the counts left out,
-    and None is returned.
+    Counts are summed as integers within a run and divided by the
+    denominator once, so each float weight carries a single rounding.
     """
     _, run, single = runs
     weights = [0.0] * len(single)
     shared: dict = defaultdict(int)  # run -> summed count, for runs of several rows
     last = w = None
-    reached = 0
     for r, c in zip(run.tolist(), counts):
-        reached += 1
         if not single[r]:
             shared[r] += c
         elif c == last:  # +-m share one count, divided once
@@ -352,14 +317,6 @@ def _exact_weights(runs, counts, denominator: int, tau: int = 0):
         else:
             last, w = c, c / denominator
             weights[r] = w
-    tail = (len(run) - reached) * tau
-    if tail:
-        if tail / denominator != 0.0:
-            return None
-        mixed = np.zeros(len(single), dtype=bool)
-        mixed[run[reached:]] = True
-        if any(mixed[r] and (c + tail) / denominator != c / denominator for r, c in shared.items()):
-            return None
     for r, c in shared.items():
         weights[r] = c / denominator
     return weights
@@ -517,21 +474,16 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     (_rounded); rounding is monotone, so that is c / 2^k whenever
     (m + err) 2^(e-k) rounds to the same float.
 
-    The k + 1 - N rows left out total T <= (k + 1 - N) tau.  A point made
-    only of them vanishes, since T / 2^k <= (k + 1 - N) / D rounds to 0.0.
-    When _separated shows that no window point holds a left-out row, each
-    window weight stands on its bracket; otherwise each must also round to
-    the same float with its bracket widened by T.  A bracket that straddles
-    tau, a weight whose ends round apart, a window point of several rows (a
-    rational generator) or a tail that might not vanish returns None.  The
-    widened test fails from about k = 2000, and the exact counts are the
-    fallback, so without _separated their price is checked first
-    (_require_counts): a walk whose fallback the budget refuses is refused
-    before its window is walked.
+    _separated is the only certificate that the window's points hold no
+    left-out row, so without it None is returned before the window is
+    walked.  With it, each of the k + 1 - N rows left out is a point of its
+    own, of weight at most tau / 2^k <= 1 / D; these vanish when
+    (k + 1 - N) / D, a bound on their sum, rounds to 0.0.  A bracket that straddles tau, a weight whose ends round
+    apart, a window point of several rows or a tail that might not vanish
+    also returns None.
     """
-    separated = _separated(G, k)
-    if not separated:
-        _require_counts(1, k)
+    if not _separated(G, k):
+        return None
     D = (2 * k + 1) << _ZERO_EXP
     near = D.bit_length() - 2  # m D >= 2^(bits(m) + near), so m 2^e > tau while that exceeds 2^(k-e)
     window = []
@@ -547,16 +499,13 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
     if (k + 1 - rows) / D != 0.0:
         return None
-    tail = 0 if separated else k + 1 - rows
     points, run, single = _runs(G, _centre_out(k, rows))
     run = run.tolist()
     weights = [0.0] * len(single)
     reached, width = 0, 1 + k % 2
     for m, err, e in window:
         w = _rounded(m, e - k)
-        # err plus T / 2^e <= tail 2^(k-e) / D, rounded up
-        hi = m + err + (-(-(tail << (k - e)) // D) if tail else 0)
-        if hi != m and _rounded(hi, e - k) != w:
+        if err and _rounded(m + err, e - k) != w:
             return None
         for r in run[reached : reached + width]:
             if not single[r]:
@@ -576,21 +525,19 @@ def _pointset(G: GeneratorMatrix, points, weights, provenance: str) -> WeightedP
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
     """Push the lattice distribution to [0,1)^d, merging bit-identical points.
 
-    Only the counts above tau = denominator / ((2k+1)^n 2^1075) are built:
-    the at most (2k+1)^n counts below it total at most 2^-1075 of the
-    denominator.
-
-    For one generator and tau > 0 (k >= 1087) not even those are built: each
-    count C(k, j) above tau lies in a bracket [m, m + err] 2^e with a
-    _MANT-bit mantissa m and err / m < 2^-100 (see _brackets), each weight
-    is rounded once from its bracket, and only the rows of that window get a
-    torus point (see _bracketed_weights).  The exact path runs for n >= 2,
-    for tau = 0, and where a bracket cannot decide: a count whose bracket
-    straddles tau, a weight whose two ends round apart, a point shared by
-    several rows, or a window point that might also hold rows left out.  It
-    first checks the price of every exact count (_count_cost) against the
-    budget, then builds the exact counts above tau and, if leaving out the
-    rest could move a weight (see _exact_weights), every count.
+    For one generator and tau = 2^k / ((2k+1) 2^1075) > 0 (k >= 1087) no
+    exact count is built: each count C(k, j) above tau lies in a bracket
+    [m, m + err] 2^e with a _MANT-bit mantissa m and err / m < 2^-100 (see
+    _brackets), each weight is rounded once from its bracket, and only the
+    rows of that window get a torus point (see _bracketed_weights).  The
+    exact fallback runs for n >= 2, for tau = 0, and where a bracket cannot
+    decide: a count whose bracket straddles tau, a weight whose two ends
+    round apart, a point shared by several rows, or a generator that
+    _separated cannot show to keep its rows apart.  It first checks the price
+    of every exact count (_count_cost) against the budget, then builds every
+    count in one pass, one big integer at a time for n <= 2, and sums each
+    point's counts before one division (_exact_weights); weights that round
+    to 0.0 are dropped.
 
     Positions: for one generator a point is frac(fl(m alpha)), and
     fl(m alpha) is off from m alpha by at most |m alpha| 2^-53, so by at most
@@ -612,16 +559,9 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
         if found is not None:
             return _pointset(G, *found, "exact")
     _require_counts(n, k)
-    denominator = L.denominator
-    tau = denominator // ((2 * k + 1) ** n << _ZERO_EXP)
-    rows, built = _rows(n, k, tau)
+    rows, counts = _rows(n, k)
     runs = _runs(G, rows)
-    weights = _exact_weights(runs, built, denominator, tau)
-    if weights is None:
-        rows, built = _rows(n, k)
-        runs = _runs(G, rows)
-        weights = _exact_weights(runs, built, denominator)
-    return _pointset(G, runs[0], weights, "exact")
+    return _pointset(G, runs[0], _exact_weights(runs, counts, L.denominator), "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:

@@ -15,6 +15,7 @@ from toruswalk import (
     discrepancy_exact,
     exact_walk_distribution,
     project_to_torus,
+    scan,
     simulate_walk,
     walk,
 )
@@ -120,6 +121,19 @@ def test_dist_zero_trials_exits_2(capsys):
     code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "2", "--trials", "0")
     assert code == 2
     assert "trials must be >= 1" in err and out == ""
+
+
+def test_scan_zero_trials_exits_2_before_any_row(capsys, tmp_path, monkeypatch):
+    # the k = 4 row is exact; only the k = 10^8 row would run Monte Carlo
+    def no_row(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(scan, "_row_for_k", no_row)
+    code, out, err = run_cli(
+        capsys, "scan", "--builtin", "golden", "--k-schedule", "4,100000000", "--trials", "0", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "trials must be >= 1" in err
 
 
 @pytest.mark.parametrize("ca", ["nan", "inf"])
@@ -620,6 +634,22 @@ def test_parse_config_errors():
         parse_config_text("unknown_key = 3\n")
     cfg = parse_config_text("# comment\nseed = 12\nsvg = true\n")
     assert cfg.seed == 12 and cfg.svg is True
+
+
+@pytest.mark.parametrize(
+    "text,value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]
+)
+def test_config_boolean_reads_both_ways(text, value):
+    assert parse_config_text(f"svg = {text}\n").svg is value
+
+
+def test_config_boolean_rejects_other_text(capsys, tmp_path):
+    config = tmp_path / "scan.cfg"
+    config.write_text("builtin = golden\nk_schedule = 2,4\nsvg = on\n")
+    code, out, err = run_cli(capsys, "scan", "--config", str(config), "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "config line 3" in err and "'on'" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_scan_mc_method(tmp_path, capsys):

@@ -54,7 +54,6 @@ def test_counts_match_path_enumeration(n, d, k):
     G = builtin_generators("random", n, d, seed=100 * n + d)
     L = exact_walk_distribution(G, k)
     assert L.counts == enumerate_walk_counts(n, k)
-    L.check()
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (5, 3)])
@@ -103,7 +102,7 @@ def test_bit_cap_guard_refuses_before_counting(monkeypatch):
 
 def test_bit_cap_guard_boundary(monkeypatch):
     # n = 1, k = 8: the walk is 9 rows at PER_CALL = 64 each; its counts, which
-    # both L.counts and the projection (tau = 0) build, 8 * 9 // 64 = 1 word more
+    # both L.counts and the projection's exact fallback build, 8 * 9 // 64 = 1 word more
     monkeypatch.setattr(errors, "BUDGET", 64 * 9 + 1)
     assert exact_walk_distribution(GOLDEN, 8).counts == enumerate_walk_counts(1, 8)
     monkeypatch.setattr(errors, "BUDGET", 64 * 9)
@@ -177,11 +176,12 @@ def _complete_atoms(G, k):
     return project_counts(G, dict(L.counts), L.denominator)
 
 
-ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7"]
+ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7", "diagonal:0.32"]
 
 
-# Weights 1/2^k round to 0.0 from k = 1075; tau > 0, so tails are left out
-# and counts are bracketed, from k = 1087.
+# Weights 1/2^k round to 0.0 from k = 1075; from k = 1087 tau > 0, and the
+# counts above it are bracketed.  _separated keeps golden's and sqrt_primes'
+# rows apart; the rational and diagonal:0.32 walks take the exact fallback.
 @pytest.mark.parametrize("family", ONE_GENERATOR)
 @pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1086, 1087, 1088, 2001, 4096, 4097, 8192, 8193])
 def test_windowed_projection_matches_complete_n1(family, k):
@@ -189,7 +189,8 @@ def test_windowed_projection_matches_complete_n1(family, k):
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == _complete_atoms(G, k)
 
 
-# Weights 1/4^k round to 0.0 from k = 538; tails are left out from k = 548.
+# Weights 1/4^k round to 0.0 from k = 538; tau > 0 from k = 548.  Two
+# generators take the exact fallback at every k, which builds every count.
 @pytest.mark.parametrize(
     "family,d,k", [("sqrt_primes", 1, 538), ("sqrt_primes", 1, 548), ("rational:3", 2, 548), ("rational:7", 2, 548)]
 )
@@ -278,8 +279,8 @@ def test_separation_holds_where_rows_cannot_meet():
 
 # Golden at k = 1087: tau = 1 = C(k, 0), whose bracket, after lossy floors,
 # holds 1 but is not <= 1.  Rational generators: several rows share each
-# point.  A 56-bit mantissa: each weight's bracket is wider than the last bit
-# of a float, so its two ends round apart.
+# point, so _separated fails.  A 56-bit mantissa: each weight's bracket is
+# wider than the last bit of a float, so its two ends round apart.
 @pytest.mark.parametrize(
     "family,d,k,mant",
     [
@@ -299,26 +300,29 @@ def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k,
     assert bracketed == [None] and exact[0] is not None
 
 
-# Without the separation certificate each window weight must also round
-# alike with its bracket widened by every left-out count, T = (k+1-N) tau.
-# Near k = 1087 the window is nearly the whole row and T is tiny; at 4096
-# T / 2^k is about 2^-1077, which some subnormal weight's bracket cannot take.
-@pytest.mark.parametrize("k,decided", [(1100, True), (1200, True), (4096, False)])
-def test_unseparated_window_widens_every_weight_by_the_tail(monkeypatch, k, decided):
+def _no_window(*args):
+    raise AssertionError("the window was walked")
+
+
+# Without the separation certificate nothing keeps a left-out row off a
+# window point, so the window is not walked: the exact counts decide every
+# weight.
+@pytest.mark.parametrize("k", [1100, 1200, 4096])
+def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
     expected = _complete_atoms(GOLDEN, k)
     monkeypatch.setattr(walk, "_separated", lambda G, k: False)
-    bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
+    monkeypatch.setattr(walk, "_brackets", _no_window)
+    bracketed = _spy(monkeypatch, "_bracketed_weights")
     assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
-    assert (bracketed[0] is not None) == decided and (exact == []) == decided
+    assert bracketed == [None]
 
 
 def test_bracketed_projection_builds_no_exact_count(monkeypatch):
     k = 2**15
     L = exact_walk_distribution(GOLDEN, k)
-    tau = L.denominator // ((2 * k + 1) << walk._ZERO_EXP)
-    rows, counts = walk._rows(1, k, tau)
-    # golden merges no points, so the counts above tau make every atom
-    expected = project_counts(GOLDEN, dict(zip(map(tuple, rows.tolist()), counts)), L.denominator)
+    monkeypatch.setattr(walk, "_bracketed_weights", lambda G, k: None)
+    expected = project_to_torus(L, GOLDEN).atoms  # from the exact counts
+    monkeypatch.undo()
     built, combs = [], []
     pairs, comb = walk._binomial_pairs, math.comb
 
@@ -339,17 +343,6 @@ def test_bracketed_projection_builds_no_exact_count(monkeypatch):
     assert atoms == expected
 
 
-def test_window_builds_only_surviving_counts():
-    k = 2**15
-    L = exact_walk_distribution(GOLDEN, k)
-    tau = L.denominator // ((2 * k + 1) << walk._ZERO_EXP)
-    rows, counts = walk._rows(1, k, tau)
-    built = sum(1 for _ in counts)
-    atoms = len(project_to_torus(L, GOLDEN).atoms)
-    assert len(rows) == k + 1
-    assert atoms <= built < 1.02 * atoms  # 6937 atoms of 32 769 vectors
-
-
 def test_projection_computes_phases_only_for_the_window(monkeypatch):
     phased, phases = [], walk._phases
 
@@ -362,23 +355,21 @@ def test_projection_computes_phases_only_for_the_window(monkeypatch):
     assert atoms <= sum(phased) <= 1.02 * atoms  # 6937 atoms of 32 769 vectors
 
 
-def test_dropped_tail_that_moves_a_weight_is_refused():
-    # the vectors 0 and 2 both land on 0; only the first count is built.
-    # 3*2^25 - 1 over 2^1100 rounds down to one subnormal unit, but with a
-    # tail of up to tau = 2^25 it could round up to two.
+def test_shared_run_sums_its_counts_before_one_division():
+    # the vectors 0 and 2 both land on 0.  Over 2^1100, 3*2^25 - 1 alone rounds
+    # to one subnormal unit and 2^25 to none, but their sum rounds to two.
     runs = walk._runs(load_generators([[0.5]]), np.array([[0], [2]]))
     assert runs[0].tolist() == [[0.0]]
     c, den = 3 * 2**25 - 1, 2**1100
-    assert walk._exact_weights(runs, iter([c]), den, tau=2**25) is None
+    assert c / den + 2**25 / den != (c + 2**25) / den
     assert walk._exact_weights(runs, iter([c, 2**25]), den) == [(c + 2**25) / den]
-    # a tail that does not reach a rounding boundary keeps the weight
-    assert walk._exact_weights(runs, iter([c - 2**25]), den, tau=2**24) == [(c - 2**25) / den]
 
 
 @pytest.mark.parametrize("family", ["golden", "rational:2", "rational:3"])
 def test_projection_falls_back_to_every_count(monkeypatch, family):
-    # a threshold 2^1000 times too high leaves out weights that do not round
-    # to 0.0, so the projection has to build every count
+    # a threshold 2^1000 times too high would leave out weights that do not
+    # round to 0.0: golden's window refuses its tail and the rational walks
+    # are not separated, so each builds every exact count
     G = builtin_generators(family, 1, 1)
     expected = _complete_atoms(G, 1500)
     monkeypatch.setattr(walk, "_ZERO_EXP", 75)
@@ -395,6 +386,21 @@ def test_projection_memory_follows_the_surviving_atoms():
         tracemalloc.stop()
     assert len(P.atoms) > 9000
     assert peak <= 32 * 2**20
+
+
+def test_exact_fallback_holds_one_count_at_a_time():
+    # rational:7 is not separated, so at k = 20 000 every count is built; all
+    # of them together would hold about 50 MB
+    G = builtin_generators("rational:7", 1, 1)
+    L = exact_walk_distribution(G, 20_000)
+    tracemalloc.start()
+    try:
+        P = project_to_torus(L, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(P.atoms) == 69 and P.total_weight() == pytest.approx(1.0)
+    assert peak <= 8 * 2**20
 
 
 def test_simulate_no_steps():

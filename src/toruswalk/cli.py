@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ca", type=float)
     p.add_argument("--hmax", type=int, dest="ca_hmax")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--svg", action="store_true", default=None)
+    p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
     p.set_defaults(n=None, d=None)  # absent, they leave the config file's values
     return ap

@@ -15,7 +15,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import ValidationError, read_input_text
+from .errors import ValidationError, read_input_text, write_output_text
 
 
 def frac(x: float) -> float:
@@ -168,5 +168,4 @@ def read_matrix(path) -> GeneratorMatrix:
 
 
 def write_matrix(path, G: GeneratorMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_text(G))
+    write_output_text(path, matrix_to_text(G), "matrix file")

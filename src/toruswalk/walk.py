@@ -15,20 +15,19 @@ A WeightedPointSet holds its points and weights as two numpy arrays, which
 the discrepancy estimators read directly.
 
 A weight needs only its 53 correctly rounded bits, and one that rounds to
-0.0 cannot reach a point set.  So for one generator from k = 1087, where
-the threshold tau, at or below which a count's weight rounds to 0.0, is
-positive, no exact count is built: each count above tau is bracketed by a 128-bit mantissa
-with a proven error bound, and each weight is rounded once from its
-bracket.  The centre count C(k, floor(k/2)) is bracketed directly from
-Stirling's series for log Gamma (_centre), and the recurrence walks outward
-only across the window of counts above tau, about 39 sqrt(k) rows; only
-those rows get a torus point.  So the whole projection does O(sqrt(k))
-Python-level work.  Where a bracket cannot decide the rounding or the
-threshold, or the rows might not land on distinct points (_separated),
-the projection falls back to exact work: one pass that builds every count,
-one big integer at a time for n <= 2, at the price of every exact count.  This is
-Ziv's strategy (ACM TOMS 1991): work at a little more than the output
-precision, and fall back to exact work only when rounding cannot be decided.
+0.0 cannot reach a point set.  So for one generator from k = 1087 no exact
+count is built: each count is bracketed by a 128-bit mantissa with a proven
+error bound, and each weight is rounded once from its bracket.  The centre
+count C(k, floor(k/2)) is bracketed directly from Stirling's series for
+log Gamma (_centre), and the recurrence walks outward only until a weight
+rounds to 0.0, under 39 sqrt(k) rows; only those rows get a torus point.
+So the whole projection does O(sqrt(k)) Python-level work.  Where a
+bracket cannot decide the rounding, or the rows might not land on distinct
+points (_separated), the projection falls back to exact work: one pass
+that builds every count, one big integer at a time for n <= 2, at the price
+of every exact count.  This is Ziv's strategy (ACM TOMS 1991): work at a
+little more than the output precision, and fall back to exact work only
+when rounding cannot be decided.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ _ZERO_EXP = 1075
 _MANT = 128
 # Bits beyond _MANT to which _centre computes the centre count.
 _GUARD = 32
-# Below this k, _centre takes the centre count from math.comb; from here on
-# the remainder of Stirling's series is below 2^-154 of it (n >= 512).
-_STIRLING_K = 1024
 # B_2j / (2j (2j - 1)) for j = 1..8, the terms of Stirling's series for
 # log Gamma, and B_18 / (18 * 17), which bounds its remainder.
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156), (-3617, 122400))
@@ -221,10 +217,13 @@ def _walk_cost(n: int, k: int) -> int:
     """Predicted element operations of the exact walk and its projection.
 
     For n >= 2 that is building the counts, _count_cost.  For n = 1 the
-    projection brackets only the window of counts above tau (see
-    project_to_torus), one Python-level step per row.  By Hoeffding,
+    projection brackets only the window of rows whose weight does not round
+    to 0.0 (see project_to_torus), one Python-level step per row.  This
+    prices the rows whose count exceeds tau = 2^k / ((2k+1) 2^1075), a
+    superset of that window, as a weight at most tau / 2^k < 2^-1075 rounds
+    to 0.0.  By Hoeffding,
     C(k, j) / 2^k <= exp(-m^2 / (2k)) for m = 2j - k, so a count above
-    tau = 2^k / ((2k+1) 2^1075) has m^2 < 2k ln((2k+1) 2^1075): at most
+    tau has m^2 < 2k ln((2k+1) 2^1075): at most
     isqrt(2kL) + 1 rows for L = ceil(ln((2k+1) 2^1075)), about 39 sqrt(k)
     (38 978 rows at k = 10^6).  Exact counts, where the projection falls back
     to them, are priced by _count_cost where they are built.
@@ -289,23 +288,24 @@ def _runs(G: GeneratorMatrix, rows):
     """The torus points of the rows of an (N, n) int64 array, bit-identical
     points merged by _merge.
 
-    Returns (points, run, single): the distinct points in sorted order, the
-    run of each row, and whether each run holds a single row.
+    Returns (points, run): the distinct points in sorted order and the run of
+    each row.
     """
     X = _phases(G.as_array().T, rows, exact=True)
     X -= np.floor(X)
     X[X >= 1.0] = 0.0  # the guard of generators.frac
-    points, run = _merge(X)
-    return points, run, (np.bincount(run) == 1).tolist()
+    return _merge(X)
 
 
-def _exact_weights(runs, counts, denominator: int):
+def _exact_weights(run, counts, denominator: int):
     """The weight of each run from the integer count of every row.
 
     Counts are summed as integers within a run and divided by the
-    denominator once, so each float weight carries a single rounding.
+    denominator once, so each float weight carries a single rounding.  A
+    run of one row divides its count as it arrives, so the counts need not
+    be held together.
     """
-    _, run, single = runs
+    single = (np.bincount(run) == 1).tolist()
     weights = [0.0] * len(single)
     shared: dict = defaultdict(int)  # run -> summed count, for runs of several rows
     last = w = None
@@ -355,11 +355,11 @@ def _exp_bracket(x: int, f: int):
 def _centre(k: int):
     """The bracket (m, e, t) of the centre count c = C(k, floor(k/2)), in the
     form _times keeps: m 2^e <= c <= m 2^e / (1 - t 2^-(P-1)) for P = _MANT,
-    with m < 2^(P+1).
+    with m < 2^(P+1).  k must be at least 1024: from there n >= 512 and the
+    remainder of Stirling's series is below 2^-154 of c.
 
-    Below k = _STIRLING_K, c is math.comb, cut to P bits (t = 1 when the cut
-    drops a bit).  From there c = 2^k w(n) with n = ceil(k/2), since for odd
-    k C(2n-1, n-1) = C(2n, n) / 2, and w(n) = C(2n, n) / 4^n is
+    Here c = 2^k w(n) with n = ceil(k/2), since for odd k
+    C(2n-1, n-1) = C(2n, n) / 2, and w(n) = C(2n, n) / 4^n is
     exp(s) / sqrt(pi n) for s = S(2n) - 2 S(n).  Here Stirling's series
     log Gamma(x + 1) = (x + 1/2) log x - x + log(2 pi) / 2 + S(x) has
     S(x) = sum_{j=1..8} B_2j / (2j (2j-1) x^(2j-1)) + R(x), and for real
@@ -375,10 +375,6 @@ def _centre(k: int):
     larger _MANT only widens the bracket, through t.
     """
     P = _MANT
-    if k < _STIRLING_K:
-        c = math.comb(k, k // 2)
-        s = max(0, c.bit_length() - P)
-        return c >> s, s, int(c & ((1 << s) - 1) != 0)
     n = (k + 1) // 2
     f = P + _GUARD + n.bit_length()
     # each term floors once, so s 2^f lies in [total, total + 8), widened by r
@@ -467,51 +463,33 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     weight of each, from the brackets of its counts (_brackets), or None; no
     exact count is built.
 
-    With tau = floor(2^k / D), D = (2k+1) 2^1075, the counts above tau are a
-    window of N rows about the centre, which ends at the first bracket wholly
-    <= tau (for e >= 0, x 2^e <= tau exactly when x D <= 2^(k-e)); only
-    these rows get a torus point.  A weight m 2^(e-k) is correctly rounded
-    (_rounded); rounding is monotone, so that is c / 2^k whenever
-    (m + err) 2^(e-k) rounds to the same float.
-
-    _separated is the only certificate that the window's points hold no
-    left-out row, so without it None is returned before the window is
-    walked.  With it, each of the k + 1 - N rows left out is a point of its
-    own, of weight at most tau / 2^k <= 1 / D; these vanish when
-    (k + 1 - N) / D, a bound on their sum, rounds to 0.0.  A bracket that straddles tau, a weight whose ends round
-    apart, a window point of several rows or a tail that might not vanish
-    also returns None.
+    _separated is the only certificate that every one of the k + 1 rows is a
+    point of its own, so without it None is returned before any bracket is
+    built.  With it, a row's weight is its count over 2^k, rounded once; a
+    bracket [m, m + err] 2^e gives that float when both ends round to it
+    (_rounded is monotone), and None is returned where they round apart.
+    Counts fall away from the centre, so from the first row whose upper end
+    rounds to 0.0 every row outward has weight 0.0 too and is dropped, just as
+    _pointset drops it from the exact counts; the window before that row gets
+    torus points.  A window that lands on fewer points than rows also
+    returns None.
     """
     if not _separated(G, k):
         return None
-    D = (2 * k + 1) << _ZERO_EXP
-    near = D.bit_length() - 2  # m D >= 2^(bits(m) + near), so m 2^e > tau while that exceeds 2^(k-e)
     window = []
     for m, err, e in _brackets(k):
-        if m.bit_length() + near <= k - e:
-            # x 2^e <= tau iff x <= bound; e < 0 only for a count below 2^(_MANT+1), when 2^k is small
-            bound = (1 << (k - e)) // D if e >= 0 else ((1 << k) // D) << -e
-            if m <= bound:
-                if m + err <= bound:
-                    break
-                return None
-        window.append((m, err, e))
-    rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
-    if (k + 1 - rows) / D != 0.0:
-        return None
-    points, run, single = _runs(G, _centre_out(k, rows))
-    run = run.tolist()
-    weights = [0.0] * len(single)
-    reached, width = 0, 1 + k % 2
-    for m, err, e in window:
-        w = _rounded(m, e - k)
-        if err and _rounded(m + err, e - k) != w:
+        hi = _rounded(m + err, e - k)
+        if hi == 0.0:
+            break
+        if err and _rounded(m, e - k) != hi:
             return None
-        for r in run[reached : reached + width]:
-            if not single[r]:
-                return None
-            weights[r] = w
-        reached, width = reached + width, 2
+        window.append(hi)
+    rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
+    points, run = _runs(G, _centre_out(k, rows))
+    if len(points) < rows:
+        return None
+    weights = np.empty(rows)
+    weights[run] = np.repeat(window, 2)[1 - k % 2 :]
     return points, weights
 
 
@@ -525,17 +503,17 @@ def _pointset(G: GeneratorMatrix, points, weights, provenance: str) -> WeightedP
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
     """Push the lattice distribution to [0,1)^d, merging bit-identical points.
 
-    For one generator and tau = 2^k / ((2k+1) 2^1075) > 0 (k >= 1087) no
-    exact count is built: each count C(k, j) above tau lies in a bracket
-    [m, m + err] 2^e with a _MANT-bit mantissa m and err / m < 2^-100 (see
-    _brackets), each weight is rounded once from its bracket, and only the
-    rows of that window get a torus point (see _bracketed_weights).  The
-    exact fallback runs for n >= 2, for tau = 0, and where a bracket cannot
-    decide: a count whose bracket straddles tau, a weight whose two ends
-    round apart, a point shared by several rows, or a generator that
-    _separated cannot show to keep its rows apart.  It first checks the price
-    of every exact count (_count_cost) against the budget, then builds every
-    count in one pass, one big integer at a time for n <= 2, and sums each
+    For one generator from k = 1087 no exact count is built: each count
+    C(k, j) from the centre outward lies in a bracket [m, m + err] 2^e with
+    a _MANT-bit mantissa m and err / m < 2^-100 (see _brackets), each weight
+    is rounded once from its bracket, and only the window of rows before the
+    first weight that rounds to 0.0 gets a torus point (see
+    _bracketed_weights).  The exact fallback runs for n >= 2, for k < 1087,
+    and where a bracket cannot decide: a weight whose two ends round apart,
+    a point shared by several rows, or a generator that _separated cannot
+    show to keep its rows apart.  It first checks the price of every exact
+    count (_count_cost) against the budget, then builds every count in one
+    pass, one big integer at a time for n <= 2, and sums each
     point's counts before one division (_exact_weights); weights that round
     to 0.0 are dropped.
 
@@ -554,14 +532,14 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     if L.n != G.n:
         raise ValidationError(f"distribution has n={L.n} but matrix has n={G.n}")
     n, k = L.n, L.k
-    if n == 1 and (2 * k + 1).bit_length() <= k - _ZERO_EXP:  # tau > 0
+    if n == 1 and (2 * k + 1).bit_length() <= k - _ZERO_EXP:  # k >= 1087, tau > 0 (_walk_cost)
         found = _bracketed_weights(G, k)
         if found is not None:
             return _pointset(G, *found, "exact")
     _require_counts(n, k)
     rows, counts = _rows(n, k)
-    runs = _runs(G, rows)
-    return _pointset(G, runs[0], _exact_weights(runs, counts, L.denominator), "exact")
+    points, run = _runs(G, rows)
+    return _pointset(G, points, _exact_weights(run, counts, L.denominator), "exact")
 
 
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
@@ -600,7 +578,7 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     del steps  # not held through the projection
     rows, counts = _tally(m)  # trials per distinct coefficient vector
     del m
-    points, run, _ = _runs(G, rows)
+    points, run = _runs(G, rows)
     # each point's summed count is an integer below 2^53, exact in float64
     return _pointset(G, points, np.bincount(run, counts) / trials, "empirical")
 

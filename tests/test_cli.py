@@ -576,6 +576,17 @@ def test_scan_writes_reports(tmp_path, capsys):
     assert (tmp_path / "report.svg").read_text().startswith("<svg")
 
 
+def test_no_svg_flag_overrides_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("builtin = golden\nk_schedule = 4,8\nsvg = true\nout = %s\n" % tmp_path)
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--no-svg")
+    assert code == 0
+    assert (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.svg").exists()
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg))
+    assert code == 0 and (tmp_path / "report.svg").exists()
+
+
 def test_scan_config_file_with_override(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(

@@ -8,6 +8,8 @@ from toruswalk import (
     load_generators,
     matrix_to_text,
     parse_matrix_text,
+    read_matrix,
+    write_matrix,
 )
 from toruswalk.generators import _first_primes
 
@@ -99,6 +101,20 @@ def test_serialize_round_trip():
     G = builtin_generators("random", 4, 3, seed=7)
     back = parse_matrix_text(matrix_to_text(G))
     assert back.entries == G.entries
+
+
+def test_write_matrix_round_trip(tmp_path):
+    G = builtin_generators("sqrt_primes", 2, 3)
+    write_matrix(tmp_path / "G.txt", G)
+    assert read_matrix(tmp_path / "G.txt").entries == G.entries
+
+
+@pytest.mark.parametrize("name", [".", "missing/G.txt"])
+def test_write_matrix_to_an_unwritable_path_is_invalid_input(tmp_path, name):
+    path = tmp_path / name  # a directory, or a file in a missing directory
+    with pytest.raises(ValidationError, match="cannot write matrix file") as caught:
+        write_matrix(path, builtin_generators("golden", 1, 1))
+    assert str(path) in str(caught.value)
 
 
 def test_parse_comments_and_commas():

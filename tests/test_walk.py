@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_walk_counts, project_counts, random_point_set
@@ -179,9 +180,10 @@ def _complete_atoms(G, k):
 ONE_GENERATOR = ["golden", "sqrt_primes", "rational:3", "rational:7", "diagonal:0.32"]
 
 
-# Weights 1/2^k round to 0.0 from k = 1075; from k = 1087 tau > 0, and the
-# counts above it are bracketed.  _separated keeps golden's and sqrt_primes'
-# rows apart; the rational and diagonal:0.32 walks take the exact fallback.
+# Weights 1/2^k round to 0.0 from k = 1075; from k = 1087 the counts are
+# bracketed, up to the first whose weight rounds to 0.0.  _separated keeps
+# golden's and sqrt_primes' rows apart; the rational and diagonal:0.32 walks
+# take the exact fallback.
 @pytest.mark.parametrize("family", ONE_GENERATOR)
 @pytest.mark.parametrize("k", [1074, 1075, 1076, 1077, 1086, 1087, 1088, 2001, 4096, 4097, 8192, 8193])
 def test_windowed_projection_matches_complete_n1(family, k):
@@ -220,7 +222,7 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("mant", [56, 128])
-@pytest.mark.parametrize("k", [0, 1, 2, 17, 1087, 4096, 4097])
+@pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097])
 def test_brackets_hold_every_count(monkeypatch, mant, k):
     monkeypatch.setattr(walk, "_MANT", mant)
     brackets = list(walk._brackets(k))
@@ -234,7 +236,7 @@ def test_brackets_hold_every_count(monkeypatch, mant, k):
 
 
 @pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 1), ("sqrt_primes", 2)])
-@pytest.mark.parametrize("k", [1088, 2001, 4096, 4097, 8192, 8193])
+@pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097, 8192, 8193])
 def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
     G = builtin_generators(family, 1, d)
     expected = _complete_atoms(G, k)
@@ -277,14 +279,12 @@ def test_separation_holds_where_rows_cannot_meet():
     assert walk._separated(load_generators([[1 / 3, 0.6180339887498949]]), 2**15)
 
 
-# Golden at k = 1087: tau = 1 = C(k, 0), whose bracket, after lossy floors,
-# holds 1 but is not <= 1.  Rational generators: several rows share each
-# point, so _separated fails.  A 56-bit mantissa: each weight's bracket is
-# wider than the last bit of a float, so its two ends round apart.
+# Rational generators: several rows share each point, so _separated fails.
+# A 56-bit mantissa: each weight's bracket is wider than the last bit of a
+# float, so its two ends round apart.
 @pytest.mark.parametrize(
     "family,d,k,mant",
     [
-        ("golden", 1, 1087, 128),
         ("rational:3", 1, 2001, 128),
         ("rational:7", 1, 4097, 128),
         ("golden", 1, 4097, 56),
@@ -305,7 +305,7 @@ def _no_window(*args):
 
 
 # Without the separation certificate nothing keeps a left-out row off a
-# window point, so the window is not walked: the exact counts decide every
+# window point, so no bracket is built: the exact counts decide every
 # weight.
 @pytest.mark.parametrize("k", [1100, 1200, 4096])
 def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
@@ -315,6 +315,19 @@ def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
     bracketed = _spy(monkeypatch, "_bracketed_weights")
     assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
     assert bracketed == [None]
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True), st.integers(1087, 6000))
+@settings(max_examples=20, deadline=None)
+def test_bracketed_atoms_equal_the_exact_fallback(alpha, k):
+    G = load_generators([[alpha]])
+    assume(walk._separated(G, k))
+    L = exact_walk_distribution(G, k)
+    with mock.patch.object(walk, "_bracketed_weights", lambda G, k: None):
+        expected = project_to_torus(L, G).atoms
+    found = walk._bracketed_weights(G, k)
+    assert found is not None
+    assert walk._pointset(G, *found, "exact").atoms == expected
 
 
 def test_bracketed_projection_builds_no_exact_count(monkeypatch):
@@ -352,24 +365,24 @@ def test_projection_computes_phases_only_for_the_window(monkeypatch):
 
     monkeypatch.setattr(walk, "_phases", spy)
     atoms = len(project_to_torus(exact_walk_distribution(GOLDEN, 2**15), GOLDEN).weights)
-    assert atoms <= sum(phased) <= 1.02 * atoms  # 6937 atoms of 32 769 vectors
+    assert sum(phased) == atoms  # 6937 atoms of 32 769 vectors
 
 
 def test_shared_run_sums_its_counts_before_one_division():
     # the vectors 0 and 2 both land on 0.  Over 2^1100, 3*2^25 - 1 alone rounds
     # to one subnormal unit and 2^25 to none, but their sum rounds to two.
-    runs = walk._runs(load_generators([[0.5]]), np.array([[0], [2]]))
-    assert runs[0].tolist() == [[0.0]]
+    points, run = walk._runs(load_generators([[0.5]]), np.array([[0], [2]]))
+    assert points.tolist() == [[0.0]]
     c, den = 3 * 2**25 - 1, 2**1100
     assert c / den + 2**25 / den != (c + 2**25) / den
-    assert walk._exact_weights(runs, iter([c, 2**25]), den) == [(c + 2**25) / den]
+    assert walk._exact_weights(run, iter([c, 2**25]), den) == [(c + 2**25) / den]
 
 
 @pytest.mark.parametrize("family", ["golden", "rational:2", "rational:3"])
 def test_projection_falls_back_to_every_count(monkeypatch, family):
-    # a threshold 2^1000 times too high would leave out weights that do not
-    # round to 0.0: golden's window refuses its tail and the rational walks
-    # are not separated, so each builds every exact count
+    # a threshold 2^1000 times too high moves only the gate: golden's window
+    # still ends at the first weight that rounds to 0.0, and the rational
+    # walks are not separated, so they build every exact count
     G = builtin_generators(family, 1, 1)
     expected = _complete_atoms(G, 1500)
     monkeypatch.setattr(walk, "_ZERO_EXP", 75)

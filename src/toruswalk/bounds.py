@@ -146,6 +146,8 @@ def bound_report(
     c_a_certified_up_to: int | None = None,
 ) -> BoundReport:
     """Evaluate every applicable bound for G at step count k."""
+    if c_a_certified_up_to is not None and c_a_certified_up_to < 1:
+        raise ValidationError(f"certification range must be >= 1, not {c_a_certified_up_to}")
     n, d = G.n, G.d
     lower = theorem1_lower_bound(n, d, k)
     if c_a is None:

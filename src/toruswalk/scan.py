@@ -254,6 +254,8 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     if repeated:
         raise ValidationError(f"k schedule repeats k = {', '.join(map(str, repeated))}")
     check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
+    if cfg.ca_hmax is not None and cfg.ca_hmax < 1:
+        raise ValidationError(f"certification range must be >= 1, not {cfg.ca_hmax}")
     G, descriptor = resolve_matrix(cfg)
     # any row of auto or mc may run Monte Carlo, which takes k below 2^63 and
     # at least one trial, and keys the row by seed + k, which Philox needs in

@@ -63,10 +63,10 @@ LAYERS = [
     # power for each of the 5 sup norms at PER_CALL = 64
     ("search", lambda: estimate_bad_constant(SQ, 4).c_est, 81 * 4 + 5 * 64, 0.11086928925878325,
      (diophantine, "_coord_values"), "smaller --hmax"),
-    # bound floor(3^(2/2)) = 3: 7 * 7 vectors of 4 products, and 3 shells of
-    # 50 calls each at PER_CALL = 64
-    ("dirichlet", lambda: dirichlet_search(SQ, 3.0), 49 * 4 + 150 * 64, (1, 1),
-     (diophantine, "_shell"), "smaller --q"),
+    # bound floor(3^(2/2)) = 3: the box of 7 * 7 vectors of 4 products; at
+    # this budget the inner boxes of radius 1 and 2 are left out
+    ("dirichlet", lambda: dirichlet_search(SQ, 3.0), 49 * 4, (1, 1),
+     (diophantine, "_search_blocks"), "smaller --q"),
 ]
 
 

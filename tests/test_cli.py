@@ -184,8 +184,41 @@ def test_bounds_zero_etk_m_exits_2(capsys):
     assert "M must be >= 1" in err and out == ""
 
 
+@pytest.mark.parametrize("q", ["inf", "1e400"])
+def test_dirichlet_infinite_q_exits_2(capsys, q):
+    code, out, err = run_cli(capsys, "dirichlet", "--builtin", "golden", "--q", q)
+    assert code == 2 and out == ""
+    assert "q must be finite and >= 1, not inf" in err
+
+
+@pytest.mark.parametrize("hmax", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--builtin", "golden", "--k", "100", "--ca", "0.38", "--ca-hmax", "{hmax}"],
+        ["scan", "--builtin", "golden", "--k-schedule", "4,8", "--ca", "0.38", "--hmax", "{hmax}",
+         "--out", "{out}"],
+        ["scan", "--config", "{config}", "--out", "{out}"],
+    ],
+    ids=["bounds", "scan", "scan-config"],
+)
+def test_certification_range_below_one_exits_2_before_any_row(
+    capsys, tmp_path, monkeypatch, argv, hmax
+):
+    config = tmp_path / "scan.cfg"
+    config.write_text(f"builtin = golden\nk_schedule = 4,8\nca = 0.38\nca_hmax = {hmax}\n")
+    monkeypatch.setattr(scan, "_row_for_k", _no_row)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, *[a.format(hmax=hmax, out=out_dir, config=config) for a in argv]
+    )
+    assert code == 2 and out == ""
+    assert f"certification range must be >= 1, not {hmax}" in err
+    assert not out_dir.exists()
+
+
 def test_dirichlet_oversize_box_exits_3_at_once(capsys):
-    # the search bound is floor(1000^3) = 10^9 shells
+    # the search bound is floor(1000^3) = 10^9: a box of 2 * 10^9 + 1 vectors
     t0 = time.perf_counter()
     code, _, err = run_cli(
         capsys, "dirichlet", "--builtin", "sqrt_primes", "--n", "3", "--d", "1", "--q", "1000"

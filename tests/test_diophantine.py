@@ -70,24 +70,68 @@ class TestDirichletSearch:
         with pytest.raises(ValidationError):
             dirichlet_search(GOLDEN, math.nan)
 
+    @pytest.mark.parametrize("q", [math.inf, float("1e400")])
+    def test_infinite_q_rejected(self, q):
+        with pytest.raises(ValidationError, match="q must be finite"):
+            dirichlet_search(builtin_generators("random", 2, 1, seed=1), q)
+
     def test_box_cap_refuses_before_scanning(self, monkeypatch):
         from toruswalk import diophantine, errors
 
         def no_scan(*args):
-            raise AssertionError("a shell was scanned")
+            raise AssertionError("a box was scanned")
 
         G = builtin_generators("random", 2, 1, seed=1)
-        # bound floor(3^2) = 9: a box of 19 vectors, n * d = 2 products each,
-        # and 9 shells of 50 calls each at PER_CALL = 64
-        monkeypatch.setattr(errors, "BUDGET", 19 * 2 + 450 * 64)
+        # bound floor(3^2) = 9: boxes of radius 1, 2, 4, 8 and 9 hold 3, 5,
+        # 9, 17 and 19 vectors of n * d = 2 products each
+        assert diophantine._dirichlet_radii(G, 9) == ([1, 2, 4, 8, 9], 106)
+        # one operation short, the largest inner box is left out
+        monkeypatch.setattr(errors, "BUDGET", 105)
+        assert diophantine._dirichlet_radii(G, 9) == ([1, 2, 4, 9], 72)
+        # every inner box is left out; the box of radius 9 alone is scanned
+        monkeypatch.setattr(errors, "BUDGET", 19 * 2)
+        assert diophantine._dirichlet_radii(G, 9) == ([9], 38)
         assert dirichlet_search(G, 3.0) == brute_dirichlet(G, 3.0)
-        monkeypatch.setattr(errors, "BUDGET", 19 * 2 + 450 * 64 - 1)
-        monkeypatch.setattr(diophantine, "_shell", no_scan)
+        monkeypatch.setattr(errors, "BUDGET", 19 * 2 - 1)
+        monkeypatch.setattr(diophantine, "_search_blocks", no_scan)
         with pytest.raises(CapExceededError, match="Dirichlet search box.*smaller --q"):
             dirichlet_search(G, 3.0)
         monkeypatch.setattr(errors, "BUDGET", 10**300)
         with pytest.raises(CapExceededError, match=r"q=1e\+300 would cost over 1e308"):
             dirichlet_search(G, 1e300)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_admits_every_bound_the_shell_search_admitted(self, n, d):
+        # the per-shell search priced the box of bound H and 50 calls for
+        # each of its H shells; every H it admitted is still admitted, and
+        # scanned up to its own box.  Prices only: no search runs.
+        from toruswalk import diophantine, errors
+
+        G = builtin_generators("random", n, d, seed=1)
+        H = _largest(lambda h: (2 * h + 1) ** d * n * d + 50 * h * errors.PER_CALL <= errors.BUDGET)
+        for bound in range(1, H + 1):
+            radii, price = diophantine._dirichlet_radii(G, bound)
+            assert radii[-1] == bound and price <= errors.BUDGET
+        # the new limit is that of the box alone, (2H+1)^d * n * d
+        edge = _largest(lambda h: (2 * h + 1) ** d * n * d <= errors.BUDGET)
+        radii, price = diophantine._dirichlet_radii(G, edge)
+        assert radii[-1] == edge and price <= errors.BUDGET
+        assert diophantine._dirichlet_radii(G, edge + 1)[1] > errors.BUDGET
+        if n == d == 1:
+            assert (H, edge) == (24_984, 39_999_999)
+
+
+def _largest(admitted) -> int:
+    """The largest h >= 1 with admitted(h), for admitted true at 1 and
+    monotone."""
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
 
 
 class TestEstimateBadConstant:

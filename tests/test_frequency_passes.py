@@ -10,6 +10,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 from conftest import (
+    _sup_dist_left_to_right,
     brute_bad_constant,
     brute_best_fourier,
     brute_cohort_sum,
@@ -21,6 +22,7 @@ from conftest import (
 )
 
 from toruswalk import (
+    InternalConsistencyError,
     best_fourier_lower_bound,
     bounds,
     builtin_generators,
@@ -31,6 +33,7 @@ from toruswalk import (
     etk_upper_bound,
     fourier,
     load_generators,
+    nearest_integer_distance,
     qhat,
 )
 
@@ -113,10 +116,75 @@ def test_cohort_matches_oracle(spec, block):
 
 
 @pytest.mark.parametrize("spec", MATRICES, ids=_ids)
-def test_dirichlet_matches_oracle(spec):
+def test_dirichlet_matches_oracle(spec, block):
+    # with blocks of 1 and 10 vectors a box's first match and a later, closer
+    # candidate of larger norm fall in different blocks
     G = _matrix(spec)
     for q in (1.0, 2.5, 7.0, 11.0):
         assert dirichlet_search(G, q) == brute_dirichlet(G, q)
+
+
+@pytest.mark.parametrize(
+    "rows,seed,q,h",
+    [
+        ([[1 / 7]], None, 7.5, (7,)),  # every h < 7 is 1/7 or more from an integer
+        (None, 2, 7.3, (-5, 1)),  # random n = d = 2
+        (None, 48, 20.5, (5, 1, 1)),  # random n = 2, d = 3
+    ],
+    ids=["one-seventh", "random-n2-d2", "random-n2-d3"],
+)
+def test_dirichlet_match_past_the_last_inner_radius(rows, seed, q, h, block):
+    # H = 7 is no power of two: the boxes have radius 1, 2, 4 and 7, and
+    # the first match, of sup norm 5 or 7, lies only in the last
+    G = load_generators(rows) if rows else builtin_generators("random", 2, len(h), seed=seed)
+    assert diophantine._dirichlet_radii(G, 7)[0] == [1, 2, 4, 7]
+    assert dirichlet_search(G, q) == h == brute_dirichlet(G, q)
+
+
+def test_dirichlet_failure_names_the_first_closest_vector(monkeypatch, block):
+    # 0.5 added to every distance leaves none below 1/q = 1/3; the error
+    # then carries the closest vector of the last box, of least norm among
+    # equal distances, first in scan order among equal norms
+    G = builtin_generators("sqrt_primes", 2, 2)
+    inner = diophantine._search_blocks
+
+    def far(A, values):
+        for dist, norm, h_at, spare in inner(A, values):
+            yield dist + 0.5, norm, h_at, spare
+
+    monkeypatch.setattr(diophantine, "_search_blocks", far)
+    key = {h: (_sup_dist_left_to_right(G, h) + 0.5, max(map(abs, h))) for h in scan_order_box(2, 3)}
+    best = min(key, key=key.get)  # min keeps the first of equal keys
+    with pytest.raises(InternalConsistencyError) as failed:
+        dirichlet_search(G, 3.0)
+    assert str(failed.value) == (
+        "no h with {Ah}_inf < 1/q found up to ||h||_inf = 3; "
+        f"best candidate {best} at distance {key[best][0]}"
+    )
+
+
+def test_golden_dirichlet_past_the_old_shell_price():
+    # the per-shell search priced H = 40 000 shells at 1.28e8 and refused
+    G = builtin_generators("golden", 1, 1)
+    assert dirichlet_search(G, 4e4) == _first_d1_match(G, 4e4) == (28657,)
+    assert nearest_integer_distance(G.as_array().dot((28657,)))[0] < 1.0 / 4e4
+
+
+def test_sqrt_primes_n2_d1_dirichlet_past_the_old_shell_price():
+    # H = 333^2 = 110 889: the per-shell search refused every H over 24 968
+    G = builtin_generators("sqrt_primes", 2, 1)
+    assert dirichlet_search(G, 333.0) == _first_d1_match(G, 333.0) == (20586,)
+
+
+def _first_d1_match(G, q):
+    """The least h in 1, ..., floor(q^n) with {h alpha}_inf < 1/q, by one
+    numpy pass.  For d = 1 each phase is one product, bit-identical to the
+    search's, and -h is exactly as close as h."""
+    h = np.arange(1, math.floor(q**G.n) + 1)
+    X = h[:, None] * G.as_array()[:, 0]
+    close = np.abs(X - np.rint(X)).max(axis=1) < 1.0 / q
+    assert close.any()
+    return (int(h[np.argmax(close)]),)
 
 
 @pytest.mark.parametrize("rows", [[[0.5, 0.25]], [[0.25], [0.5]], [[0.5, 0.25, 0.75]]])

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .fourier import _UNDERFLOW, _box_terms, _check_k, _phases, _row_max, _weight_rows
+from .fourier import _UNDERFLOW, _box_terms, _check_k, _weight_rows
 from .generators import GeneratorMatrix
 
 
@@ -63,26 +63,25 @@ def choose_M(n: int, d: int, c_a: float, k: int) -> int:
     return M
 
 
-def _cohort_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
-    """exp(-(4k/n) {2Ah}^2) / R(h) for each integer row h of H; the same
-    at h and -h, bit for bit.
+def _cohort_terms(A: np.ndarray, X: np.ndarray, rows, k: int) -> np.ndarray:
+    """exp(-(4k/n) {2Ah}^2) / R(h) of each vector of a block of
+    fourier._half_box, from its phases X, whose term may not underflow to
+    +0.0; the same at h and -h, bit for bit.
 
-    Rows whose term is provably +0.0 skip math.hypot and math.exp: the
+    Vectors whose term is provably +0.0 skip math.hypot and math.exp: the
     hypot is at least the largest distance, and the rounded products that
     scale it are monotone, so the exponent is at most the same products
     taken of the largest distance.  Where those are below _UNDERFLOW, exp
-    returns +0.0.
+    returns +0.0, which math.fsum would ignore.
     """
-    X = 2.0 * _phases(A, H)
-    dist = np.abs(X - np.rint(X))
+    Y = 2.0 * X
+    dist = np.abs(Y - np.rint(Y)).reshape(len(A), -1)
     c = 4.0 * k / A.shape[0]
-    top = _row_max(dist)
-    live = ~(-c * top * top < _UNDERFLOW)  # a NaN exponent is kept, as it was
-    euc = np.fromiter(map(math.hypot, *dist[live].T.tolist()), dtype=float)
+    top = dist.max(axis=0)
+    live = np.flatnonzero(~(-c * top * top < _UNDERFLOW))  # a NaN exponent is kept, as it was
+    euc = np.fromiter(map(math.hypot, *dist[:, live].tolist()), dtype=float)
     scaled = -c * euc * euc
-    terms = np.zeros(len(H))
-    terms[live] = np.fromiter(map(math.exp, scaled.tolist()), dtype=float) / _weight_rows(H[live])
-    return terms
+    return np.fromiter(map(math.exp, scaled.tolist()), dtype=float) / _weight_rows(rows(live))
 
 
 def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
@@ -97,7 +96,7 @@ def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     which math.fsum would ignore.  At the paper's M every term underflows.
     """
     terms = _box_terms(G, k, "M", M, "cohort sum", "a smaller --k or --ca", _cohort_terms)
-    s = 2.0 * math.fsum(terms.tolist())
+    s = 2.0 * math.fsum(np.concatenate(terms).tolist())
     return s, s <= 0.5 / (M + 1)
 
 

@@ -2,21 +2,22 @@
 they feed: a single-frequency lower bound and the Erdos-Turan-Koksma
 upper bound.
 
-Every pass over a frequency box goes through _box_terms, which checks and
-prices the box and returns one term per frequency; the ETK sum, the cohort
-sum (bounds.cohort_sum_S) and the best single-frequency bound supply only
-their term and their reduction.  Boxes are always iterated in a fixed
-order, in blocks of at most _BLOCK rows, and summed with math.fsum so
-results are deterministic bit for bit and do not depend on the block size.  Every term is the same
-at h and -h, bit for bit, so the passes walk only the negative half of a
-box and double its exact sum.  The ETK and cohort sums also skip every
-term that provably underflows to +0.0, which math.fsum would ignore.
+Every pass over a frequency box goes through _half_box, which walks one of
+each pair h, -h in a fixed order, in blocks of at most _BLOCK vectors.
+_box_terms checks and prices a box and reduces each block with a term; the
+ETK sum, the cohort sum (bounds.cohort_sum_S) and the best single-frequency
+bound supply only their term and their reduction, and the two searches of
+diophantine reduce the same blocks.  Every term is the same at h and -h,
+bit for bit, so the sums are twice the math.fsum of the half box, which
+does not depend on the order or the block size.  The ETK and cohort sums
+also skip every term that provably underflows to +0.0, which math.fsum
+would ignore.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 
 import numpy as np
@@ -26,7 +27,7 @@ from .generators import GeneratorMatrix
 
 TWO_PI = 2.0 * math.pi
 
-# Rows per block of a frequency box: bounds the memory of every box pass.
+# Vectors per block of a frequency box: bounds the memory of every box pass.
 _BLOCK = 2**16
 
 # exp and float power return +0.0 for a true value below e^-800, which lies
@@ -35,39 +36,74 @@ _BLOCK = 2**16
 _UNDERFLOW = -800.0
 
 
-def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Base-`base` digits of each index below base^width, most significant
-    first, one row each."""
-    out = np.empty((len(idx), width), dtype=np.int64)
-    for j in range(width - 1, 0, -1):
-        idx, out[:, j] = np.divmod(idx, base)
-    if width:
-        out[:, 0] = idx
-    return out
-
-
-def _box_pass_cost(G: GeneratorMatrix, bound: int) -> int:
+def _box_price(G: GeneratorMatrix, bound, per_phase, calls=0):
     """Element operations of a pass over the frequency box of sup norm bound
-    that makes a Python-level call (math.cos, float power) per phase."""
-    return (2 * bound + 1) ** G.d * G.n * PER_CALL
+    that spends per_phase on each of the n phases of a vector (PER_CALL for a
+    Python-level call such as math.cos, d for the products of h . alpha_j),
+    plus `calls` Python-level calls."""
+    return (2 * bound + 1) ** G.d * G.n * per_phase + calls * PER_CALL
 
 
-def frequency_box(d: int, bound: int):
-    """The lexicographically negative half of the integer vectors with sup
-    norm <= bound (first nonzero coordinate negative), lexicographic order,
-    as int64 arrays of at most _BLOCK rows.  Their negations are the other
-    nonzero half."""
+def _decode(h0: np.ndarray, prefix: np.ndarray, idx) -> np.ndarray:
+    """The vectors at flat indices idx of a block of prefixes times h_0
+    values, as int64 rows."""
+    p, j = np.divmod(idx, len(h0))
+    return np.column_stack((h0[j], prefix[p]))
+
+
+def _half_box(A: np.ndarray, bound: int):
+    """The nonzero integer vectors h with ||h||_inf <= bound whose last
+    nonzero coordinate is positive, one of each pair h, -h, in scan order:
+    coordinate values 0, 1, -1, ..., bound, -bound, h_0 varying fastest.
+
+    Each block is P prefixes (h_1, ..., h_{d-1}) times J values of h_0, at
+    most _BLOCK vectors: first the zero prefix with h_0 = 1, ..., bound, then,
+    for L = 1, ..., d-1, the prefixes whose most significant nonzero
+    coordinate, h_L, is positive, with every h_0.  Yields, block by block,
+    (X, norm, rows, spare): the phases h . alpha_j, shape (n, P, J), summed
+    from per-axis tables v * alpha_{ji} left to right as _phases sums them;
+    the sup norms, shape (P, J); a function from flat indices into (P, J) to
+    the vectors (_decode); and a float array of X's shape.  The arrays are
+    views of buffers that the next block overwrites and that the caller may
+    overwrite, so memory is one block.  The coordinate values and tables are
+    built only for d >= 2, where the budget keeps them small.
+    """
+    n, d = A.shape
     base = 2 * bound + 1
-    half = base ** d // 2  # index of the zero vector
-    for start in range(0, half, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, half))
-        yield _digits(idx, base, d) - bound
+    # the coordinate values 0, 1, -1, ..., bound, -bound of h_1, ..., h_{d-1}
+    values = np.zeros(base if d > 1 else 0, dtype=np.int64)
+    values[1::2] = np.arange(1, len(values) // 2 + 1)
+    values[2::2] = -values[1::2]
+    tables = [A[:, i : i + 1] * values for i in range(1, d)]  # (n, base) each
+    width = min(base, _BLOCK)  # h_0 values per block
+    rows = max(1, min(_BLOCK // base, base ** (d - 1) // 2))  # prefixes per block
+    phases, spares = np.empty((2, n, rows, width))
+    norms = np.empty((rows, width), dtype=np.int64)
 
+    def groups():  # (prefix digits, h_0 values) of each block; digit t has value values[t]
+        zero = np.zeros((1, d - 1), dtype=np.int64)
+        for lo in range(1, bound + 1, width):
+            yield zero, np.arange(lo, min(lo + width, bound + 1))
+        for L in range(1, d):
+            span = base ** (L - 1)  # prefixes of h_1, ..., h_{L-1}
+            count = base // 2 * span  # times the bound positive (odd) digits of h_L
+            for start in range(0, count, rows):
+                j, t = np.divmod(np.arange(start, min(start + rows, count)), span)
+                idx, digits = (2 * j + 1) * span + t, np.empty((len(j), d - 1), dtype=np.int64)
+                for i in range(d - 1):  # column i: the digit of h_{i+1}, of weight base^i
+                    idx, digits[:, i] = np.divmod(idx, base)
+                for lo in range(0, base, width):
+                    yield digits, values[lo : lo + width]
 
-def _row_max(X: np.ndarray) -> np.ndarray:
-    """Maximum of each row, taken over the columns: np.max(X, axis=1) is many
-    times slower on the few columns these arrays have."""
-    return reduce(np.maximum, X.T)
+    for digits, h0 in groups():
+        prefix = values[digits]
+        P, J = len(digits), len(h0)
+        X = np.multiply(A[:, :1, None], h0, out=phases[:, :P, :J])
+        for table, col in zip(tables, digits.T):
+            X += table[:, col, None]
+        norm = np.abs(h0, out=norms[:P, :J])
+        np.maximum(norm, np.abs(prefix).max(axis=1, initial=0)[:, None], out=norm)
+        yield X, norm, partial(_decode, h0, prefix), spares[:, :P, :J]
 
 
 def _fsum_rows(X: np.ndarray) -> np.ndarray:
@@ -196,8 +232,8 @@ def single_h_lower_bound(G: GeneratorMatrix, k: int, h, r=None) -> float:
 
 
 def _box_terms(G: GeneratorMatrix, k: int, name: str, bound: int, kind: str, fallback: str, term):
-    """term(A, H, k) of every block H of frequency_box(G.d, bound), in box
-    order, as one array: the one pass over a frequency box.
+    """[term(A, X, rows, k) for each block (X, _, rows, _) of _half_box(A,
+    bound)]: the pass of the ETK sum, the cohort sum and the best bound.
 
     The bound (named `name` in the error) must be >= 1 and k valid; the
     box is priced against the budget, as "<kind> to <name>=<bound>" with
@@ -206,44 +242,52 @@ def _box_terms(G: GeneratorMatrix, k: int, name: str, bound: int, kind: str, fal
     if bound < 1:
         raise ValidationError(f"{name} must be >= 1")
     _check_k(k)
-    require(f"{kind} to {name}={bound}", _box_pass_cost(G, bound), fallback)
+    require(f"{kind} to {name}={bound}", _box_price(G, bound, PER_CALL), fallback)
     A = G.as_array()
-    return np.concatenate([term(A, H, k) for H in frequency_box(G.d, bound)])
+    return [term(A, X, rows, k) for X, _, rows, _ in _half_box(A, bound)]
 
 
-def _best_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
-    """The default single-frequency bound |qhat|^k / (pi^d R(h)) of each row of H."""
-    return _abs_pow(_qhat_rows(A, H), k) / (math.pi ** A.shape[1] * _weight_rows(H))
+def _best_terms(A: np.ndarray, X: np.ndarray, rows, k: int):
+    """The largest default single-frequency bound |qhat|^k / (pi^d R(h)) of
+    a block, and the lexicographically smallest h, of its vectors and their
+    negations, that attains it."""
+    H = rows(np.arange(X[0].size))
+    vals = _abs_pow(_qhat_rows(A, H), k) / (math.pi ** A.shape[1] * _weight_rows(H))
+    top = vals.max()
+    return top, min(min(h, [-v for v in h]) for h in H[vals == top].tolist())
 
 
 def best_fourier_lower_bound(G: GeneratorMatrix, k: int, hmax: int):
     """Max of the default single-frequency bound over 0 < ||h||_inf <= hmax.
 
-    Returns (value, h); ties go to the lexicographically smallest h, which
-    lies in the negative half of the box that the scan walks.
+    Returns (value, h); ties go to the lexicographically smallest h.  The
+    term is even, so that is the least of the tied vectors of the half box
+    and their negations.
     """
-    vals = _box_terms(G, k, "hmax", hmax, "best-bound box", "a smaller hmax", _best_terms)
-    i = int(np.argmax(vals))  # the first maximum in box order
-    h = _digits(np.array([i]), 2 * hmax + 1, G.d)[0] - hmax
-    return float(vals[i]), tuple(int(v) for v in h)
+    blocks = _box_terms(G, k, "hmax", hmax, "best-bound box", "a smaller hmax", _best_terms)
+    top = max(v for v, _ in blocks)
+    return float(top), tuple(min(h for v, h in blocks if v == top))
 
 
-def _etk_terms(A: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
-    """|qhat|^k / R(h) of each row of H, bit for bit, +0.0 where it underflows.
+def _etk_terms(A: np.ndarray, X: np.ndarray, rows, k: int) -> np.ndarray:
+    """|qhat|^k / R(h), bit for bit, of each vector of a block whose term
+    may not underflow to +0.0; math.fsum ignores the others.
 
-    A screen in numpy finds the rows whose term is provably +0.0 and spares
-    them math.cos and pow: |qhat| <= |mean of np.cos| + 1e-9 (the cosines
-    are taken of the same phases, and both cosines and both means agree far
-    closer than 1e-9), so k log of that bound below _UNDERFLOW puts
-    |qhat|^k under e^-800.  A bound >= 1 (|qhat| = 1, or k = 0) is never
-    screened.
+    A screen in numpy on the block's phases X finds the vectors whose term
+    is provably +0.0 and spares them math.cos and pow: |qhat| <= |mean of
+    np.cos(2 pi X)| + 1e-9, so k log of that bound below _UNDERFLOW puts
+    |qhat|^k under e^-800.  For d <= 2 the phases X are those of qhat.  For
+    d >= 3 X sums the same rounded products left to right where qhat takes
+    their math.fsum, so the two differ only by the d - 1 roundings of the
+    partial sums.  Entries lie in [0, 1) and the budget, (2M+1)^d n 64 <=
+    8e7, keeps d M and so every partial sum below 2^8, where a rounding is
+    at most 2^-45: the phases, the cosines (up to 2 pi times that) and
+    their means agree far closer than 1e-9.  A bound >= 1 (|qhat| = 1, or
+    k = 0) is never screened.
     """
-    X = TWO_PI * _phases(A, H, exact=True)
-    bound = np.abs(reduce(np.add, np.cos(X).T)) / A.shape[0] + 1e-9
-    live = float(k) * np.log(bound) >= _UNDERFLOW  # finite: bound >= 1e-9
-    terms = np.zeros(len(H))
-    terms[live] = _abs_pow(_mean_cos(X[live]), k) / _weight_rows(H[live])
-    return terms
+    bound = np.abs(reduce(np.add, np.cos(TWO_PI * X))) / A.shape[0] + 1e-9
+    H = rows(np.flatnonzero(float(k) * np.log(bound) >= _UNDERFLOW))  # finite: bound >= 1e-9
+    return _abs_pow(_qhat_rows(A, H), k) / _weight_rows(H)
 
 
 def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
@@ -257,4 +301,4 @@ def etk_upper_bound(G: GeneratorMatrix, k: int, M: int) -> float:
     """
     fallback = "a smaller M (--etk-m, or --ca in a scan)"
     terms = _box_terms(G, k, "M", M, "ETK sum", fallback, _etk_terms)
-    return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(terms.tolist()))
+    return (1.5 ** G.d) * (2.0 / (M + 1) + 2.0 * math.fsum(np.concatenate(terms).tolist()))

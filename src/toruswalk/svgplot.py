@@ -8,11 +8,12 @@ import math
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
+# (colour, stroke width, dash pattern or None) of each series
 _SERIES_STYLE = {
-    "D": 'stroke="#1f77b4" stroke-width="2" fill="none"',
-    "lower": 'stroke="#2ca02c" stroke-width="1.5" fill="none" stroke-dasharray="6,3"',
-    "upper": 'stroke="#d62728" stroke-width="1.5" fill="none" stroke-dasharray="6,3"',
-    "etk": 'stroke="#9467bd" stroke-width="1.5" fill="none" stroke-dasharray="2,3"',
+    "D": ("#1f77b4", "2", None),
+    "lower": ("#2ca02c", "1.5", "6,3"),
+    "upper": ("#d62728", "1.5", "6,3"),
+    "etk": ("#9467bd", "1.5", "2,3"),
 }
 
 
@@ -20,7 +21,7 @@ def _fmt(v: float) -> str:
     return "%.6g" % v
 
 
-def loglog_svg(series: dict, xlabel: str = "k", ylabel: str = "discrepancy") -> str:
+def loglog_svg(series: dict) -> str:
     """Render named (x, y) series with positive coordinates on log-log axes.
 
     series maps a name from _SERIES_STYLE to a list of (x, y) pairs;
@@ -57,39 +58,33 @@ def loglog_svg(series: dict, xlabel: str = "k", ylabel: str = "discrepancy") -> 
         data = [(x, y) for x, y in data if x > 0 and y > 0]
         if not data:
             continue
-        style = _SERIES_STYLE.get(name, 'stroke="gray" fill="none"')
+        color, width, dash = _SERIES_STYLE[name]
+        dashes = f' stroke-dasharray="{dash}"' if dash else ""
         path = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in data)
-        parts.append(f'<polyline points="{path}" {style}/>')
+        parts.append(
+            f'<polyline points="{path}" stroke="{color}" stroke-width="{width}" '
+            f'fill="none"{dashes}/>'
+        )
         for x, y in data:
-            parts.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" '
-                f'fill="{_stroke_color(style)}"/>'
-            )
+            parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" fill="{color}"/>')
     parts.append(
         f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">log10 {xlabel} '
+        f'font-family="sans-serif" font-size="13">log10 k '
         f"[{_fmt(x0)} .. {_fmt(x1)}]</text>"
     )
     parts.append(
         f'<text x="16" y="{_H // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {_H // 2})">log10 {ylabel} '
+        f'font-size="13" transform="rotate(-90 16 {_H // 2})">log10 discrepancy '
         f"[{_fmt(y0)} .. {_fmt(y1)}]</text>"
     )
     legend_y = _MT + 16
     for name in series:
         if series[name]:
-            color = _stroke_color(_SERIES_STYLE.get(name, 'stroke="gray"'))
             parts.append(
                 f'<text x="{_W - _MR - 90}" y="{legend_y}" font-family="sans-serif" '
-                f'font-size="12" fill="{color}">{name}</text>'
+                f'font-size="12" fill="{_SERIES_STYLE[name][0]}">{name}</text>'
             )
             legend_y += 16
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def _stroke_color(style: str) -> str:
-    for tok in style.split():
-        if tok.startswith('stroke="'):
-            return tok.split('"')[1]
-    return "gray"

@@ -14,7 +14,6 @@ from toruswalk import (
     best_fourier_lower_bound,
     builtin_generators,
     cohort_sum_S,
-    diophantine,
     dirichlet_search,
     discrepancy,
     discrepancy_exact,
@@ -54,19 +53,19 @@ LAYERS = [
      (np.random, "Philox"), "fewer --trials"),
     # the frequency passes: 5 * 5 frequencies of n = 2 phases at PER_CALL = 64
     ("etk", lambda: etk_upper_bound(SQ, 50, 2), 25 * 2 * 64, 1.637357453459063,
-     (fourier, "frequency_box"), "smaller M"),
+     (fourier, "_half_box"), "smaller M"),
     ("cohort", lambda: cohort_sum_S(SQ, 50, 2), 25 * 2 * 64, (0.11097183499056888, True),
-     (fourier, "frequency_box"), "smaller --k or --ca"),
+     (fourier, "_half_box"), "smaller --k or --ca"),
     ("best bound", lambda: best_fourier_lower_bound(SQ, 50, 2), 25 * 2 * 64,
-     (0.003092715250783808, (-1, 2)), (fourier, "frequency_box"), "smaller hmax"),
+     (0.003092715250783808, (-1, 2)), (fourier, "_half_box"), "smaller hmax"),
     # the array passes: 9 * 9 vectors of n * d = 4 products, and a float
     # power for each of the 5 sup norms at PER_CALL = 64
     ("search", lambda: estimate_bad_constant(SQ, 4).c_est, 81 * 4 + 5 * 64, 0.11086928925878325,
-     (diophantine, "_coord_values"), "smaller --hmax"),
+     (fourier, "_half_box"), "smaller --hmax"),
     # bound floor(3^(2/2)) = 3: the box of 7 * 7 vectors of 4 products; at
     # this budget the inner boxes of radius 1 and 2 are left out
     ("dirichlet", lambda: dirichlet_search(SQ, 3.0), 49 * 4, (1, 1),
-     (diophantine, "_search_blocks"), "smaller --q"),
+     (fourier, "_half_box"), "smaller --q"),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -607,6 +608,20 @@ def test_scan_writes_reports(tmp_path, capsys):
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0].startswith("k,method,")
     assert (tmp_path / "report.svg").read_text().startswith("<svg")
+
+
+def test_scan_svg_bytes_are_pinned(tmp_path, capsys):
+    # with --ca the chart draws all four series: D, lower, upper and etk
+    code, _, _ = run_cli(
+        capsys,
+        "scan", "--builtin", "golden", "--k-schedule", "pow2:8..11", "--ca", "0.4",
+        "--out", str(tmp_path), "--svg",
+    )
+    svg = (tmp_path / "report.svg").read_bytes()
+    assert code == 0 and svg.count(b"<polyline") == 4
+    assert (len(svg), hashlib.sha256(svg).hexdigest()) == (
+        2310, "f328000cd865c65cb0ce9e4a1c498bc0d973c921334dca04942c7be6e6384346"
+    )
 
 
 def test_no_svg_flag_overrides_the_config_file(tmp_path, capsys):

@@ -76,7 +76,7 @@ class TestDirichletSearch:
             dirichlet_search(builtin_generators("random", 2, 1, seed=1), q)
 
     def test_box_cap_refuses_before_scanning(self, monkeypatch):
-        from toruswalk import diophantine, errors
+        from toruswalk import diophantine, errors, fourier
 
         def no_scan(*args):
             raise AssertionError("a box was scanned")
@@ -93,7 +93,7 @@ class TestDirichletSearch:
         assert diophantine._dirichlet_radii(G, 9) == ([9], 38)
         assert dirichlet_search(G, 3.0) == brute_dirichlet(G, 3.0)
         monkeypatch.setattr(errors, "BUDGET", 19 * 2 - 1)
-        monkeypatch.setattr(diophantine, "_search_blocks", no_scan)
+        monkeypatch.setattr(fourier, "_half_box", no_scan)
         with pytest.raises(CapExceededError, match="Dirichlet search box.*smaller --q"):
             dirichlet_search(G, 3.0)
         monkeypatch.setattr(errors, "BUDGET", 10**300)

@@ -14,6 +14,7 @@ from toruswalk import (
     discrepancy_exact,
     etk_upper_bound,
     exact_walk_distribution,
+    fourier,
     load_generators,
     project_to_torus,
     qhat,
@@ -51,8 +52,13 @@ class TestQhat:
         for d in (1, 2, 3):
             A = builtin_generators("random", 2, d, seed=9).as_array()
             H = np.array(list(lex_box(d, 4)), dtype=np.int64)
+
+            def terms(H, k):  # H as one block of len(H) vectors
+                X = fourier._phases(A, H).T[:, None, :]
+                return bounds._cohort_terms(A, X, H.__getitem__, k).tolist()
+
             for k in (1, 30):
-                assert bounds._cohort_terms(A, -H, k).tolist() == bounds._cohort_terms(A, H, k).tolist()
+                assert terms(-H, k) == terms(H, k)
 
     def test_bounded_by_one(self):
         G = builtin_generators("sqrt_primes", 2, 2)
@@ -162,7 +168,7 @@ class TestBestLowerBound:
         assert best_fourier_lower_bound(G, 6, 4) == brute_best_fourier(G, 6, 4)
         monkeypatch.setattr(errors, "BUDGET", 9 * 9 * 64 - 1)
         assert best_fourier_lower_bound(G, 6, 3) == brute_best_fourier(G, 6, 3)
-        monkeypatch.setattr(fourier, "frequency_box", no_pass)
+        monkeypatch.setattr(fourier, "_half_box", no_pass)
         with pytest.raises(CapExceededError, match="best-bound box.*smaller hmax"):
             best_fourier_lower_bound(G, 6, 4)
 

@@ -146,13 +146,12 @@ def test_dirichlet_failure_names_the_first_closest_vector(monkeypatch, block):
     # then carries the closest vector of the last box, of least norm among
     # equal distances, first in scan order among equal norms
     G = builtin_generators("sqrt_primes", 2, 2)
-    inner = diophantine._search_blocks
+    inner = diophantine._sup_dist
 
-    def far(A, values):
-        for dist, norm, h_at, spare in inner(A, values):
-            yield dist + 0.5, norm, h_at, spare
+    def far(X, spare):
+        return inner(X, spare) + 0.5
 
-    monkeypatch.setattr(diophantine, "_search_blocks", far)
+    monkeypatch.setattr(diophantine, "_sup_dist", far)
     key = {h: (_sup_dist_left_to_right(G, h) + 0.5, max(map(abs, h))) for h in scan_order_box(2, 3)}
     best = min(key, key=key.get)  # min keeps the first of equal keys
     with pytest.raises(InternalConsistencyError) as failed:
@@ -196,15 +195,20 @@ def test_search_keeps_first_minimum_across_blocks(rows, block):
     assert (est.c_est, est.argmin_h) == brute_bad_constant(G, 4)
 
 
-def test_search_memory_is_one_block():
-    # the whole box of (2*999+1)^2 - 1 = 3 996 000 vectors is never held
-    G = builtin_generators("sqrt_primes", 2, 2)
+def _peak_memory(call):
     tracemalloc.start()
     try:
-        estimate_bad_constant(G, 999)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_search_memory_is_one_block():
+    # the whole box of (2*999+1)^2 - 1 = 3 996 000 vectors is never held
+    G = builtin_generators("sqrt_primes", 2, 2)
+    _, peak = _peak_memory(lambda: estimate_bad_constant(G, 999))
     assert peak <= 16 * 2**20
 
 
@@ -228,48 +232,44 @@ def test_d1_search_splits_the_h0_range(monkeypatch, alpha, argmin_h):
     assert (est.c_est, est.argmin_h) == brute_bad_constant(G, 40)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_frequency_box_is_half_of_the_box(d, block):
-    half = [tuple(h) for H in fourier.frequency_box(d, 3) for h in H.tolist()]
-    assert half == sorted(half)
-    negated = {tuple(-v for v in h) for h in half}
-    assert len(set(half)) == len(half) and not negated & set(half)
-    assert negated | set(half) == set(lex_box(d, 3))
-    assert all(H.dtype == np.int64 for H in fourier.frequency_box(d, 3))
-
-
 def test_d1_search_memory_holds_no_box_sized_table():
-    # hmax = 10**6: the 2 * 10**6 + 1 coordinate values (16 MB) and the scale
-    # table (8 MB) are the only arrays that grow with hmax
+    # hmax = 10**6: the scale table (8 MB) is the only array that grows with hmax
     G = builtin_generators("golden", 1, 1)
-    tracemalloc.start()
-    try:
-        estimate_bad_constant(G, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 2**20
+    _, peak = _peak_memory(lambda: estimate_bad_constant(G, 10**6))
+    assert peak <= 16 * 2**20
+
+
+def test_d1_dirichlet_memory_holds_no_box_sized_array():
+    # H = 10**6: every h < 999 983 lies 1/q or more from an integer, so all
+    # boxes up to radius 10**6 are scanned, streamed block by block
+    G = load_generators([[1 / 999983]])
+    h, peak = _peak_memory(lambda: dirichlet_search(G, 1e6))
+    assert h == (999983,)
+    assert peak <= 8 * 2**20
 
 
 def _half_box_vectors(d, hmax):
-    """The vectors of diophantine._half_box, in its order, and its block sizes."""
-    values = diophantine._coord_values(hmax)
-    base = len(values)
-    rows = max(1, fourier._BLOCK // base)
-    vectors, sizes = [], []
-    for prefixes, h0s in diophantine._half_box(values, d, rows):
-        sizes.append(len(prefixes))
-        digits = fourier._digits(prefixes, base, d - 1)[:, ::-1]
-        for prefix in values[digits].tolist():
-            vectors.extend((h0, *prefix) for h0 in h0s.tolist())
-    return vectors, sizes, rows
+    """The vectors of fourier._half_box, in its order, and its block shapes
+    (prefixes, h_0 values); checks each block's phases and sup norms
+    against _phases and the decoded vectors."""
+    A = builtin_generators("random", 2, d, seed=3).as_array()
+    vectors, shapes = [], []
+    for X, norm, rows, spare in fourier._half_box(A, hmax):
+        H = rows(np.arange(norm.size))
+        assert H.dtype == np.int64 and spare.shape == X.shape == (2, *norm.shape)
+        assert X.reshape(2, -1).T.tolist() == fourier._phases(A, H).tolist()
+        assert norm.ravel().tolist() == np.abs(H).max(axis=1).tolist()
+        shapes.append(norm.shape)
+        vectors.extend(map(tuple, H.tolist()))
+    return vectors, shapes
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_search_half_box_is_one_of_each_pair_in_scan_order(d, block):
     hmax = 3
-    half, sizes, rows = _half_box_vectors(d, hmax)
-    assert max(sizes) <= rows
+    half, shapes = _half_box_vectors(d, hmax)
+    assert max(P for P, _ in shapes) <= max(1, fourier._BLOCK // (2 * hmax + 1))
+    assert max(P * J for P, J in shapes) <= fourier._BLOCK
     kept = set(half)
     negated = {tuple(-v for v in h) for h in half}
     assert len(kept) == len(half) and not negated & kept
@@ -342,9 +342,9 @@ def test_underflowing_terms_reach_no_libm_call(monkeypatch):
 def test_rows_of_modulus_one_are_never_screened(monkeypatch):
     G = builtin_generators("rational:7", 2, 2)
     k, M = 10**6, 7
-    half = [h for h in lex_box(2, M) if h < (0, 0)]
+    half = [h for h in lex_box(2, M) if [v for v in h if v][-1] > 0]  # the half the passes walk
     ones = sum(abs(qhat(G, h)) == 1.0 for h in half)
-    assert ones == 4  # (-7, -7), (-7, 0), (-7, 7), (0, -7)
+    assert ones == 4  # (7, 0), (-7, 7), (0, 7), (7, 7)
     calls = _spies(monkeypatch)
     assert etk_upper_bound(G, k, M) == brute_etk(G, k, M)
     assert sum(q == 1.0 for q, _ in calls["pow"]) == ones

@@ -28,6 +28,13 @@ def _check_args(n: int, d: int, k: int, c_a: float | None = None) -> None:
     _check_k(k)
 
 
+def check_certification_range(hmax: int | None) -> None:
+    """Raise ValidationError unless the range an approximation constant was
+    certified over, when given, is >= 1."""
+    if hmax is not None and hmax < 1:
+        raise ValidationError(f"certification range must be >= 1, not {hmax}")
+
+
 def theorem1_lower_bound(n: int, d: int, k: int) -> float:
     """Universal lower bound k^(-n/2) / (pi^d 5^(n+1) d^(n/2))."""
     _check_args(n, d, k)
@@ -145,8 +152,7 @@ def bound_report(
     c_a_certified_up_to: int | None = None,
 ) -> BoundReport:
     """Evaluate every applicable bound for G at step count k."""
-    if c_a_certified_up_to is not None and c_a_certified_up_to < 1:
-        raise ValidationError(f"certification range must be >= 1, not {c_a_certified_up_to}")
+    check_certification_range(c_a_certified_up_to)
     n, d = G.n, G.d
     lower = theorem1_lower_bound(n, d, k)
     if c_a is None:

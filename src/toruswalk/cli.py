@@ -43,6 +43,7 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin family, e.g. golden, sqrt_primes, rational:3")
     p.add_argument("--n", type=int, default=1, help="generator count for --builtin")
     p.add_argument("--d", type=int, default=1, help="torus dimension for --builtin")
+    p.add_argument("--seed", type=int, default=0)
 
 
 @functools.cache
@@ -57,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, help="Monte Carlo trials (omit for exact)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("disc", help="discrepancy of a point-set CSV file")
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate the closed-form and ETK bounds")
     _add_matrix_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ca", type=float, help="certified approximation constant")
     p.add_argument("--ca-hmax", type=int, help="range the constant was certified over")
     p.add_argument("--etk-m", type=int, help="evaluate the ETK bound at this M")
@@ -75,12 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dirichlet", help="pigeonhole search for a close frequency")
     _add_matrix_args(p)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("badapprox", help="estimate the approximation constant")
     _add_matrix_args(p)
     p.add_argument("--hmax", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="full pipeline over a k schedule")
     _add_matrix_args(p)
@@ -88,14 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-schedule", help="comma list of k values, or pow2:a..b")
     p.add_argument("--method", choices=["auto", "exact", "mc"])
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--resolution", type=int)
     p.add_argument("--ca", type=float)
     p.add_argument("--hmax", type=int, dest="ca_hmax")
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
-    p.set_defaults(n=None, d=None)  # absent, they leave the config file's values
+    p.set_defaults(n=None, d=None, seed=None)  # absent, they leave the config file's values
     return ap
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by the library and the CLI, the guards that
-read input files and write output files, and the one cost budget every
-layer checks before it starts.
+read input files and write output files, the one reader of their data
+lines, and the one cost budget every layer checks before it starts.
 
 Each class carries the process exit code the CLI maps it to.
 """
@@ -62,6 +62,15 @@ def read_input_text(path, kind: str) -> str:
             return fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {kind} {str(path)!r}: {e.strerror}") from None
+
+
+def data_lines(text: str):
+    """(line number from 1, stripped line) of each line of an input file's
+    text that is neither blank nor a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def write_output_text(path, text: str, kind: str) -> None:

@@ -15,7 +15,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import ValidationError, read_input_text, write_output_text
+from .errors import ValidationError, data_lines, read_input_text, write_output_text
 
 
 def frac(x: float) -> float:
@@ -151,15 +151,11 @@ def matrix_to_text(G: GeneratorMatrix) -> str:
 def parse_matrix_text(text: str) -> GeneratorMatrix:
     """Parse the matrix file format: '#' comments, comma or whitespace separators."""
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f for f in re.split(r"[,\s]+", line) if f]
+    for lineno, line in data_lines(text):
         try:
-            rows.append([float(f) for f in fields])
+            rows.append([float(f) for f in re.split(r"[,\s]+", line) if f])
         except ValueError as e:
-            raise ValidationError(f"bad matrix line {line!r}: {e}") from None
+            raise ValidationError(f"bad matrix line {lineno} {line!r}: {e}") from None
     return load_generators(rows)
 
 

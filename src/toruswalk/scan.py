@@ -20,19 +20,26 @@ import typing
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import __version__
-from .bounds import choose_M, fit_decay_exponent, theorem1_lower_bound, theorem2_upper_bound
+from .bounds import (
+    check_certification_range,
+    choose_M,
+    fit_decay_exponent,
+    theorem1_lower_bound,
+    theorem2_upper_bound,
+)
 from .discrepancy import check_grid_resolution, discrepancy_exact, discrepancy_grid
 from .errors import (
     CapExceededError,
     InternalConsistencyError,
     ValidationError,
+    data_lines,
     read_input_text,
     write_output_text,
 )
 from .fourier import etk_upper_bound
 from .generators import GeneratorMatrix, builtin_generators, read_matrix
 from .svgplot import loglog_svg
-from .walk import exact_walk_distribution, project_to_torus, simulate_walk
+from .walk import check_trials, exact_walk_distribution, project_to_torus, simulate_walk
 
 
 @dataclass
@@ -91,10 +98,7 @@ def _config_parser(annotation):
 def parse_config_text(text: str) -> ScanConfig:
     parsers = {key: _config_parser(tp) for key, tp in typing.get_type_hints(ScanConfig).items()}
     cfg = ScanConfig()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValidationError(f"config line {lineno}: expected key = value")
@@ -254,22 +258,21 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     if repeated:
         raise ValidationError(f"k schedule repeats k = {', '.join(map(str, repeated))}")
     check_grid_resolution(cfg.resolution)  # before any row: a row may fall back to the grid
-    if cfg.ca_hmax is not None and cfg.ca_hmax < 1:
-        raise ValidationError(f"certification range must be >= 1, not {cfg.ca_hmax}")
+    check_certification_range(cfg.ca_hmax)
     G, descriptor = resolve_matrix(cfg)
     # any row of auto or mc may run Monte Carlo, which takes k below 2^63 and
     # at least one trial, and keys the row by seed + k, which Philox needs in
     # [0, 2^128)
-    if cfg.method != "exact" and cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if cfg.method != "exact" and ks[-1] >= 2**63:
-        raise ValidationError(
-            f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"
-            " (numpy's multinomial range)"
-        )
-    if cfg.method != "exact" and not 0 <= cfg.seed < 2**128 - ks[-1]:
-        msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"
-        raise ValidationError(f"{msg} for k up to {ks[-1]}")
+    if cfg.method != "exact":
+        check_trials(cfg.trials)
+        if ks[-1] >= 2**63:
+            raise ValidationError(
+                f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"
+                " (numpy's multinomial range)"
+            )
+        if not 0 <= cfg.seed < 2**128 - ks[-1]:
+            msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"
+            raise ValidationError(f"{msg} for k up to {ks[-1]}")
     rows = [_row_for_k(G, cfg, k) for k in ks]
     fitted = None
     if len(rows) >= 3:
@@ -301,21 +304,12 @@ def write_report(report: ScanReport, out_dir, svg: bool = False) -> list:
         raise ValidationError(
             f"cannot create output directory {str(out_dir)!r}: {e.strerror}"
         ) from None
-    written = []
-    json_path = os.path.join(out_dir, "report.json")
-    write_output_text(json_path, report.to_json(), "report file")
-    written.append(json_path)
-    csv_path = os.path.join(out_dir, "report.csv")
-    write_output_text(csv_path, report.to_csv(), "report file")
-    written.append(csv_path)
+    texts = {"report.json": report.to_json(), "report.csv": report.to_csv()}
     if svg:
-        series = {"D": [(r.k, r.discrepancy) for r in report.rows]}
-        series["lower"] = [(r.k, r.lower) for r in report.rows]
-        if any(r.upper is not None for r in report.rows):
-            series["upper"] = [(r.k, r.upper) for r in report.rows if r.upper is not None]
-        if any(r.etk is not None for r in report.rows):
-            series["etk"] = [(r.k, r.etk) for r in report.rows if r.etk is not None]
-        svg_path = os.path.join(out_dir, "report.svg")
-        write_output_text(svg_path, loglog_svg(series), "report file")
-        written.append(svg_path)
+        columns = ("D", "discrepancy"), ("lower", "lower"), ("upper", "upper"), ("etk", "etk")
+        series = {name: [(r.k, getattr(r, column)) for r in report.rows] for name, column in columns}
+        texts["report.svg"] = loglog_svg(series)
+    written = [os.path.join(out_dir, name) for name in texts]
+    for path, text in zip(written, texts.values()):
+        write_output_text(path, text, "report file")
     return written

@@ -24,16 +24,17 @@ def _fmt(v: float) -> str:
 def loglog_svg(series: dict) -> str:
     """Render named (x, y) series with positive coordinates on log-log axes.
 
-    series maps a name from _SERIES_STYLE to a list of (x, y) pairs;
-    nonpositive values are dropped.
+    series maps a name from _SERIES_STYLE to a list of (x, y) pairs.  Pairs
+    with a None or nonpositive coordinate are dropped, and a series left
+    with no pair is neither drawn nor named in the legend.
     """
-    pts = [
-        (x, y) for data in series.values() for x, y in data if x > 0 and y > 0
-    ]
-    if not pts:
+    series = {name: [(x, y) for x, y in data if None not in (x, y) and x > 0 and y > 0]
+              for name, data in series.items()}
+    series = {name: data for name, data in series.items() if data}
+    if not series:
         raise ValueError("nothing to plot")
-    lx = [math.log10(x) for x, _ in pts]
-    ly = [math.log10(y) for _, y in pts]
+    lx = [math.log10(x) for data in series.values() for x, _ in data]
+    ly = [math.log10(y) for data in series.values() for _, y in data]
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(ly), max(ly)
     if x1 - x0 < 1e-12:
@@ -55,9 +56,6 @@ def loglog_svg(series: dict) -> str:
         'fill="none" stroke="black"/>',
     ]
     for name, data in series.items():
-        data = [(x, y) for x, y in data if x > 0 and y > 0]
-        if not data:
-            continue
         color, width, dash = _SERIES_STYLE[name]
         dashes = f' stroke-dasharray="{dash}"' if dash else ""
         path = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in data)
@@ -79,12 +77,11 @@ def loglog_svg(series: dict) -> str:
     )
     legend_y = _MT + 16
     for name in series:
-        if series[name]:
-            parts.append(
-                f'<text x="{_W - _MR - 90}" y="{legend_y}" font-family="sans-serif" '
-                f'font-size="12" fill="{_SERIES_STYLE[name][0]}">{name}</text>'
-            )
-            legend_y += 16
+        parts.append(
+            f'<text x="{_W - _MR - 90}" y="{legend_y}" font-family="sans-serif" '
+            f'font-size="12" fill="{_SERIES_STYLE[name][0]}">{name}</text>'
+        )
+        legend_y += 16
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

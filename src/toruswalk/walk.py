@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import PER_CALL, ValidationError, require
+from .errors import PER_CALL, ValidationError, data_lines, require
 from .fourier import _phases
 from .generators import GeneratorMatrix
 
@@ -542,6 +542,12 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     return _pointset(G, points, _exact_weights(run, counts, L.denominator), "exact")
 
 
+def check_trials(trials: int) -> None:
+    """Raise ValidationError unless a Monte Carlo walk has at least one trial."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+
+
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
     """Empirical k-step distribution from independent seeded walks.
 
@@ -560,8 +566,7 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     """
     if not 0 <= k < 2**63:
         raise ValidationError("step count k must lie in [0, 2^63), numpy's multinomial range")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    check_trials(trials)
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
     n = G.n
@@ -596,10 +601,7 @@ def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPoin
     >= 0; the weights must sum to 1 within 1e-9, as a probability measure's
     do.  Equal points are merged, their weights added in file order."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         try:
             fields = [float(f) for f in line.split(",")]
         except ValueError:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -32,6 +33,7 @@ from toruswalk.scan import (
     theorem1_lower_bound,
 )
 from toruswalk.errors import ValidationError
+from toruswalk.svgplot import loglog_svg
 
 
 def run_cli(capsys, *argv):
@@ -314,23 +316,30 @@ def test_disc_non_numeric_field_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text,problem,resolution",
+    "text,message,resolution",
     [
-        ("0.5,0.5\nnan,0.5\n", "a non-finite field", None),
-        ("0.5,0.5\n0.25,inf\n", "a non-finite field", None),
-        ("0.5,0.5\n-0.5,0.5\n", "a coordinate outside [0, 1)", "8"),
-        ("0.5,0.5\n1.0,0.5\n", "a coordinate outside [0, 1)", None),
-        ("0.25,1.5\n0.75,-0.5\n", "a negative weight", None),
+        ("0.5,0.5\nnan,0.5\n", "line 2 has a non-finite field", None),
+        ("0.5,0.5\n0.25,inf\n", "line 2 has a non-finite field", None),
+        ("0.5,0.5\n-0.5,0.5\n", "line 2 has a coordinate outside [0, 1)", "8"),
+        ("0.5,0.5\n1.0,0.5\n", "line 2 has a coordinate outside [0, 1)", None),
+        ("0.25,1.5\n0.75,-0.5\n", "line 2 has a negative weight", None),
+        ("# x, w\n0.5,0.5\n\n0.1,nan\n", "line 4 has a non-finite field", None),
+        ("0.5,0.5\n0.5\n", "point-set line needs >= 2 fields: '0.5'", None),
+        ("0.5,0.5\n0.25,0.5,0.5\n", "point-set lines have inconsistent dimensions", None),
+        ("# no atoms\n\n", "empty point-set file", None),
     ],
-    ids=["nan-coordinate", "inf-weight", "negative-coordinate-grid", "coordinate-1", "negative-weight"],
+    ids=[
+        "nan-coordinate", "inf-weight", "negative-coordinate-grid", "coordinate-1", "negative-weight",
+        "comment-and-blank-lines-counted", "one-field", "mixed-dimensions", "no-data",
+    ],
 )
-def test_disc_invalid_point_exits_2(capsys, tmp_path, text, problem, resolution):
+def test_disc_invalid_point_exits_2(capsys, tmp_path, text, message, resolution):
     pts = tmp_path / "bad.csv"
     pts.write_text(text)
     argv = ["disc", str(pts)] + (["--resolution", resolution] if resolution else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"line 2 has {problem}" in err
+    assert message in err
 
 
 def test_disc_weights_not_summing_to_one_exit_2(capsys, tmp_path):
@@ -624,6 +633,40 @@ def test_scan_svg_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_one_k_scan_svg_centres_its_degenerate_x_range(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "scan", "--builtin", "golden", "--k-schedule", "64", "--out", str(tmp_path), "--svg"
+    )
+    svg = (tmp_path / "report.svg").read_text()
+    assert code == 0 and svg.count("<circle") == 2  # D and lower, one point each
+    lx = math.log10(64)
+    assert f"log10 k [{lx - 0.5:.6g} .. {lx + 0.5:.6g}]" in svg
+
+
+@pytest.mark.parametrize(
+    "series,names",
+    [
+        ({"D": [(8, 0.2), (16, 0.1)], "etk": [(8, 0.0)]}, ["D"]),
+        ({"D": [(8, 0.2)], "lower": [(8, 0.01)], "upper": [(8, None)], "etk": [(8, None)]}, ["D", "lower"]),
+        ({"D": [(8, 0.2), (16, -1.0)], "upper": [(8, 0.5), (16, 0.4)]}, ["D", "upper"]),
+    ],
+    ids=["zero-series", "no-ca-series", "nonpositive-point"],
+)
+def test_chart_draws_and_names_only_series_with_a_point(series, names):
+    svg = loglog_svg(series)
+    assert svg.count("<polyline") == len(names)
+    assert re.findall(r'font-size="12" fill="#\w+">(\w+)</text>', svg) == names
+    assert svg.count("<circle") == sum(
+        1 for data in series.values() for x, y in data if y is not None and y > 0
+    )
+
+
+@pytest.mark.parametrize("series", [{}, {"D": [(8, 0.0)], "etk": [(8, None)]}], ids=["no-series", "no-point"])
+def test_chart_with_no_point_is_refused(series):
+    with pytest.raises(ValueError, match="nothing to plot"):
+        loglog_svg(series)
+
+
 def test_no_svg_flag_overrides_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("builtin = golden\nk_schedule = 4,8\nsvg = true\nout = %s\n" % tmp_path)
@@ -673,17 +716,37 @@ def test_scan_determinism(tmp_path):
     assert json.dumps(da) == json.dumps(db)
 
 
-def test_scan_empty_schedule_rejected():
-    with pytest.raises(ValidationError):
-        run_scan(ScanConfig(builtin="golden"))
+@pytest.mark.parametrize(
+    "k_schedule,method,message",
+    [
+        ([], "auto", "empty k schedule"),
+        ([0, 4], "auto", "k schedule entries must be >= 1"),
+        ([4], "fast", "unknown method policy 'fast'"),
+    ],
+    ids=["empty", "k-0", "unknown-method"],
+)
+def test_scan_bad_schedule_or_method_rejected(k_schedule, method, message):
+    with pytest.raises(ValidationError, match=message):
+        run_scan(ScanConfig(builtin="golden", k_schedule=k_schedule, method=method))
 
 
 def test_parse_k_schedule():
     assert parse_k_schedule("1, 2,3") == [1, 2, 3]
     assert parse_k_schedule("pow2:2..4") == [4, 8, 16]
     assert parse_k_schedule("pow2:1023..1023") == [2**1023]
-    with pytest.raises(ValidationError):
-        parse_k_schedule("pow2:a..b")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("pow2:a..b", "bad pow2 schedule"),
+        ("pow2:5..3", "upper exponent below lower"),
+        ("1,x", "bad k schedule '1,x'"),
+    ],
+)
+def test_parse_k_schedule_rejects(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_k_schedule(text)
 
 
 def test_parse_config_errors():

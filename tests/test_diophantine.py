@@ -174,3 +174,8 @@ class TestEstimateBadConstant:
         G = builtin_generators("random", 1, 3, seed=0)
         with pytest.raises(CapExceededError):
             estimate_bad_constant(G, 1000)
+
+    @pytest.mark.parametrize("hmax", [0, -3])
+    def test_hmax_below_one_rejected(self, hmax):
+        with pytest.raises(ValidationError, match="hmax must be >= 1"):
+            estimate_bad_constant(GOLDEN, hmax)

@@ -44,13 +44,20 @@ class TestBoxMass:
         assert box_mass(P, Box((0.382,), (0.618,)), "closure") == 1.0
         assert box_mass(P, Box((0.382,), (0.618,)), "interior") == 0.0
 
-    def test_bad_box_rejected(self):
-        with pytest.raises(ValidationError):
-            Box((0.5,), (0.2,))
-        with pytest.raises(ValidationError):
-            Box((-0.1,), (0.5,))
-        with pytest.raises(ValidationError):
-            box_mass(point_mass(), Box((0.0, 0.0), (1.0, 1.0)), "closure")
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Box((0.5,), (0.2,)), "0 <= a <= b <= 1"),
+            (lambda: Box((-0.1,), (0.5,)), "0 <= a <= b <= 1"),
+            (lambda: Box((0.0, 0.0), (1.0,)), "box corner dimensions differ"),
+            (lambda: box_mass(point_mass(), Box((0.0, 0.0), (1.0, 1.0)), "closure"), "box dimension 2"),
+            (lambda: box_mass(point_mass(), Box((0.0,), (1.0,)), "open"), "unknown mode 'open'"),
+        ],
+        ids=["reversed", "negative", "unequal-corners", "dimension-mismatch", "unknown-mode"],
+    )
+    def test_bad_box_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 class TestExact:

@@ -108,21 +108,26 @@ class TestSingleH:
         assert v == pytest.approx(abs(qhat(GOLDEN, (1,))) ** 3 / math.pi, abs=1e-15)
         assert v == pytest.approx(0.1276158, abs=1e-6)
 
-    def test_explicit_r_matches_default_schedule(self):
-        # r_i = 1/(4|h_i|) reproduces the closed form
-        for h in [(1,), (3,), (-2,)]:
-            r = (1.0 / (4 * abs(h[0])),)
-            assert single_h_lower_bound(GOLDEN, 5, h, r) == pytest.approx(
-                single_h_lower_bound(GOLDEN, 5, h), abs=1e-15
-            )
+    @pytest.mark.parametrize("h", [(1,), (3,), (-2,), (0, 1), (2, 0), (0, -3)], ids=str)
+    def test_explicit_r_matches_default_schedule(self, h):
+        # r_i = 1/(4|h_i|), and 1/(2 pi) on a zero coordinate, reproduces the
+        # closed form to within two rounding errors
+        G = GOLDEN if len(h) == 1 else builtin_generators("sqrt_primes", 1, 2)
+        r = tuple(1.0 / (4 * abs(v)) if v else 1.0 / (2 * math.pi) for v in h)
+        assert single_h_lower_bound(G, 5, h, r) == pytest.approx(
+            single_h_lower_bound(G, 5, h), rel=4e-16, abs=0.0
+        )
 
     def test_zero_h_rejected(self):
         with pytest.raises(ValidationError):
             single_h_lower_bound(GOLDEN, 1, (0,))
 
-    def test_bad_r_rejected(self):
-        with pytest.raises(ValidationError):
-            single_h_lower_bound(GOLDEN, 1, (1,), (0.7,))
+    @pytest.mark.parametrize(
+        "r,message", [((0.7,), "must lie in"), ((0.25, 0.25), "r has 2 coordinates, expected 1")]
+    )
+    def test_bad_r_rejected(self, r, message):
+        with pytest.raises(ValidationError, match=message):
+            single_h_lower_bound(GOLDEN, 1, (1,), r)
 
     def test_is_lower_bound_for_discrepancy(self):
         G = builtin_generators("sqrt_primes", 1, 2)
@@ -187,6 +192,7 @@ class TestEtk:
         for M in (1, 3, 7, 20):
             assert etk_upper_bound(GOLDEN, 100, M) >= D
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            etk_upper_bound(GOLDEN, 1, 0)
+    @pytest.mark.parametrize("k,M,message", [(1, 0, "M must be >= 1"), (-1, 1, "k must be >= 0")])
+    def test_validation(self, k, M, message):
+        with pytest.raises(ValidationError, match=message):
+            etk_upper_bound(GOLDEN, k, M)

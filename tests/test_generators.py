@@ -41,7 +41,7 @@ def test_duplicate_rows_warn_but_load():
 
 @pytest.mark.parametrize(
     "rows",
-    [[], [[0.1], [0.2, 0.3]], [[float("nan")]], [[float("inf"), 0.0]]],
+    [[], [[]], [[0.1], [0.2, 0.3]], [[float("nan")]], [[float("inf"), 0.0]]],
 )
 def test_invalid_inputs_rejected(rows):
     with pytest.raises(ValidationError):
@@ -92,9 +92,18 @@ def test_builtin_random_reproducible():
         builtin_generators("random", 3, 2)
 
 
-def test_unknown_family():
-    with pytest.raises(ValidationError):
-        builtin_generators("fibonacci", 1, 1)
+@pytest.mark.parametrize(
+    "family,n,message",
+    [
+        ("fibonacci", 1, "unknown generator family"),
+        ("golden", 0, "n and d must be positive"),
+        ("golden!", 1, "unparseable family"),
+        ("rational:0", 1, "rational denominator must be positive"),
+    ],
+)
+def test_unknown_family(family, n, message):
+    with pytest.raises(ValidationError, match=message):
+        builtin_generators(family, n, 1)
 
 
 def test_serialize_round_trip():
@@ -120,5 +129,6 @@ def test_write_matrix_to_an_unwritable_path_is_invalid_input(tmp_path, name):
 def test_parse_comments_and_commas():
     G = parse_matrix_text("# a comment\n0.1, 0.2\n0.3\t0.4\n\n")
     assert G.entries == ((0.1, 0.2), (0.3, 0.4))
-    with pytest.raises(ValidationError):
-        parse_matrix_text("0.1, abc\n")
+    # a bad line is named by its number, counting comment and blank lines
+    with pytest.raises(ValidationError, match="bad matrix line 3 '0.1, abc'"):
+        parse_matrix_text("# a comment\n\n0.1, abc\n")

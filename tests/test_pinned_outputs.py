@@ -1,0 +1,116 @@
+"""Pinned sha256 digests of the bytes the CLI writes: the scan reports,
+`dist` point sets, and the JSON that `badapprox` and `bounds` print.
+
+A change meant to keep every output byte fails here when it does not.
+report.json is hashed without its generated_at line, the one field that
+differs between runs.  The scan and badapprox argv are those of the
+benchmark workloads (perfbench/workloads.py) at seed 1; the bounds calls
+are the `bounds-d2` ones at a fixed c_a = 0.085, with M from the same
+truncation index.
+"""
+
+import hashlib
+
+import pytest
+
+from toruswalk.cli import main
+
+SQRT_PRIMES_D2 = ["--builtin", "sqrt_primes", "--n", "2", "--d", "2"]
+
+SCANS = {
+    "disc-d2": (
+        [*SQRT_PRIMES_D2, "--method", "exact", "--k-schedule", "4,6,8,10,20", "--resolution", "512"],
+        "f139adc9551970931578dd27c20102e92262e2f1f9cdd43520552677e869677f",
+        "8dc72293b2324ef48fb78b32eac407783dce452151c3986eecfeb085439720e1",
+    ),
+    "mc-d1": (
+        ["--builtin", "sqrt_primes", "--n", "2", "--d", "1", "--method", "mc",
+         "--k-schedule", "1024", "--trials", "100000"],
+        "1769825cc292820f51afddc15cb429012d58fa174b4473f9db33a78e53ada365",
+        "4a388db656741d79e90debad809b7581f41ede3f735bbb58eb438339d940ee2e",
+    ),
+    "walk-d1": (
+        ["--builtin", "golden", "--method", "exact", "--k-schedule", "pow2:8..15",
+         "--ca", "0.4", "--hmax", "100000"],
+        "66327daac0d17dbbca49e2d2166d7567b0c170a2a4d38279634e1f75bde901fa",
+        "3705b2de748dde596021e145a99816b509197794d6dc106e72cea679cc5c5fa6",
+    ),
+}
+
+# (k, M, stdout digest) of the bounds-d2 calls at c_a = 0.085
+BOUNDS = [
+    (10**6, 7, "ec682eb95c8d1fbdb38c670f204f1d609fa01038ba1186ea306ce7c888814544"),
+    (3 * 10**6, 13, "469c22360266d13f4fe8a2f865c7efa77493eb944612072d28a991bdd394a4d1"),
+    (10**7, 23, "5e274f6e8719e66e2f69a6254ac2bd3cbea2cc2fb384325f8f16df202a330979"),
+    (3 * 10**7, 41, "d1e42c088309950358841a907117d06ed52104a2c93c91e218f7fe89cebbdc58"),
+    (10**8, 75, "12e124648aeb598828a13cac7b03a3a52005bf2fd1ff0fe1382ee5ae23d9fedb"),
+    (2 * 10**8, 106, "3f22ad35d6cb32c320f12e426f82d0b36586876296ddaea5e5d0223ae00df6a5"),
+]
+
+PRINTED = {
+    "badapprox-golden": (
+        ["badapprox", "--builtin", "golden", "--hmax", "100000"],
+        "9cf225e37be3005f07b5ac66f58e1038f677db90d6995bdf89fe956d08725ed3",
+    ),
+    "badapprox-sqrt-primes": (
+        ["badapprox", *SQRT_PRIMES_D2, "--hmax", "999"],
+        "8d1927ff96701e4677f3d9fc52ec9776206e9dbec8ff34f3f91923e2894d7f89",
+    ),
+    **{
+        f"bounds-k{k}": (
+            ["bounds", *SQRT_PRIMES_D2, "--k", str(k), "--ca", "0.085", "--ca-hmax", "999",
+             "--etk-m", str(M)],
+            digest,
+        )
+        for k, M, digest in BOUNDS
+    },
+    "bounds-probe": (
+        ["bounds", *SQRT_PRIMES_D2, "--k", "200", "--ca", "4.0", "--etk-m", "5"],
+        "1373e103aa3feb8fb00c42c2c65dc66c1cebfd72d5ea331939fde261ca8014a3",
+    ),
+    "dist-golden": (
+        ["dist", "--builtin", "golden", "--k", "4096"],
+        "1d3763d5466722b35e0e39f105531db58e4f3ca516db3ce7746dfc26ac5c7bca",
+    ),
+    "dist-sqrt-primes": (
+        ["dist", *SQRT_PRIMES_D2, "--k", "10"],
+        "d36353d476f49e42d2c654f21a69909b7bc79a6d66324c19bc7dd42de5552a78",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _unstamped(report_json: bytes) -> bytes:
+    lines = report_json.splitlines(keepends=True)
+    stamp = [line for line in lines if line.lstrip().startswith(b'"generated_at"')]
+    assert len(stamp) == 1
+    return b"".join(line for line in lines if line not in stamp)
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_scan_report_bytes_are_pinned(tmp_path, capsys, name):
+    argv, csv_sha, json_sha = SCANS[name]
+    _stdout(capsys, ["scan", *argv, "--seed", "1", "--out", str(tmp_path), "--format", "json"])
+    csv = (tmp_path / "report.csv").read_bytes()
+    report = _unstamped((tmp_path / "report.json").read_bytes())
+    assert (_sha(csv), _sha(report)) == (csv_sha, json_sha)
+
+
+@pytest.mark.parametrize("name", list(PRINTED))
+def test_printed_bytes_are_pinned(capsys, name):
+    argv, digest = PRINTED[name]
+    assert _sha(_stdout(capsys, argv).encode()) == digest
+
+
+def test_scan_csv_format_prints_the_csv_report(tmp_path, capsys):
+    argv, csv_sha, _ = SCANS["disc-d2"]
+    out = _stdout(capsys, ["scan", *argv, "--seed", "1", "--out", str(tmp_path), "--format", "csv"])
+    assert out == (tmp_path / "report.csv").read_text() and _sha(out.encode()) == csv_sha

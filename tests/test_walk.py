@@ -118,9 +118,19 @@ def test_bit_cap_guard_boundary(monkeypatch):
         exact_walk_distribution(GOLDEN, 8)
 
 
-def test_negative_k_rejected():
-    with pytest.raises(ValidationError):
-        exact_walk_distribution(GOLDEN, -1)
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: exact_walk_distribution(GOLDEN, -1), ValidationError, "step count k must be >= 0"),
+        (lambda: project_to_torus(LatticeDistribution(k=2, n=2), GOLDEN), ValidationError,
+         "distribution has n=2 but matrix has n=1"),
+        (lambda: walk.WeightedPointSet(2, provenance="exact"), TypeError, "needs atoms, or points and weights"),
+    ],
+    ids=["negative-k", "projection-n-mismatch", "point-set-without-arrays"],
+)
+def test_invalid_walk_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_constructed_distribution_checks_its_cost(monkeypatch):
@@ -314,6 +324,19 @@ def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
     monkeypatch.setattr(walk, "_brackets", _no_window)
     bracketed = _spy(monkeypatch, "_bracketed_weights")
     assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
+    assert bracketed == [None]
+
+
+# rational:7's rows share seven torus points, so with the separation
+# certificate forced the bracketed window still lands on fewer points than
+# rows: that guard refuses it, and the exact counts decide every weight.
+@pytest.mark.parametrize("k", [1087, 1088, 4097])
+def test_window_on_shared_points_falls_back_to_exact_counts(monkeypatch, k):
+    G = builtin_generators("rational:7", 1, 1)
+    expected = _complete_atoms(G, k)
+    monkeypatch.setattr(walk, "_separated", lambda G, k: True)
+    bracketed = _spy(monkeypatch, "_bracketed_weights")
+    assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
     assert bracketed == [None]
 
 

@@ -15,12 +15,11 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fourier
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
 from .errors import ToruswalkError, read_input_text, write_output_text
-from .fourier import _phases
 from .scan import (
     ScanConfig,
     parse_k_schedule,
@@ -39,11 +38,12 @@ from .walk import (
 
 
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
+    # no defaults: an absent option is None and keeps ScanConfig's value
     p.add_argument("--matrix", help="matrix file (one row per line)")
     p.add_argument("--builtin", help="builtin family, e.g. golden, sqrt_primes, rational:3")
-    p.add_argument("--n", type=int, default=1, help="generator count for --builtin")
-    p.add_argument("--d", type=int, default=1, help="torus dimension for --builtin")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, help="generator count for --builtin")
+    p.add_argument("--d", type=int, help="torus dimension for --builtin")
+    p.add_argument("--seed", type=int)
 
 
 @functools.cache
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="full pipeline over a k schedule")
     _add_matrix_args(p)
     p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--k-schedule", help="comma list of k values, or pow2:a..b")
+    p.add_argument("--k-schedule", type=parse_k_schedule, help="comma list of k values, or pow2:a..b")
     p.add_argument("--method", choices=["auto", "exact", "mc"])
     p.add_argument("--trials", type=int)
     p.add_argument("--resolution", type=int)
@@ -91,14 +91,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
-    p.set_defaults(n=None, d=None, seed=None)  # absent, they leave the config file's values
     return ap
 
 
+def _config(args, base: ScanConfig | None = None) -> ScanConfig:
+    """base (ScanConfig() when None) with each field whose flag was given set
+    to the flag's value; an absent flag is None and keeps the base value."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ScanConfig)}
+    base = ScanConfig() if base is None else base
+    return dataclasses.replace(base, **{key: v for key, v in given.items() if v is not None})
+
+
+def _print_json(record) -> None:
+    """Print a dict, or a dataclass as its dict, as indented JSON."""
+    if dataclasses.is_dataclass(record):
+        record = dataclasses.asdict(record)
+    print(json.dumps(record, indent=2))
+
+
 def _cmd_dist(args) -> int:
-    G = resolve_matrix(args)[0]
+    cfg = _config(args)
+    G = resolve_matrix(cfg)[0]
+    # --trials, --k and --out are dist's own: ScanConfig's trials would pick Monte Carlo
     if args.trials is not None:
-        P = simulate_walk(G, args.k, trials=args.trials, seed=args.seed)
+        P = simulate_walk(G, args.k, trials=args.trials, seed=cfg.seed)
     else:
         P = project_to_torus(exact_walk_distribution(G, args.k), G)
     text = pointset_to_csv_text(P)
@@ -112,59 +128,44 @@ def _cmd_dist(args) -> int:
 def _cmd_disc(args) -> int:
     P = pointset_from_csv_text(read_input_text(args.points, "point-set file"))
     if args.resolution is not None:
-        out = {
-            "value": discrepancy_grid(P, args.resolution),
-            "exactness": f"grid({args.resolution})",
-        }
+        value = discrepancy_grid(P, args.resolution)
+        _print_json({"value": value, "exactness": f"grid({args.resolution})"})
     else:
-        out = dataclasses.asdict(discrepancy_exact(P))
-    print(json.dumps(out, indent=2))
+        _print_json(discrepancy_exact(P))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    G = resolve_matrix(args)[0]
-    report = bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax)
-    out = report.to_dict()
+    G = resolve_matrix(_config(args))[0]
+    out = bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax).to_dict()
     if args.etk_m is not None:
-        from .fourier import etk_upper_bound
-
-        out["etk"] = etk_upper_bound(G, args.k, args.etk_m)
+        # looked up in fourier at call time, where a tracer may have wrapped it
+        out["etk"] = fourier.etk_upper_bound(G, args.k, args.etk_m)
         out["etk_M"] = args.etk_m
-    print(json.dumps(out, indent=2))
+    _print_json(out)
     return 0
 
 
 def _cmd_dirichlet(args) -> int:
-    G = resolve_matrix(args)[0]
+    G = resolve_matrix(_config(args))[0]
     h = dirichlet_search(G, args.q)
-    sup, euc = nearest_integer_distance(_phases(G.as_array(), np.array([h]))[0])
-    print(
-        json.dumps(
-            {"h": list(h), "sup_distance": sup, "euclidean_distance": euc, "q": args.q},
-            indent=2,
-        )
-    )
+    sup, euc = nearest_integer_distance(fourier._phases(G.as_array(), np.array([h]))[0])
+    _print_json({"h": list(h), "sup_distance": sup, "euclidean_distance": euc, "q": args.q})
     return 0
 
 
 def _cmd_badapprox(args) -> int:
-    G = resolve_matrix(args)[0]
-    print(json.dumps(dataclasses.asdict(estimate_bad_constant(G, args.hmax)), indent=2))
+    G = resolve_matrix(_config(args))[0]
+    _print_json(estimate_bad_constant(G, args.hmax))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = read_config(args.config) if args.config else ScanConfig()
-    if args.k_schedule is not None:
-        args.k_schedule = parse_k_schedule(args.k_schedule)
-    # every flag given overrides its ScanConfig field; an absent flag is None
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)}
-    cfg = dataclasses.replace(cfg, **{key: v for key, v in given.items() if v is not None})
+    cfg = _config(args, read_config(args.config) if args.config else None)
     report = run_scan(cfg)
     written = write_report(report, cfg.out, svg=cfg.svg)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        _print_json(report)
     elif args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -186,13 +187,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --k-schedule's parser raises ValidationError
         return _COMMANDS[args.command](args)
     except ToruswalkError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -153,9 +153,15 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
     rows = []
     for lineno, line in data_lines(text):
         try:
-            rows.append([float(f) for f in re.split(r"[,\s]+", line) if f])
+            row = [float(f) for f in re.split(r"[,\s]+", line) if f]
         except ValueError as e:
             raise ValidationError(f"bad matrix line {lineno} {line!r}: {e}") from None
+        if not row:
+            raise ValidationError(f"bad matrix line {lineno} {line!r}: no number")
+        if rows and len(row) != len(rows[0]):
+            msg = f"length {len(row)}, where the first data line has length {len(rows[0])}"
+            raise ValidationError(f"bad matrix line {lineno} {line!r}: {msg}")
+        rows.append(row)
     return load_generators(rows)
 
 

@@ -117,10 +117,7 @@ def read_config(path) -> ScanConfig:
 
 
 def resolve_matrix(cfg: ScanConfig) -> tuple[GeneratorMatrix, str]:
-    """Load the generator matrix named by a config, with a descriptor string.
-
-    The CLI passes its parsed arguments, which carry the same names.
-    """
+    """Load the generator matrix named by a config, with a descriptor string."""
     if cfg.matrix is not None:
         return read_matrix(cfg.matrix), f"file:{os.path.basename(cfg.matrix)}"
     if cfg.builtin is not None:

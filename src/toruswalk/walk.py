@@ -608,10 +608,10 @@ def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPoin
             msg = f"point-set line {lineno} has a non-numeric field: {line!r}"
             raise ValidationError(msg) from None
         if len(fields) < 2:
-            raise ValidationError(f"point-set line needs >= 2 fields: {line!r}")
-        if rows and len(fields) != len(rows[0]):
-            raise ValidationError("point-set lines have inconsistent dimensions")
-        if not all(map(math.isfinite, fields)):
+            problem = "fewer than 2 fields"
+        elif rows and len(fields) != len(rows[0]):
+            problem = f"{len(fields)} fields, where the first data line has {len(rows[0])}"
+        elif not all(map(math.isfinite, fields)):
             problem = "a non-finite field"
         elif not all(0.0 <= x < 1.0 for x in fields[:-1]):
             problem = "a coordinate outside [0, 1)"

@@ -324,8 +324,8 @@ def test_disc_non_numeric_field_exits_2(capsys, tmp_path):
         ("0.5,0.5\n1.0,0.5\n", "line 2 has a coordinate outside [0, 1)", None),
         ("0.25,1.5\n0.75,-0.5\n", "line 2 has a negative weight", None),
         ("# x, w\n0.5,0.5\n\n0.1,nan\n", "line 4 has a non-finite field", None),
-        ("0.5,0.5\n0.5\n", "point-set line needs >= 2 fields: '0.5'", None),
-        ("0.5,0.5\n0.25,0.5,0.5\n", "point-set lines have inconsistent dimensions", None),
+        ("0.5,0.5\n0.5\n", "point-set line 2 has fewer than 2 fields: '0.5'", None),
+        ("0.5,0.5\n0.25,0.5,0.5\n", "line 2 has 3 fields, where the first data line has 2", None),
         ("# no atoms\n\n", "empty point-set file", None),
     ],
     ids=[
@@ -419,6 +419,26 @@ def test_bad_builtin_family_exits_2(capsys, tmp_path, command, family, seed, mes
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--k", "4"],
+        ["bounds", "--k", "10", "--etk-m", "2"],
+        ["dirichlet", "--q", "10"],
+        ["badapprox", "--hmax", "10"],
+        ["scan", "--k-schedule", "4,8", "--method", "exact", "--format", "csv"],
+    ],
+    ids=["dist", "bounds", "dirichlet", "badapprox", "scan"],
+)
+def test_absent_seed_takes_the_scan_config_default(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # scan writes its reports to the working directory
+    argv = [*argv, "--builtin", "random", "--n", "1", "--d", "2"]
+    runs = [run_cli(capsys, *argv, *seed) for seed in ([], ["--seed", "0"], ["--seed", "1"])]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    absent, zero, one = (out for _, out, _ in runs)
+    assert absent == zero != one
+
+
 def _no_row(*args, **kwargs):
     raise AssertionError("a row ran before the schedule and seed were checked")
 
@@ -435,8 +455,12 @@ def _no_row(*args, **kwargs):
         (["--method", "mc", "--k-schedule", "pow2:0..63"],
          f"k = {2**63} is past 2^63 - 1, the largest step count of a Monte Carlo row"),
         (["--method", "auto", "--k-schedule", "pow2:0..200"], f"k = {2**200} is past 2^63 - 1"),
+        (["--k-schedule", "pow2:a..b"], "error: bad pow2 schedule 'pow2:a..b'"),
     ],
-    ids=["repeat", "repeats", "auto-negative", "mc-past-2^128", "mc-past-2^63", "auto-past-2^63"],
+    ids=[
+        "repeat", "repeats", "auto-negative", "mc-past-2^128", "mc-past-2^63", "auto-past-2^63",
+        "unparsed",
+    ],
 )
 def test_scan_checks_schedule_and_seed_before_any_row(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.setattr("toruswalk.scan.exact_walk_distribution", _no_row)
@@ -690,15 +714,19 @@ def test_scan_config_file_with_override(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [r["k"] for r in report["rows"]] == [4, 8, 16, 32]
     assert report["seed"] == 9
+    # a given --seed overrides the file's
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--seed", "7")
+    assert code == 0
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 7
 
 
 def test_scan_flags_override_every_config_field(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("builtin = sqrt_primes\nn = 2\nd = 1\nk_schedule = 4\nout = %s\n" % tmp_path)
-    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--d", "2")
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--n", "3", "--d", "2")
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert (report["n"], report["d"]) == (2, 2)
+    assert (report["n"], report["d"]) == (3, 2)
     # a builtin given without --n keeps the file's n
     code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--builtin", "sqrt_primes")
     assert code == 0
@@ -846,7 +874,7 @@ def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path
     code, out, _ = run_cli(capsys, *scan, "--config", str(config))
     assert code == 0
     first, second, third = seen
-    # _cmd_scan rewrote the first namespace's schedule to a list; the
+    # argparse parsed the first namespace's schedule to a list; the
     # namespaces that follow start from the parser's defaults
     assert first.k_schedule == [4, 8]
     assert not hasattr(second, "k_schedule") and second.k == 10

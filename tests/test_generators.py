@@ -132,3 +132,9 @@ def test_parse_comments_and_commas():
     # a bad line is named by its number, counting comment and blank lines
     with pytest.raises(ValidationError, match="bad matrix line 3 '0.1, abc'"):
         parse_matrix_text("# a comment\n\n0.1, abc\n")
+    # as are a line with no number and a row whose length differs from the first's
+    with pytest.raises(ValidationError, match="bad matrix line 2 ',,': no number"):
+        parse_matrix_text("0.1, 0.2\n,,\n")
+    message = "bad matrix line 4 '0.5': length 1, where the first data line has length 2"
+    with pytest.raises(ValidationError, match=message):
+        parse_matrix_text("0.1 0.2\n# a comment\n0.3 0.4\n0.5\n")

@@ -1,12 +1,14 @@
 """Pinned sha256 digests of the bytes the CLI writes: the scan reports,
-`dist` point sets, and the JSON that `badapprox` and `bounds` print.
+`dist` point sets, the JSON that `disc`, `bounds`, `dirichlet` and
+`badapprox` print, and the `--help` texts at 80 columns.
 
 A change meant to keep every output byte fails here when it does not.
 report.json is hashed without its generated_at line, the one field that
 differs between runs.  The scan and badapprox argv are those of the
 benchmark workloads (perfbench/workloads.py) at seed 1; the bounds calls
 are the `bounds-d2` ones at a fixed c_a = 0.085, with M from the same
-truncation index.
+truncation index.  `{points}` in an argv stands for the point set that
+`dist` writes for the sqrt_primes n = d = 2 walk at k = 10.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 from toruswalk.cli import main
 
 SQRT_PRIMES_D2 = ["--builtin", "sqrt_primes", "--n", "2", "--d", "2"]
+BADAPPROX_RANDOM = ["badapprox", "--builtin", "random", "--n", "2", "--d", "2", "--hmax", "20"]
 
 SCANS = {
     "disc-d2": (
@@ -47,6 +50,18 @@ BOUNDS = [
     (2 * 10**8, 106, "3f22ad35d6cb32c320f12e426f82d0b36586876296ddaea5e5d0223ae00df6a5"),
 ]
 
+# stdout of --help at COLUMNS=80, by subcommand ([] for the top level), in
+# the argparse layout of Python 3.11, the version CI runs
+HELP = [
+    ([], "13c9866f87a7edd2916e6ebac1e4353904d230b69893e0daea2b6789a10d44e4"),
+    (["dist"], "af5e6a6a45bba93387a5374c25c4238f0af084813aa98c65aaae2acc011b46b1"),
+    (["disc"], "2fee609aeded43fe69b4ce800032d0ccde2a0bdffd08b55f9cb410ae51f16f50"),
+    (["bounds"], "7652746c0f444628c32fc36df57a85ea96155c2d457c39a33dc8359b00eca1ed"),
+    (["dirichlet"], "d1c5e9afed7732620696fb6a138dec79531e026773bd5023b57d5272fbf7a6de"),
+    (["badapprox"], "e919b4a785fe36a762db8a6b19dd8b04b7609521232cbe32eab4e081054ad7e2"),
+    (["scan"], "249e96f0332379d39f262c645fbd22cd0d6205a83bbd9d6c1d3435ac86fc6882"),
+]
+
 PRINTED = {
     "badapprox-golden": (
         ["badapprox", "--builtin", "golden", "--hmax", "100000"],
@@ -76,6 +91,44 @@ PRINTED = {
         ["dist", *SQRT_PRIMES_D2, "--k", "10"],
         "d36353d476f49e42d2c654f21a69909b7bc79a6d66324c19bc7dd42de5552a78",
     ),
+    "dist-mc": (
+        ["dist", "--builtin", "sqrt_primes", "--n", "2", "--d", "1", "--k", "64",
+         "--trials", "1000", "--seed", "3"],
+        "cf09e09553ce8bac8759c54dd00d9497587ecc0f88cd26adb50f62c27d488ef4",
+    ),
+    "disc-exact": (
+        ["disc", "{points}"],
+        "8d8e64ee6f56c2661be585365e9246ba7c9389d70f6657358b0cc9fa92b50d81",
+    ),
+    "disc-grid": (
+        ["disc", "{points}", "--resolution", "64"],
+        "52ac242ff01cbf883f7ae43bc3eefc352370b91282a95cf1d25e088d39c5cd7f",
+    ),
+    "dirichlet-golden": (
+        ["dirichlet", "--builtin", "golden", "--q", "1000"],
+        "abfec76ac248c287640e7a2b1f29c43ccf78bd07ecaff73757049b5ac436d6e9",
+    ),
+    "dirichlet-sqrt-primes": (
+        ["dirichlet", *SQRT_PRIMES_D2, "--q", "30"],
+        "78b30073b069f7b1717b0c5990ce39f8d6e53a7463efaa653b7ffa430d16e1db",
+    ),
+    # an absent --seed is ScanConfig's seed 0
+    "badapprox-random": (
+        BADAPPROX_RANDOM,
+        "ffae2316812716fcbca464dd0472ec3556379b73062794eb35070444b491e546",
+    ),
+    "badapprox-random-seed-0": (
+        [*BADAPPROX_RANDOM, "--seed", "0"],
+        "ffae2316812716fcbca464dd0472ec3556379b73062794eb35070444b491e546",
+    ),
+    "badapprox-random-seed-5": (
+        [*BADAPPROX_RANDOM, "--seed", "5"],
+        "85545440667500c4f1ee16febf6870c8dfe8583c694e17596e7d04fb2a747405",
+    ),
+    **{
+        f"help-{cmd[0] if cmd else 'toruswalk'}": ([*cmd, "--help"], digest)
+        for cmd, digest in HELP
+    },
 }
 
 
@@ -84,8 +137,18 @@ def _sha(data: bytes) -> str:
 
 
 def _stdout(capsys, argv) -> str:
-    assert main(argv) == 0
+    try:
+        assert main(argv) == 0
+    except SystemExit as e:  # argparse exits after printing --help
+        assert e.code == 0
     return capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def points(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dist") / "points.csv"
+    assert main(["dist", *SQRT_PRIMES_D2, "--k", "10", "--out", str(path)]) == 0
+    return str(path)
 
 
 def _unstamped(report_json: bytes) -> bytes:
@@ -105,8 +168,10 @@ def test_scan_report_bytes_are_pinned(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", list(PRINTED))
-def test_printed_bytes_are_pinned(capsys, name):
+def test_printed_bytes_are_pinned(capsys, monkeypatch, points, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
     argv, digest = PRINTED[name]
+    argv = [a.format(points=points) for a in argv]
     assert _sha(_stdout(capsys, argv).encode()) == digest
 
 

@@ -6,12 +6,14 @@ Every pass over a frequency box goes through _half_box, which walks one of
 each pair h, -h in a fixed order, in blocks of at most _BLOCK vectors.
 _box_terms checks and prices a box and reduces each block with a term; the
 ETK sum, the cohort sum (bounds.cohort_sum_S) and the best single-frequency
-bound supply only their term and their reduction, and the two searches of
-diophantine reduce the same blocks.  Every term is the same at h and -h,
-bit for bit, so the sums are twice the math.fsum of the half box, which
-does not depend on the order or the block size.  The ETK and cohort sums
-also skip every term that provably underflows to +0.0, which math.fsum
-would ignore.
+bound supply only their term and their reduction, over the whole half box.
+The two searches of diophantine reduce the same pass, windowed: in d >= 2
+it yields of each nonzero prefix only the h_0 whose first-generator phase
+may lie within the search's reach of an integer.  Every term is the same
+at h and -h, bit for bit, so the sums are twice the math.fsum of the half
+box, which does not depend on the order or the block size.  The ETK and
+cohort sums also skip every term that provably underflows to +0.0, which
+math.fsum would ignore.
 """
 
 from __future__ import annotations
@@ -51,7 +53,13 @@ def _decode(h0: np.ndarray, prefix: np.ndarray, idx) -> np.ndarray:
     return np.column_stack((h0[j], prefix[p]))
 
 
-def _half_box(A: np.ndarray, bound: int):
+def _pick(h0: np.ndarray, prefix: np.ndarray, idx) -> np.ndarray:
+    """The vectors at indices idx of a block of single vectors (h0[i],
+    prefix[i]), as int64 rows."""
+    return np.column_stack((h0[idx], prefix[idx]))
+
+
+def _half_box(A: np.ndarray, bound: int, reach=None):
     """The nonzero integer vectors h with ||h||_inf <= bound whose last
     nonzero coordinate is positive, one of each pair h, -h, in scan order:
     coordinate values 0, 1, -1, ..., bound, -bound, h_0 varying fastest.
@@ -67,6 +75,39 @@ def _half_box(A: np.ndarray, bound: int):
     views of buffers that the next block overwrites and that the caller may
     overwrite, so memory is one block.  The coordinate values and tables are
     built only for d >= 2, where the budget keeps them small.
+
+    With reach, a function from the sup norms of an array of nonzero
+    prefixes to the largest distance from an integer that generator 0's
+    phase of a vector with that prefix may have and still matter to the
+    caller, the nonzero prefixes are windowed: of each prefix only the h_0
+    whose generator-0 phase may lie within reach of an integer are yielded,
+    in scan order, as blocks of shape (n, K) and (K,) of at most _BLOCK
+    single vectors (rows: _pick).  reach is called once per range of
+    prefixes, after the caller has reduced every earlier block, so it may
+    tighten as the caller's best value falls.  The zero prefix, and so the
+    whole box in d = 1, is yielded in full.
+
+    The window.  Generator 0's phase of h is x = (...((a + t_1) + t_2) ...
+    + t_{d-1}) in floats, a = alpha_00 h_0 and t_i = alpha_0i h_i the
+    products the phases are summed from.  Let B be the same sum of the t_i
+    alone, and f and c the floats a mod 1 and -B mod 1, each within u =
+    2^-53 of the exact fractional part (np.mod rounds once, perhaps to 1.0).
+    Every entry of A lies in [0, 1) and every |h_i| <= bound, so every
+    partial sum is below d * bound, and each of the d - 1 additions of x and
+    the d - 2 of B is off by at most u d bound: x lies within E = (2d - 3) u
+    d bound of the exact a + B.  So the distance of x from an integer,
+    |x - rint(x)|, exact in floats, is at least the circle distance of f and
+    c minus E + 2u; and as f and c lie in [0, 1], that circle distance is
+    |f + k - c| for some k in {-1, 0, 1}.  The pass sorts f once, lays the
+    copies f - 1, f and f + 1 end to end, and takes for each prefix the
+    copies in [c - w, c + w), w = reach + eps, by one binary search per end.
+    For reach < 1, the copy f + k, w and the two ends cost 4 more roundings,
+    each at most 2u, and eps = (2 d^2 bound + 8) u > E + 2u + 8u, so a
+    vector whose generator-0 distance is at most reach has a copy strictly
+    inside the window as computed.  For reach >= 1 the window holds every
+    copy in [0, 1), and the copy 0 of f = 1.0.  Any base consecutive copies
+    stand for every h_0 once, so of a window holding more the first base
+    are taken: none that may matter is left out, none twice.
     """
     n, d = A.shape
     base = 2 * bound + 1
@@ -80,10 +121,7 @@ def _half_box(A: np.ndarray, bound: int):
     phases, spares = np.empty((2, n, rows, width))
     norms = np.empty((rows, width), dtype=np.int64)
 
-    def groups():  # (prefix digits, h_0 values) of each block; digit t has value values[t]
-        zero = np.zeros((1, d - 1), dtype=np.int64)
-        for lo in range(1, bound + 1, width):
-            yield zero, np.arange(lo, min(lo + width, bound + 1))
+    def prefixes():  # digits of each range of nonzero prefixes; digit t has value values[t]
         for L in range(1, d):
             span = base ** (L - 1)  # prefixes of h_1, ..., h_{L-1}
             count = base // 2 * span  # times the bound positive (odd) digits of h_L
@@ -92,10 +130,9 @@ def _half_box(A: np.ndarray, bound: int):
                 idx, digits = (2 * j + 1) * span + t, np.empty((len(j), d - 1), dtype=np.int64)
                 for i in range(d - 1):  # column i: the digit of h_{i+1}, of weight base^i
                     idx, digits[:, i] = np.divmod(idx, base)
-                for lo in range(0, base, width):
-                    yield digits, values[lo : lo + width]
+                yield digits
 
-    for digits, h0 in groups():
+    def grid(digits, h0):  # the block of prefixes `digits` times h_0 values h0
         prefix = values[digits]
         P, J = len(digits), len(h0)
         X = np.multiply(A[:, :1, None], h0, out=phases[:, :P, :J])
@@ -103,7 +140,41 @@ def _half_box(A: np.ndarray, bound: int):
             X += table[:, col, None]
         norm = np.abs(h0, out=norms[:P, :J])
         np.maximum(norm, np.abs(prefix).max(axis=1, initial=0)[:, None], out=norm)
-        yield X, norm, partial(_decode, h0, prefix), spares[:, :P, :J]
+        return X, norm, partial(_decode, h0, prefix), spares[:, :P, :J]
+
+    zero = np.zeros((1, d - 1), dtype=np.int64)
+    for lo in range(1, bound + 1, width):
+        yield grid(zero, np.arange(lo, min(lo + width, bound + 1)))
+    if reach is None:
+        for digits in prefixes():
+            for lo in range(0, base, width):
+                yield grid(digits, values[lo : lo + width])
+        return
+    size, eps = rows * width, (2 * d * d * bound + 8) * 2.0**-53
+    flat, flat_spares, flat_norms = phases.reshape(n, -1), spares.reshape(n, -1), norms.ravel()
+    f = np.mod(A[0, 0] * values, 1.0)  # generator 0's a = alpha_00 h_0, mod 1
+    order = np.argsort(f, kind="stable")
+    f, order = np.concatenate((f[order] - 1.0, f[order], f[order] + 1.0)), np.tile(order, 3)
+    marks = np.zeros(rows * len(values), dtype=bool)  # the picked vectors of a range of prefixes
+    for digits in prefixes():
+        pnorm = np.abs(values[digits]).max(axis=1)
+        B = reduce(np.add, (table[0, col] for table, col in zip(tables, digits.T)))
+        c, w = np.mod(-B, 1.0), np.add(reach(pnorm), eps)
+        starts, stops = f.searchsorted(np.stack((c - w, c + w)))
+        lens = np.minimum(stops - starts, base)
+        ends = np.cumsum(lens)
+        picked = order[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+        marks[np.repeat(np.arange(len(lens)) * base, lens) + picked] = True
+        keys = np.flatnonzero(marks)  # prefix index * base + h_0 index, in scan order
+        marks[keys] = False
+        for at in range(0, len(keys), size):
+            p, t = np.divmod(keys[at : at + size], base)
+            m, h0, prefix = len(t), values[t], values[digits[p]]
+            X = np.multiply(A[:, :1], h0, out=flat[:, :m])
+            for table, col in zip(tables, digits[p].T):
+                X += table[:, col]
+            norm = np.maximum(np.abs(h0), pnorm[p], out=flat_norms[:m])
+            yield X, norm, partial(_pick, h0, prefix), flat_spares[:, :m]
 
 
 def _fsum_rows(X: np.ndarray) -> np.ndarray:

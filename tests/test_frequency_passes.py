@@ -3,6 +3,7 @@ the definitions (tests/conftest.py), at the default block size and with
 blocks of one row and of a size that ends inside rows of the box."""
 
 import builtins
+import functools
 import math
 import tracemalloc
 from itertools import repeat
@@ -22,6 +23,7 @@ from conftest import (
 )
 
 from toruswalk import (
+    CapExceededError,
     InternalConsistencyError,
     best_fourier_lower_bound,
     bounds,
@@ -141,6 +143,77 @@ def test_dirichlet_match_past_the_last_inner_radius(rows, seed, q, h, block):
     assert dirichlet_search(G, q) == h == brute_dirichlet(G, q)
 
 
+# Matrices whose windows select: at these radii most nonzero prefixes take
+# a few h_0 values.  "zero" and "half" make generator 0's h_0 phase the same
+# for every h_0, or one of two; in "wrap" -B mod 1 = 0.0005 h_1 (+ 0.0003 h_2
+# in d = 3, mod 1) lies near 0 = 1, so the windows cross it.
+IRRATIONAL = [0.41421356237309515, 0.2360679774997898, 0.7320508075688772, 0.6457513110645907]
+WINDOWED = {
+    "sqrt_primes": ("sqrt_primes", 2, None),
+    "random-n1": ("random", 1, 4),
+    "random-n2": ("random", 2, 7),
+    "random-n3": ("random", 3, 5),
+    "rational:7": ("rational:7", 2, None),
+    "zero": [[0.0, *IRRATIONAL[:2]], [0.0, *IRRATIONAL[2:]]],
+    "half": [[0.5, *IRRATIONAL[:2]], [0.5, *IRRATIONAL[2:]]],
+    "wrap": [[0.6180339887498949, 0.9995, 0.9997], [*IRRATIONAL[:2], 0.5]],
+}
+WINDOWED_RADIUS = {2: 100, 3: 25}
+WINDOWED_CASES = [(name, 2) for name in WINDOWED] + [
+    (name, 3) for name in ("sqrt_primes", "random-n3", "zero", "wrap")
+]
+
+
+def _windowed_matrix(name, d):
+    spec = WINDOWED[name]
+    if isinstance(spec, list):
+        return load_generators([row[:d] for row in spec])
+    family, n, seed = spec
+    return builtin_generators(family, n, d, seed=seed)
+
+
+@functools.cache
+def _windowed_oracles(name, d):
+    """(brute_bad_constant, q, brute_dirichlet) at the radius of d; q is
+    the least whose box has that radius."""
+    G, H = _windowed_matrix(name, d), WINDOWED_RADIUS[d]
+    q = H ** (d / G.n)
+    return brute_bad_constant(G, H), q, brute_dirichlet(G, q)
+
+
+@pytest.mark.parametrize("name,d", WINDOWED_CASES, ids=[f"{c}-d{d}" for c, d in WINDOWED_CASES])
+def test_windowed_searches_match_oracles(name, d, block):
+    G = _windowed_matrix(name, d)
+    est = estimate_bad_constant(G, WINDOWED_RADIUS[d])
+    best, q, first = _windowed_oracles(name, d)
+    assert (est.c_est, est.argmin_h) == best
+    assert dirichlet_search(G, q) == first
+
+
+@pytest.mark.parametrize("d,bound", [(2, 30), (3, 8)])
+@pytest.mark.parametrize("name", ["sqrt_primes", "half", "wrap"])
+@pytest.mark.parametrize("reach", [0.0, 0.004, 0.05, 0.45, 0.7])
+def test_windowed_pass_yields_every_vector_within_reach(name, d, bound, reach, block):
+    # the zero prefix whole; of the others every vector whose generator-0
+    # distance is at most reach, and (the windows select) none much farther,
+    # in scan order, bit for bit the phases of the full pass
+    G = _windowed_matrix(name, d)
+    A, first = G.as_array(), load_generators(G.entries[:1])
+    order = [h for h in scan_order_box(d, bound) if [v for v in h if v][-1] > 0]
+    got = []
+    for X, norm, rows, spare in fourier._half_box(A, bound, lambda pnorm: reach):
+        H = rows(np.arange(norm.size))
+        assert norm.size <= fourier._BLOCK and spare.shape == X.shape
+        assert X.reshape(G.n, -1).T.tolist() == fourier._phases(A, H).tolist()
+        assert norm.ravel().tolist() == np.abs(H).max(axis=1).tolist()
+        got.extend(map(tuple, H.tolist()))
+    kept = set(got)
+    assert len(kept) == len(got) and got == [h for h in order if h in kept]
+    near = {h for h in order if not any(h[1:]) or _sup_dist_left_to_right(first, h) <= reach}
+    assert near <= kept
+    assert all(_sup_dist_left_to_right(first, h) <= reach + 1e-9 for h in kept - near)
+
+
 def test_dirichlet_failure_names_the_first_closest_vector(monkeypatch, block):
     # 0.5 added to every distance leaves none below 1/q = 1/3; the error
     # then carries the closest vector of the last box, of least norm among
@@ -209,6 +282,46 @@ def test_search_memory_is_one_block():
     # the whole box of (2*999+1)^2 - 1 = 3 996 000 vectors is never held
     G = builtin_generators("sqrt_primes", 2, 2)
     _, peak = _peak_memory(lambda: estimate_bad_constant(G, 999))
+    assert peak <= 16 * 2**20
+
+
+def test_search_evaluates_under_two_percent_of_the_half_box(monkeypatch):
+    # hmax = 999: of the 1 998 000 vectors of the half box, the zero prefix
+    # and the windows' few h_0 per prefix
+    G = builtin_generators("sqrt_primes", 2, 2)
+    inner, evaluated = fourier._half_box, []
+
+    def counted(*args):
+        for block in inner(*args):
+            evaluated.append(block[0][0].size)
+            yield block
+
+    monkeypatch.setattr(fourier, "_half_box", counted)
+    est = estimate_bad_constant(G, 999)
+    assert (est.c_est, est.argmin_h) == (0.08567570188276363, (102, 195))
+    assert 999 < sum(evaluated) < 0.02 * ((2 * 999 + 1) ** 2 - 1) // 2
+
+
+def test_windowed_dirichlet_memory_is_one_block():
+    # H = 2235, the largest n = d = 2 box the budget admits; no box of
+    # radius up to 32 holds a match
+    G = builtin_generators("sqrt_primes", 2, 2)
+    assert diophantine._dirichlet_radii(G, 2235)[0][-2:] == [32, 2235]
+    with pytest.raises(CapExceededError):
+        dirichlet_search(G, 2236.0)
+    h, peak = _peak_memory(lambda: dirichlet_search(G, 2235.0))
+    assert max(map(abs, h)) > 32
+    assert nearest_integer_distance(G.as_array().dot(h))[0] < 1 / 2235.0
+    assert peak <= 16 * 2**20
+
+
+def test_d3_search_memory_is_one_block():
+    # hmax = 148, the largest the budget admits for n = 1, d = 3
+    G = builtin_generators("sqrt_primes", 1, 3)
+    with pytest.raises(CapExceededError):
+        estimate_bad_constant(G, 149)
+    est, peak = _peak_memory(lambda: estimate_bad_constant(G, 148))
+    assert est.certified_up_to == 148 and est.c_est > 0.0
     assert peak <= 16 * 2**20
 
 

@@ -46,40 +46,37 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: every parse_args call
-    returns a fresh namespace, and no command writes to the parser."""
-    ap = argparse.ArgumentParser(prog="toruswalk", description=__doc__)
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="dump the k-step distribution as a point-set CSV")
+def _dist_args(p: argparse.ArgumentParser) -> None:
     _add_matrix_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, help="Monte Carlo trials (omit for exact)")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("disc", help="discrepancy of a point-set CSV file")
+
+def _disc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("points", help="point-set CSV: d coordinates then weight per line")
     p.add_argument("--resolution", type=int, help="use the grid estimator at this resolution")
 
-    p = sub.add_parser("bounds", help="evaluate the closed-form and ETK bounds")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     _add_matrix_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ca", type=float, help="certified approximation constant")
     p.add_argument("--ca-hmax", type=int, help="range the constant was certified over")
     p.add_argument("--etk-m", type=int, help="evaluate the ETK bound at this M")
 
-    p = sub.add_parser("dirichlet", help="pigeonhole search for a close frequency")
+
+def _dirichlet_args(p: argparse.ArgumentParser) -> None:
     _add_matrix_args(p)
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("badapprox", help="estimate the approximation constant")
+
+def _badapprox_args(p: argparse.ArgumentParser) -> None:
     _add_matrix_args(p)
     p.add_argument("--hmax", type=int, required=True)
 
-    p = sub.add_parser("scan", help="full pipeline over a k schedule")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     _add_matrix_args(p)
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--k-schedule", type=parse_k_schedule, help="comma list of k values, or pow2:a..b")
@@ -91,6 +88,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
+
+
+# subcommand -> (help, the function that adds its arguments), in --help order
+_SUBCOMMANDS = {
+    "dist": ("dump the k-step distribution as a point-set CSV", _dist_args),
+    "disc": ("discrepancy of a point-set CSV file", _disc_args),
+    "bounds": ("evaluate the closed-form and ETK bounds", _bounds_args),
+    "dirichlet": ("pigeonhole search for a close frequency", _dirichlet_args),
+    "badapprox": ("estimate the approximation constant", _badapprox_args),
+    "scan": ("full pipeline over a k schedule", _scan_args),
+}
+
+
+@functools.cache
+def _parser() -> tuple:
+    """The CLI's one parser, with every subcommand registered by name and
+    help; the subcommands' parsers by name; and the set of subcommands whose
+    arguments are added."""
+    ap = argparse.ArgumentParser(prog="toruswalk", description=__doc__)
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    return ap, {name: sub.add_parser(name, help=help_text) for name, (help_text, _) in _SUBCOMMANDS.items()}, set()
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser, ready for argv (sys.argv[1:] when None).  One parser
+    serves the process: every parse_args call returns a fresh namespace, and
+    no command writes to the parser.
+
+    A subcommand's arguments are added the first time argv names it, as the
+    parser reads only that subcommand's.  The top level takes no option with
+    a value, so the first argument that does not start with "-" is the
+    subcommand; where argparse reads an earlier one ("-" or a negative
+    number) as the subcommand instead, it refuses it as an invalid choice
+    before any subcommand's arguments are read.  So the help texts and the
+    error messages are those of the parser with every argument.
+    """
+    ap, subparsers, added = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = next((a for a in argv if not a.startswith("-")), None)
+    if named in subparsers and named not in added:
+        _SUBCOMMANDS[named][1](subparsers[named])
+        added.add(named)
     return ap
 
 
@@ -188,7 +228,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # --k-schedule's parser raises ValidationError
+        args = build_parser(argv).parse_args(argv)  # --k-schedule's parser raises ValidationError
         return _COMMANDS[args.command](args)
     except ToruswalkError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -141,7 +141,8 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     of prefixes: a vector with a nonzero prefix of sup norm p can only beat
     tau if its first-generator distance is below about tau / p^(d/n), so
     only the h_0 in that window are evaluated, with the same float
-    expressions as the full pass.
+    expressions as the full pass.  The pass stops at the first value 0.0,
+    an integer relation, which no value can fall below.
 
     The margin.  The value is fl(dist * scale[m]), m = ||h||_inf >= p >= 1,
     dist >= the first-generator distance, and scale[m] CPython's pow(m,
@@ -170,4 +171,6 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
         i = int(np.argmin(vals))
         if vals.flat[i] < best_val:
             best_val, best_h = float(vals.flat[i]), tuple(rows([i])[0].tolist())
+            if best_val == 0.0:  # no later vector can beat the first zero in scan order
+                break
     return BadApproxEstimate(c_est=best_val, argmin_h=best_h, hmax=hmax, certified_up_to=hmax)

@@ -16,18 +16,22 @@ the discrepancy estimators read directly.
 
 A weight needs only its 53 correctly rounded bits, and one that rounds to
 0.0 cannot reach a point set.  So for one generator from k = 1087 no exact
-count is built: each count is bracketed by a 128-bit mantissa with a proven
-error bound, and each weight is rounded once from its bracket.  The centre
-count C(k, floor(k/2)) is bracketed directly from Stirling's series for
-log Gamma (_centre), and the recurrence walks outward only until a weight
-rounds to 0.0, under 39 sqrt(k) rows; only those rows get a torus point.
-So the whole projection does O(sqrt(k)) Python-level work.  Where a
-bracket cannot decide the rounding, or the rows might not land on distinct
-points (_separated), the projection falls back to exact work: one pass
-that builds every count, one big integer at a time for n <= 2, at the price
-of every exact count.  This is Ziv's strategy (ACM TOMS 1991): work at a
-little more than the output precision, and fall back to exact work only
-when rounding cannot be decided.
+count is built.  The centre count C(k, floor(k/2)) is bracketed by a
+128-bit mantissa directly from Stirling's series for log Gamma (_centre);
+every other count of the window, under 39 sqrt(k) rows, is that count times
+a product of ratios j / (k - j + 1), taken for all rows at once as
+double-doubles (about 106 bits) in one prefix scan with a proven relative
+error bound, and each weight is rounded once where the bound decides it
+(_dd_weights, _bracketed_weights).  So the whole projection is a few numpy
+passes over the window; only the rows up to the first weight that rounds
+to 0.0 get a torus point.  A row the bound cannot decide gets a 128-bit
+bracket of its own (_row_bracket).  Where that cannot decide the rounding
+either, or the rows might not land on distinct points (_separated), the
+projection falls back to exact work: one pass that builds every count, one
+big integer at a time for n <= 2, at the price of every exact count.  This
+is Ziv's strategy (ACM TOMS 1991): work at a little more than the output
+precision, and fall back to exact work only when rounding cannot be
+decided.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from .generators import GeneratorMatrix
 # smallest subnormal float.
 _ZERO_EXP = 1075
 
-# Bits of the mantissa that carries a binomial count in _brackets:
-# 53 for the weight plus enough guard bits that rounding is decided at once.
+# Bits of the mantissa of a count's bracket (_centre, _row_bracket): 53 for
+# the weight plus enough guard bits that rounding is decided at once.
 _MANT = 128
 # Bits beyond _MANT to which _centre computes the centre count.
 _GUARD = 32
@@ -61,6 +65,14 @@ _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360
 _STIRLING_REM = (43867, 244188)
 # floor(pi 2^256)
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
+# Veltkamp's splitter 2^27 + 1: a * _SPLIT cuts a float's 53-bit mantissa
+# into two halves of at most 26 bits each (_two_prod).
+_SPLIT = 134217729.0
+# u^2 for the unit roundoff u = 2^-53, the unit of the double-double error bounds.
+_U2 = 2.0**-106
+# At most this many elements, _exclusive_products multiplies one at a time on
+# floats: there numpy's cost per call outweighs the work it vectorizes.
+_SCAN_LEAF = 16
 
 _MC_FALLBACK = "--method mc (simulate_walk)"
 
@@ -84,7 +96,7 @@ def _binomial_pairs(k: int):
 def _centre_out(k: int, rows: int) -> np.ndarray:
     """The first `rows` coefficient vectors of the one-generator walk from the
     centre outward, as an (N, 1) int64 array: m = 0, -2, 2, ... (k even) or
-    -1, 1, -3, 3, ... (k odd), the order of _binomial_pairs and _brackets."""
+    -1, 1, -3, 3, ... (k odd), the order of _binomial_pairs and _dd_weights."""
     m = np.arange(k % 2, min(k, rows) + 1, 2)
     return np.column_stack([-m, m]).ravel()[1 - k % 2 : rows + 1 - k % 2, None]
 
@@ -217,9 +229,14 @@ def _walk_cost(n: int, k: int) -> int:
     """Predicted element operations of the exact walk and its projection.
 
     For n >= 2 that is building the counts, _count_cost.  For n = 1 the
-    projection brackets only the window of rows whose weight does not round
-    to 0.0 (see project_to_torus), one Python-level step per row.  This
-    prices the rows whose count exceeds tau = 2^k / ((2k+1) 2^1075), a
+    projection reaches only the window of rows whose weight does not round
+    to 0.0 (see project_to_torus), priced at PER_CALL per row.  The
+    double-double pass over that window (_dd_weights, _round_rows,
+    _bracketed_weights) takes about 60 numpy element operations per priced
+    row, one value serving the rows m and -m, so fewer than that.  A row its
+    bound cannot decide costs a big-integer bracket more; that is rare (none
+    in 2.7 million rows of 206 golden walks, k from 1087 to 4 10^6).
+    This prices the rows whose count exceeds tau = 2^k / ((2k+1) 2^1075), a
     superset of that window, as a weight at most tau / 2^k < 2^-1075 rounds
     to 0.0.  By Hoeffding,
     C(k, j) / 2^k <= exp(-m^2 / (2k)) for m = 2j - k, so a count above
@@ -389,27 +406,151 @@ def _centre(k: int):
     return m, k - f + s, -(-((hi - (m << s)) << (P - 1)) // hi)
 
 
-def _brackets(k: int):
-    """Brackets of C(k, j) for j = floor(k/2) down to 0, one per j: (m, err, e)
-    with the count in [m, m + err] 2^e.  No exact count is built: every
-    integer held has at most a few hundred bits.
+def _row_bracket(k: int, j: int, centre):
+    """The bracket (m, err, e) of C(k, j) for j <= c = floor(k/2), from the
+    centre count's bracket (m, e, t) (_centre): the count lies in
+    [m, m + err] 2^e.  No exact count is built.
 
-    Each count is carried as (m, e, t): a mantissa, an exponent and t, the
-    number of floors that dropped bits.  _centre gives the centre count with
-    t <= 2; then C(k, j-1) = C(k, j) j / (k-j+1) runs outward, one floor per
-    step.  Each floor leaves a quotient above 2^(P-1), P = _MANT, so it loses
-    less than 2^-(P-1) of the value, and the count c >= m 2^e is at most
+    C(k, j) = C(k, c) perm(c, c - j) / perm(k - j, c - j), which _times
+    takes in one floor, so t grows by at most one, to at most 3.  Each floor
+    leaves a quotient above 2^(P-1), P = _MANT, so it loses less than
+    2^-(P-1) of the value, and the count c >= m 2^e is at most
     m 2^e / (1 - t 2^-(P-1)).  Since m < 2^(P+1), c / 2^e exceeds
     m + m t / 2^(P-1) by less than one while 4 t^2 < 2^(P-1) - t, which holds
-    at _MANT >= 56 for t <= 2 + k / 2 at every k up to 2^26 and, as
-    project_to_torus walks only the window, for t up to the 2 + 39 sqrt(k)
-    / 2 it reaches at every admitted k.  So err = ceil(m t / 2^(P-1)) + 1,
-    and err = 0 while no bit was dropped.
+    for t <= 3 at every _MANT >= 8.  So err = ceil(m t / 2^(P-1)) + 1, and
+    err = 0 while no bit was dropped.
     """
-    m, e, t = _centre(k)
-    for j in range(k // 2, -1, -1):
-        yield m, -(-m * t >> (_MANT - 1)) + 1 if t else 0, e
-        m, e, t = _times(m, e, t, j, k - j + 1)
+    c = k // 2
+    m, e, t = _times(*centre, math.perm(c, c - j), math.perm(k - j, c - j))
+    return m, -(-m * t >> (_MANT - 1)) + 1 if t else 0, e
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise: Dekker's
+    product (Numer. Math. 1971), exact while no partial product underflows."""
+    p = a * b
+    t = a * _SPLIT
+    ah = t - (t - a)
+    t = b * _SPLIT
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_times(x, y):
+    """The product of two double-doubles, as a double-double: x = (hi, lo)
+    stands for hi + lo, with |lo| <= ulp(hi) / 2, each part a float array or
+    a float.
+
+    Dekker's product: the two high parts by _two_prod, the two cross
+    products added to its error term, one Fast2Sum; xl yl is left out.
+    Against |xh yh| the error is at most u^2 for xl yl, u^2 for each cross
+    product, 2u^2 (1 + u) for their sum and u^2 (3 + 4u + 2u^2) for adding
+    the error term, so against |x y| >= (1 - u)^2 |xh yh| it is below 9u^2
+    (u = 2^-53; Joldes, Muller & Popescu, ACM TOMS 2017, bound this
+    algorithm more tightly).  That holds while nothing underflows, which
+    the callers ensure by keeping every operand near 1.
+    """
+    (xh, xl), (yh, yl) = x, y
+    ch, cl = _two_prod(xh, yh)
+    cl += xh * yl + xl * yh
+    zh = ch + cl
+    return zh, cl - (zh - ch)
+
+
+def _exclusive_products(x):
+    """The exclusive prefix products of N double-doubles x = (hi, lo) (see
+    _dd_times), as a (2, N) array: out[:, i] = x[0] ... x[i-1], and
+    out[:, 0] = 1.
+
+    Blelloch's work-efficient scan: multiply neighbours pairwise, scan the
+    N/2 pair products (an odd last element rides along unpaired), then give
+    each even position its pair's prefix and each odd one that prefix times
+    the element before it.  That is under 2N products in about
+    2 log2(N / _SCAN_LEAF) vectorized steps; the last _SCAN_LEAF or fewer
+    pair products are scanned in order.  out[:, i] is a tree of products
+    over x[0], ..., x[i-1] and copies of 1; a product with the exact 1 is
+    exact, so it carries i - 1 rounded products.  Every product formed is of
+    a run of consecutive elements.
+    """
+    hi, lo = x
+    n = len(hi)
+    if n <= _SCAN_LEAF:  # one product at a time, on floats
+        out, acc = np.empty((2, n)), (1.0, 0.0)
+        for i, factor in enumerate(zip(hi.tolist(), lo.tolist())):
+            out[:, i] = acc
+            acc = _dd_times(acc, factor)
+        return out
+    half = n // 2
+    evens = hi[: 2 * half : 2], lo[: 2 * half : 2]
+    pairs = _dd_times(evens, (hi[1::2], lo[1::2]))
+    if n % 2:
+        pairs = np.append(pairs[0], hi[-1]), np.append(pairs[1], lo[-1])
+    above = _exclusive_products(pairs)
+    out = np.empty((2, n))
+    out[:, 0::2] = above
+    out[:, 1::2] = _dd_times(above[:, :half], evens)
+    return out
+
+
+def _dd_weights(k: int, centre):
+    """C(k, j) / 2^k for j = c, c - 1, ..., j_end (c = floor(k/2)) as
+    double-doubles (hi, lo) (see _dd_times) times 2^x, with hi within a
+    factor of 2 of 1, and a bound delta on the relative error of each, from
+    the centre count's bracket (m, e, t) (_centre).
+
+    The rows are the Hoeffding window that _walk_cost prices, |2j - k| < R,
+    and the first row past it, whose weight rounds to 0.0 (see _walk_cost);
+    at R = k + 1 the whole half row.  Row i is the product of the centre
+    weight, as one double-double from the top 106 bits of m, and the ratios
+    j / (k - j + 1) for j = c, ..., c - i + 1; _exclusive_products takes
+    them all in one scan.  Factor i is first scaled by 2^(T[i] - T[i+1]),
+    for T[i] the float sum of the log2 of the first i factors (none
+    positive), rounded toward zero; so every run of consecutive scaled
+    factors has a product within a factor of about 2 of 1, nothing in the
+    scan comes near underflow, and the scan's value for row i is the row
+    times 2^-T[i+1].  Powers of two scale exactly.
+
+    The bound, with u = 2^-53.  A ratio a / b of integers below 2^53 is
+    the double-double (qh, ql) with qh = fl(a / b): _two_prod gives
+    qh b = p + perr exactly, a - p is exact (Sterbenz) and so is
+    (a - p) - perr, the remainder a - qh b, which a float holds; only
+    ql = fl((a - qh b) / b) rounds, by at most u ulp(qh) / 2 <= u^2 qh
+    < 2u^2 a / b.  Row i takes i ratios and i rounded products
+    (_exclusive_products), each within 9u^2 (_dd_times).  The top 106 bits
+    of m lose less than 2^-105 of it, and m 2^e <= C(k, c) <=
+    m 2^e / (1 - t 2^(1-P)) (P = _MANT), so the centre is off by less than
+    gamma = 2^-105 + t 2^(1-P) and a factor 1 + 2^-50.  So row i is off by
+    a factor within (1 + 2u^2)^i (1 + 9u^2)^i (1 + gamma) of 1, and
+    delta = (11 i u^2 + gamma) (1 + 2^-40) covers that while 11 i u^2 and
+    gamma stay below 2^-52 (i below 2^50, _MANT at least 56), together with
+    the inversion from the computed row to the exact one and delta's own
+    roundings.
+    """
+    c = k // 2
+    R = _walk_cost(1, k) // PER_CALL  # the priced rows have |2j - k| < R
+    # row j's count times j / (k - j + 1) is row j - 1's
+    j = np.arange(c, max(0, (k - R) // 2), -1, dtype=float)
+    b = k + 1 - j
+    qh = j / b
+    p, perr = _two_prod(qh, b)
+    ql = ((j - p) - perr) / b
+    m, e, t = centre
+    s = max(0, m.bit_length() - 106)
+    top = m >> s
+    ch = float(top)  # rounded to nearest, so top - ch fits in 53 bits
+    cl = float(top - int(ch))
+    ch, ce = math.frexp(ch)
+    # the factors: the centre weight's mantissa, each ratio, and a 1 that
+    # pads the scan to one value per row
+    hi = np.concatenate(([ch], qh, [1.0]))
+    lo = np.concatenate(([math.ldexp(cl, -ce)], ql, [0.0]))
+    T = np.concatenate(([0], np.cumsum(np.log2(hi)).astype(np.int64)))
+    shift = T[:-1] - T[1:]
+    hi, lo = _exclusive_products((np.ldexp(hi, shift), np.ldexp(lo, shift)))[:, 1:]
+    gamma = 2.0**-105 + t * 2.0 ** (1 - _MANT)
+    delta = np.arange(len(hi)) * (11 * _U2 * (1 + 2.0**-40)) + gamma * (1 + 2.0**-40)
+    return hi, lo, T[1:-1] + (ce + s + e - k), delta
 
 
 def _distance_to_integers(alpha: float, qmax: int):
@@ -458,32 +599,70 @@ def _rounded(x: int, e: int) -> float:
     return w if w >= sys.float_info.min else x / (1 << -e)
 
 
+def _round_rows(hi, lo, x, delta):
+    """Each row (hi + lo) 2^x, a double-double within a relative delta of a
+    real number, rounded to the nearest float where delta decides it:
+    (the floats, which rows are decided).
+
+    A row in [2^(E-1), 2^E) lies on the grid of spacing 2^q,
+    q = max(E - 53, -1074) (the 2^1074-scaled integers for subnormal
+    floats), as y + yl units; r is the integer nearest to that, but for
+    ties, and g = y + yl - r.  The float is r 2^q when |g| + delta y < 1/2,
+    or 1/4 at y = 2^52, a power of two whose lower neighbour may be half as
+    far; the factor 1 - 2^-40 on that bound covers the test's own roundings.
+    """
+    q = np.maximum(np.frexp(hi)[1] + x, -1021) - 53
+    x = x - q
+    y, yl = np.ldexp(hi, x), np.ldexp(lo, x)
+    r = np.rint(y)
+    g = y - r  # exact
+    g += yl
+    up = np.rint(g)  # -1, 0 or 1: where y is a half-integer, yl decides
+    r += up
+    g -= up  # exact
+    half = np.where(y == 2.0**52, 0.25 * (1 - 2.0**-40), 0.5 * (1 - 2.0**-40))
+    return np.ldexp(r, q), np.abs(g) + delta * y < half
+
+
 def _bracketed_weights(G: GeneratorMatrix, k: int):
     """The torus points of the one-generator walk at k >= 1087 and the
-    weight of each, from the brackets of its counts (_brackets), or None; no
-    exact count is built.
+    weight of each, or None; no exact count is built.
 
     _separated is the only certificate that every one of the k + 1 rows is a
-    point of its own, so without it None is returned before any bracket is
-    built.  With it, a row's weight is its count over 2^k, rounded once; a
-    bracket [m, m + err] 2^e gives that float when both ends round to it
-    (_rounded is monotone), and None is returned where they round apart.
-    Counts fall away from the centre, so from the first row whose upper end
-    rounds to 0.0 every row outward has weight 0.0 too and is dropped, just as
-    _pointset drops it from the exact counts; the window before that row gets
-    torus points.  A window that lands on fewer points than rows also
+    point of its own, so without it None is returned before any count is
+    bracketed.  With it, a row's weight is its count over 2^k, rounded once.
+    _dd_weights gives every row of the window as a double-double within a
+    relative delta of it, and _round_rows rounds, in one vectorized pass,
+    every row that delta decides: nearly all.  A row it cannot decide gets
+    its own bracket [m, m + err] 2^e (_row_bracket), which gives the float
+    when both ends round to it (_rounded is monotone); where they round
+    apart None is returned.  Counts fall away from the centre, so
+    from the first row whose weight (or upper end) rounds to 0.0 every row
+    outward has weight 0.0 too and is dropped, just as _pointset drops it
+    from the exact counts; the window before that row gets torus points.
+    The pass ends one row past _walk_cost's window, which rounds to 0.0, so
+    a pass with no such row short of j = 0 would have left out rows, and
+    returns None.  A window that lands on fewer points than rows also
     returns None.
     """
     if not _separated(G, k):
         return None
-    window = []
-    for m, err, e in _brackets(k):
-        hi = _rounded(m + err, e - k)
-        if hi == 0.0:
+    centre = _centre(k)
+    window, decided = _round_rows(*_dd_weights(k, centre))
+    zeros = np.flatnonzero(decided & (window == 0.0))
+    end = int(zeros[0]) if len(zeros) else len(window)
+    for i in np.flatnonzero(~decided[:end]).tolist():
+        m, err, e = _row_bracket(k, k // 2 - i, centre)
+        w = _rounded(m + err, e - k)
+        if w == 0.0:
+            end = i
             break
-        if err and _rounded(m, e - k) != hi:
+        if err and _rounded(m, e - k) != w:
             return None
-        window.append(hi)
+        window[i] = w
+    if end == len(window) <= k // 2:
+        return None  # no cut row: the priced window missed rows that survive
+    window = window[:end]
     rows = 2 * len(window) - 1 + k % 2  # the centre is one row for even k, two for odd k
     points, run = _runs(G, _centre_out(k, rows))
     if len(points) < rows:
@@ -503,15 +682,17 @@ def _pointset(G: GeneratorMatrix, points, weights, provenance: str) -> WeightedP
 def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPointSet:
     """Push the lattice distribution to [0,1)^d, merging bit-identical points.
 
-    For one generator from k = 1087 no exact count is built: each count
-    C(k, j) from the centre outward lies in a bracket [m, m + err] 2^e with
-    a _MANT-bit mantissa m and err / m < 2^-100 (see _brackets), each weight
-    is rounded once from its bracket, and only the window of rows before the
-    first weight that rounds to 0.0 gets a torus point (see
-    _bracketed_weights).  The exact fallback runs for n >= 2, for k < 1087,
-    and where a bracket cannot decide: a weight whose two ends round apart,
-    a point shared by several rows, or a generator that _separated cannot
-    show to keep its rows apart.  It first checks the price of every exact
+    For one generator from k = 1087 no exact count is built: each weight
+    C(k, j) / 2^k of the window about the centre is a double-double within
+    a proven relative bound, below 2^-80 at every admitted k, of it
+    (_dd_weights), from one numpy scan, and is
+    rounded once where that bound decides it, or else from a 128-bit
+    bracket of its own (_row_bracket); only the rows before the first weight
+    that rounds to 0.0 get a torus point (see _bracketed_weights).  The
+    exact fallback runs for n >= 2, for k < 1087, and where no bound
+    decides: a weight whose bracket's two ends round apart, a point shared
+    by several rows, or a generator that _separated cannot show to keep its
+    rows apart.  It first checks the price of every exact
     count (_count_cost) against the budget, then builds every count in one
     pass, one big integer at a time for n <= 2, and sums each
     point's counts before one division (_exact_weights); weights that round

@@ -78,7 +78,8 @@ def test_dist_unseparated_golden_exits_3_before_its_window(capsys, monkeypatch):
     def no_window(*args):
         raise AssertionError("the window was walked")
 
-    monkeypatch.setattr(walk, "_brackets", no_window)
+    for name in ("_centre", "_dd_weights", "_row_bracket"):
+        monkeypatch.setattr(walk, name, no_window)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "100000000")
     assert time.perf_counter() - start < 5.0
@@ -864,7 +865,7 @@ def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path
     seen, commands = [], dict(cli._COMMANDS)
     for name in ("scan", "bounds"):
         monkeypatch.setitem(cli._COMMANDS, name, spy)
-    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser(["scan"]) is cli.build_parser(["bounds"])  # one parser serves every command
     scan = ["scan", "--builtin", "golden", "--out", str(tmp_path), "--format", "json"]
     bounds = ["bounds", "--builtin", "golden", "--k", "10"]
     assert run_cli(capsys, *scan, "--k-schedule", "4,8")[0] == 0
@@ -880,3 +881,41 @@ def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path
     assert not hasattr(second, "k_schedule") and second.k == 10
     assert third.k_schedule is None
     assert [row["k"] for row in json.loads(out)["rows"]] == [2, 3]
+
+
+# Help texts, the version, and argparse's refusals: with arguments added
+# only for the subcommand named, each must read as with every argument.
+PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["--version"], ["bogus"], ["-", "dist"], ["-1", "scan"], ["--bogus", "scan"],
+    *[[name, "--help"] for name in ("dist", "disc", "bounds", "dirichlet", "badapprox", "scan")],
+    ["dist"], ["dist", "--k", "two"], ["disc"], ["bounds", "--k", "3", "--bogus", "1"],
+    ["dirichlet", "--builtin", "golden"], ["badapprox", "--hmax"], ["scan", "--method", "slow"],
+    ["scan", "--format"], ["scan", "--k-schedule", "pow2:5..3"], ["scan", "--svg=1"],
+]
+
+
+def _parsed(capsys, argv):
+    from toruswalk import cli
+
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_each_command_gets_only_its_own_arguments_and_parses_as_the_full_parser(capsys):
+    from toruswalk import cli
+
+    alone = []
+    for argv in PARSER_ARGVS:
+        cli._parser.cache_clear()
+        alone.append(_parsed(capsys, argv))
+    cli.build_parser(["scan", "--help"])
+    assert cli._parser()[2] == {"scan"}
+    for name in cli._SUBCOMMANDS:
+        cli.build_parser([name])
+    assert all(len(p._actions) > 1 for p in cli._parser()[1].values())  # every argument, beside -h
+    assert [_parsed(capsys, argv) for argv in PARSER_ARGVS] == alone
+    assert {code for code, _, _ in alone} == {0, 2}

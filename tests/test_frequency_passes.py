@@ -302,6 +302,23 @@ def test_search_evaluates_under_two_percent_of_the_half_box(monkeypatch):
     assert 999 < sum(evaluated) < 0.02 * ((2 * 999 + 1) ** 2 - 1) // 2
 
 
+def test_search_stops_at_its_first_zero(monkeypatch):
+    # 7 alpha_0 is an integer vector for rational:7, so {Ah}_inf = 0 at
+    # h = (7, 0), in the zero prefix's block, the first of the pass
+    G = builtin_generators("rational:7", 2, 2)
+    inner, blocks = fourier._half_box, []
+
+    def decoded(*args):
+        for block in inner(*args):
+            blocks.append(block[2](np.arange(block[1].size)).tolist())
+            yield block
+
+    monkeypatch.setattr(fourier, "_half_box", decoded)
+    est = estimate_bad_constant(G, 999)
+    assert (est.c_est, est.argmin_h) == (0.0, (7, 0))
+    assert [7, 0] in blocks[-1] and len(blocks) == 1  # no block after the hit's
+
+
 def test_windowed_dirichlet_memory_is_one_block():
     # H = 2235, the largest n = d = 2 box the budget admits; no box of
     # radius up to 32 holds a match

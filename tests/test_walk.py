@@ -1,12 +1,14 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_walk_counts, project_counts, random_point_set
@@ -235,13 +237,13 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097])
 def test_brackets_hold_every_count(monkeypatch, mant, k):
     monkeypatch.setattr(walk, "_MANT", mant)
-    brackets = list(walk._brackets(k))
-    assert len(brackets) == k // 2 + 1
-    for j, (m, err, e) in zip(range(k // 2, -1, -1), brackets):
+    centre = walk._centre(k)
+    for j in range(k // 2, -1, -1):
+        m, err, e = walk._row_bracket(k, j, centre)
         c = math.comb(k, j)
         lo, c, hi = (m << e, c, (m + err) << e) if e >= 0 else (m, c << -e, m + err)
         assert lo <= c <= hi
-        # err / m <= (t + 2) / 2^(mant-1) with t <= k + 1 < 2^13 lossy floors
+        # err / m <= (t + 2) / 2^(mant-1) with t <= 3 lossy floors
         assert err << (mant - 14) < m
 
 
@@ -260,7 +262,7 @@ def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
 def test_centre_bracket_holds_the_centre_count(monkeypatch, mant, k):
     # mpmath at 600 bits stands in for C(k, floor(k/2)), which has up to k bits
     monkeypatch.setattr(walk, "_MANT", mant)
-    m, err, e = next(walk._brackets(k))
+    m, err, e = walk._row_bracket(k, k // 2, walk._centre(k))
     with mpmath.workprec(600):
         c = mpmath.binomial(k, k // 2)
         assert mpmath.ldexp(m, e) <= c <= mpmath.ldexp(m + err, e)
@@ -289,9 +291,22 @@ def test_separation_holds_where_rows_cannot_meet():
     assert walk._separated(load_generators([[1 / 3, 0.6180339887498949]]), 2**15)
 
 
+def _undecided(monkeypatch):
+    """Widen every row's double-double bound past deciding any rounding, so
+    each row of the window goes to its own bracket."""
+    real = walk._dd_weights
+
+    def wide(k, centre):
+        hi, lo, x, delta = real(k, centre)
+        return hi, lo, x, np.ones_like(delta)
+
+    monkeypatch.setattr(walk, "_dd_weights", wide)
+
+
 # Rational generators: several rows share each point, so _separated fails.
-# A 56-bit mantissa: each weight's bracket is wider than the last bit of a
-# float, so its two ends round apart.
+# A 56-bit mantissa with the double-double bound forced wide: each weight's
+# own bracket is wider than the last bit of a float, so its two ends round
+# apart.
 @pytest.mark.parametrize(
     "family,d,k,mant",
     [
@@ -305,9 +320,87 @@ def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k,
     G = builtin_generators(family, 1, d)
     expected = _complete_atoms(G, k)
     monkeypatch.setattr(walk, "_MANT", mant)
+    _undecided(monkeypatch)
     bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
     assert bracketed == [None] and exact[0] is not None
+
+
+# The bound forced wide at the full mantissa: every row of the window is
+# decided by its own 128-bit bracket, to the same weights.
+@pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 2)])
+@pytest.mark.parametrize("k", [1087, 1088, 2001, 4097])
+def test_rows_the_bound_cannot_decide_take_their_own_brackets(monkeypatch, family, d, k):
+    G = builtin_generators(family, 1, d)
+    expected = walk._bracketed_weights(G, k)
+    _undecided(monkeypatch)
+    row_brackets = _spy(monkeypatch, "_row_bracket")
+    found = walk._bracketed_weights(G, k)
+    assert len(row_brackets) >= (len(found[1]) + 1) // 2  # every row of the window
+    assert np.array_equal(found[0], expected[0]) and np.array_equal(found[1], expected[1])
+
+
+def test_window_at_two_to_the_fifteen_needs_no_row_bracket(monkeypatch):
+    times = _spy(monkeypatch, "_times")
+    assert walk._bracketed_weights(GOLDEN, 2**15) is not None
+    assert times == []
+
+
+@given(st.integers(1087, 40000))
+@example(1087)
+@example(1088)
+@settings(max_examples=15, deadline=None)
+def test_window_weights_are_the_correctly_rounded_counts(k):
+    points, weights = walk._bracketed_weights(GOLDEN, k)
+    window = weights[walk._runs(GOLDEN, walk._centre_out(k, len(weights)))[1]][k % 2 :: 2]
+    # C(k, j) / 2^k correctly rounded (int / int), from the centre out to the
+    # first weight that rounds to 0.0
+    expected, j = [], k // 2
+    c = math.comb(k, j)
+    while j >= 0 and c / 2**k > 0.0:
+        expected.append(c / 2**k)
+        c = c * j // (k - j + 1)
+        j -= 1
+    assert window.tolist() == expected
+    assert window[-1] < sys.float_info.min  # the subnormal tail is in the window
+
+
+def test_rows_round_to_the_nearest_float_where_the_bound_decides():
+    # double-doubles about every binade edge, subnormal ones and 0.0 among
+    # them, against int / int of their exact values, which rounds correctly
+    rng = np.random.default_rng(5)
+    hi = np.concatenate([[1.0, 1.0, 0.5, 1.0, 1.5], rng.uniform(0.5, 2.0, 4000)])
+    lo = np.concatenate([[-0.3, 0.3, -0.3, -0.2, 0.5], rng.uniform(-0.5, 0.5, 4000)])
+    lo *= np.spacing(hi)
+    lo[rng.random(len(lo)) < 0.3] = 0.0
+    x = np.concatenate([[0, -1000, -1021, -1073, -1074], rng.integers(-1130, 2, 4000)])
+    floats, decided = walk._round_rows(hi, lo, x, np.full(len(hi), 2.0**-80))
+    assert decided.mean() > 0.99
+    # below a power of two the float grid is twice as fine: 1 - 0.3 ulp(1)
+    # rounds to 1 - 2^-53, which a bound of half a unit above would miss
+    assert not decided[0]
+    for h, l, e, f, ok in zip(hi.tolist(), lo.tolist(), x.tolist(), floats.tolist(), decided.tolist()):
+        if ok:
+            num, den = (Fraction(h) + Fraction(l)).as_integer_ratio()
+            assert f == (num << e if e >= 0 else num) / (den if e >= 0 else den << -e)
+
+
+@pytest.mark.parametrize("k", [1087, 4097, 2**15, 10**5 + 1])
+def test_double_double_rows_lie_within_their_bound(k):
+    hi, lo, x, delta = walk._dd_weights(k, walk._centre(k))
+    assert np.all((0.5 < hi) & (hi < 2.0))  # scaled near 1: nothing underflows
+    assert np.all(delta < 2.0**-80)
+    sampled = {0, 1, 2, len(hi) // 2, len(hi) - 2, len(hi) - 1, *range(0, len(hi), 97)}
+    j = k // 2
+    count = math.comb(k, j)
+    for i in range(len(hi)):
+        if i in sampled:
+            # |row - C(k, j) / 2^k| <= delta C(k, j) / 2^k in integers, as row 2^k = (a / b) 2^shift
+            (a, b), shift = (Fraction(hi[i]) + Fraction(lo[i])).as_integer_ratio(), int(x[i]) + k
+            dn, dd = Fraction(delta[i]).as_integer_ratio()
+            assert abs((a << shift) - count * b) * dd <= dn * count * b
+        count = count * j // (k - j + 1)
+        j -= 1
 
 
 def _no_window(*args):
@@ -321,7 +414,8 @@ def _no_window(*args):
 def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
     expected = _complete_atoms(GOLDEN, k)
     monkeypatch.setattr(walk, "_separated", lambda G, k: False)
-    monkeypatch.setattr(walk, "_brackets", _no_window)
+    for name in ("_centre", "_dd_weights", "_row_bracket"):
+        monkeypatch.setattr(walk, name, _no_window)
     bracketed = _spy(monkeypatch, "_bracketed_weights")
     assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
     assert bracketed == [None]
@@ -403,9 +497,10 @@ def test_shared_run_sums_its_counts_before_one_division():
 
 @pytest.mark.parametrize("family", ["golden", "rational:2", "rational:3"])
 def test_projection_falls_back_to_every_count(monkeypatch, family):
-    # a threshold 2^1000 times too high moves only the gate: golden's window
-    # still ends at the first weight that rounds to 0.0, and the rational
-    # walks are not separated, so they build every exact count
+    # a threshold 2^1000 times too high moves the gate and narrows the priced
+    # window below the rows that survive: golden's pass finds no row that
+    # rounds to 0.0, and the rational walks are not separated, so all three
+    # build every exact count
     G = builtin_generators(family, 1, 1)
     expected = _complete_atoms(G, 1500)
     monkeypatch.setattr(walk, "_ZERO_EXP", 75)

@@ -265,7 +265,7 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         if ks[-1] >= 2**63:
             raise ValidationError(
                 f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"
-                " (numpy's multinomial range)"
+                " (numpy's sampler range)"
             )
         if not 0 <= cfg.seed < 2**128 - ks[-1]:
             msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"

@@ -732,11 +732,19 @@ def check_trials(trials: int) -> None:
 def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> WeightedPointSet:
     """Empirical k-step distribution from independent seeded walks.
 
-    Each trial draws its 2n per-direction step counts at once, from
-    Multinomial(k, 1/(2n), ..., 1/(2n)) -- the law of the direction counts
-    of k i.i.d. uniform steps -- on a counter-based Philox stream keyed by
-    the seed, which must lie in [0, 2^128); k must lie below 2^63, as
-    numpy's multinomial takes it as a C long.  Time and memory grow with
+    The generators are taken in pairs (2i, 2i+1), and for odd n the last
+    one alone.  Each trial draws the number of steps N of each pair (all k
+    when n <= 2, else Multinomial(k, 2/n, ..., 2/n[, 1/n]) over the pairs),
+    then two independent Binomial(N, 1/2) per pair, u and v, and one per
+    lone generator, w.  Mapping a pair's four directions +-alpha_2i and
+    +-alpha_2i+1 to the moves (+-1, +-1) and (+-1, -+1) of a pair of walks
+    (s, t) is a bijection, so s = m_2i + m_2i+1 and t = m_2i - m_2i+1 are
+    independent simple walks of N steps: s = 2u - N, t = 2v - N, and
+    m_2i = u + v - N, m_2i+1 = u - v; a lone generator's m is 2w - N.  This
+    is the law of the net coefficients of k i.i.d. uniform steps among the
+    2n directions.  The draws come from a counter-based Philox stream keyed
+    by the seed, which must lie in [0, 2^128); k must lie below 2^63, as
+    numpy's samplers take it as a C long.  Time and memory grow with
     trials * n whatever k is, and are priced before the generator is
     built; the output depends only on (seed, trials, k), never on
     scheduling.
@@ -746,22 +754,37 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     2^63.  The rows come out in the same order either way.
     """
     if not 0 <= k < 2**63:
-        raise ValidationError("step count k must lie in [0, 2^63), numpy's multinomial range")
+        raise ValidationError("step count k must lie in [0, 2^63), numpy's sampler range")
     check_trials(trials)
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
     n = G.n
-    # the trials x 2n draw matrix, then a sort of the trials x n coefficient
-    # rows.  _tally folds the rows into trials keys (trials * n operations)
-    # and sorts those (trials * log2 trials), which this charge covers, as it
+    # at most 2n draws per trial (n binomials, and for n >= 3 a multinomial
+    # over ceil(n/2) pairs), then a sort of the trials x n coefficient rows.
+    # _tally folds the rows into trials keys (trials * n operations) and
+    # sorts those (trials * log2 trials), which this charge covers, as it
     # covers _merge's sort where the keys would not fit.
     cost = trials * 2 * n + trials * n * trials.bit_length()
     require(f"Monte Carlo walk of {trials} trials (n={n})", cost, "fewer --trials")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    # direction 2j is +alpha_j, 2j+1 is -alpha_j
-    steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
-    m = steps[:, 0::2] - steps[:, 1::2]
-    del steps  # not held through the projection
+    if n <= 2:
+        N = k  # one pair, or one lone generator, takes every step
+        m = rng.binomial(k, 0.5, size=(trials, n))
+    else:
+        pvals = [2.0 / n] * (n // 2) + [1.0 / n] * (n % 2)
+        N = np.repeat(rng.multinomial(k, pvals, size=trials), 2, axis=1)  # each pair's count twice
+        m = rng.binomial(N[:, :n], 0.5)
+        N = N[:, 0::2]
+    # in place, columns 2i hold u (or a lone w) and columns 2i+1 hold v.
+    # 2u may wrap past 2^63, but int64 arithmetic is exact mod 2^64 and each
+    # result lies in [-N, N], so the wrap cancels.
+    u, v = m[:, : n - 1 : 2], m[:, 1::2]
+    np.subtract(u, v, out=v)  # m_2i+1 = u - v
+    firsts = m[:, 0::2]
+    firsts *= 2
+    firsts -= N  # 2u - N, and a lone generator's 2w - N
+    u -= v  # m_2i = (2u - N) - (u - v) = u + v - N
+    del N, u, v, firsts  # not held through the projection
     rows, counts = _tally(m)  # trials per distinct coefficient vector
     del m
     points, run = _runs(G, rows)

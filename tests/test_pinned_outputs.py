@@ -29,8 +29,8 @@ SCANS = {
     "mc-d1": (
         ["--builtin", "sqrt_primes", "--n", "2", "--d", "1", "--method", "mc",
          "--k-schedule", "1024", "--trials", "100000"],
-        "1769825cc292820f51afddc15cb429012d58fa174b4473f9db33a78e53ada365",
-        "4a388db656741d79e90debad809b7581f41ede3f735bbb58eb438339d940ee2e",
+        "9e9b0e56634128e5fda34a9b159f53bc7a875d0f4cc8769b4896d52ead0c0633",
+        "6d21d7ed20a671e40c877e8c74f2d57684774e1537762a07a4fa3e73accddca0",
     ),
     "walk-d1": (
         ["--builtin", "golden", "--method", "exact", "--k-schedule", "pow2:8..15",
@@ -94,7 +94,12 @@ PRINTED = {
     "dist-mc": (
         ["dist", "--builtin", "sqrt_primes", "--n", "2", "--d", "1", "--k", "64",
          "--trials", "1000", "--seed", "3"],
-        "cf09e09553ce8bac8759c54dd00d9497587ecc0f88cd26adb50f62c27d488ef4",
+        "7f9c2ed5e276e9ad510cff15180ad71d76ddef1bd6cb8c2413cd86faa1b9c423",
+    ),
+    # one generator: each trial's draw is a single Binomial(k, 1/2)
+    "dist-mc-golden": (
+        ["dist", "--builtin", "golden", "--k", "100", "--trials", "100000", "--seed", "3"],
+        "d52f5000e4e4262a99bb00f7165f0a932788efbe2b831fcb8fdf1831f715e623",
     ),
     "disc-exact": (
         ["disc", "{points}"],

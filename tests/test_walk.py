@@ -555,7 +555,9 @@ def test_simulate_matches_exact_distribution():
         assert emp[pt] == pytest.approx(w, abs=3e-3)
 
 
-@pytest.mark.parametrize("n,k", [(2, 5), (3, 4)])
+# n = 1 and 2 draw only binomials, n = 4 two pairs, n = 3 and 5 pairs and a
+# lone generator
+@pytest.mark.parametrize("n,k", [(1, 7), (2, 5), (2, 6), (3, 4), (4, 4), (5, 4)])
 def test_simulate_matches_path_enumeration(n, k):
     # sqrt_primes with d = 1 projects distinct coefficient vectors to
     # distinct points, so each atom's weight is one coefficient vector's.
@@ -563,7 +565,7 @@ def test_simulate_matches_path_enumeration(n, k):
     counts = enumerate_walk_counts(n, k)
     exact = dict(project_counts(G, counts, (2 * n) ** k))
     assert len(exact) == len(counts)
-    trials, delta = 10**6, 1e-9
+    trials, delta = 10**6 if n <= 3 else 5 * 10**5, 1e-9  # the budget's limit for n >= 4
     emp = dict(simulate_walk(G, k, trials=trials, seed=2024).atoms)
     assert set(emp) <= set(exact)
     # Hoeffding for each atom's frequency, union bound over the atoms
@@ -585,25 +587,83 @@ def test_simulate_memory_does_not_grow_with_k():
     assert peaks[1] < peaks[0] + 2**20
 
 
+def test_simulate_peak_memory(monkeypatch):
+    # the draws are mapped to coefficients in place: up to _tally the walk
+    # holds one trials x n int64 array (1.6 MB here), and a second would
+    # pass the first bound; the whole walk peaks in _tally
+    G = builtin_generators("sqrt_primes", 2, 1)
+    draw_peaks, tally = [], walk._tally
+
+    def spy(m):
+        draw_peaks.append(tracemalloc.get_traced_memory()[1])
+        return tally(m)
+
+    monkeypatch.setattr(walk, "_tally", spy)
+    tracemalloc.start()
+    try:
+        simulate_walk(G, 1024, trials=10**5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw_peaks[0] <= 2.0e6
+    assert peak <= 4.5e6
+
+
+def _paired_draw(rng, n, k, trials):
+    """The coefficient rows of simulate_walk's draw, mapped one trial at a
+    time in Python integers: each pair (u, v) of Binomial(N, 1/2) draws
+    gives (u + v - N, u - v), a lone draw w gives 2w - N."""
+    if n <= 2:
+        N = [[k]] * trials
+        draws = rng.binomial(k, 0.5, size=(trials, n)).tolist()
+    else:
+        pair_counts = rng.multinomial(k, [2.0 / n] * (n // 2) + [1.0 / n] * (n % 2), size=trials)
+        draws = rng.binomial(np.repeat(pair_counts, 2, axis=1)[:, :n], 0.5).tolist()
+        N = pair_counts.tolist()
+    rows = []
+    for counts, x in zip(N, draws):
+        m = []
+        for i, c in enumerate(counts):
+            uv = x[2 * i : 2 * i + 2]
+            m += [uv[0] + uv[1] - c, uv[0] - uv[1]] if len(uv) == 2 else [2 * uv[0] - c]
+        rows.append(tuple(m))
+    return rows
+
+
 @pytest.mark.parametrize(
     "n,d,k,trials",
     [(1, 1, 40, 5000), (2, 1, 40, 5000), (3, 2, 40, 5000), (4, 1, 2**40, 1000)],
     ids=["1-1", "2-1", "3-2", "4-1-past-the-key"],
 )
 def test_simulate_aggregates_each_distinct_draw(n, d, k, trials):
-    # the same Philox draw, aggregated independently with a Counter
+    # the same Philox calls, aggregated independently with a Counter
     G = builtin_generators("sqrt_primes", n, d)
     seed = 3
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    steps = rng.multinomial(k, [1.0 / (2 * n)] * (2 * n), size=trials)
-    m = steps[:, 0::2] - steps[:, 1::2]
-    counts = Counter(map(tuple, m.tolist()))
+    rows = _paired_draw(np.random.Generator(np.random.Philox(key=seed)), n, k, trials)
+    counts = Counter(rows)
     # at k = 2^40 the four columns' ranges multiply past 2^63: no int64 key fits
-    spans = math.prod(int(hi) - int(lo) + 1 for lo, hi in zip(m.min(axis=0), m.max(axis=0)))
+    spans = math.prod(max(column) - min(column) + 1 for column in zip(*rows))
     assert (spans >= 2**63) == (k == 2**40)
     P = simulate_walk(G, k, trials, seed)
     assert P.atoms == project_counts(G, counts, trials)
     assert P.d == d and P.provenance == "empirical"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simulate_coefficients_at_the_largest_k(monkeypatch, n):
+    # 2u wraps past 2^63 for about half the draws here; every coefficient
+    # row must still be that of a k-step walk
+    k, seen, tally = 2**63 - 1, [], walk._tally
+
+    def spy(m):
+        seen.append(m.tolist())
+        return tally(m)
+
+    monkeypatch.setattr(walk, "_tally", spy)
+    simulate_walk(builtin_generators("sqrt_primes", n, 1), k, trials=200, seed=5)
+    assert len(seen[0]) == 200
+    for row in seen[0]:
+        assert sum(map(abs, row)) <= k and sum(row) % 2 == k % 2
 
 
 @st.composite

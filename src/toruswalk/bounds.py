@@ -3,6 +3,10 @@ around them: the universal k^(-n/2) lower bound, the k^(-n/2d) upper
 bound for badly approximable generators, the truncation index M it
 relies on, the Gaussian-weighted frequency sum the M choice controls,
 and a power-law fit for empirical decay rates.
+
+The frequency sum reduces fourier's one windowed pass over the half box,
+at the reach its underflow screen allows (_cohort_reach): a term whose
+generator-0 phase lies far from the half-integers is +0.0.
 """
 
 from __future__ import annotations
@@ -91,6 +95,24 @@ def _cohort_terms(A: np.ndarray, X: np.ndarray, rows, k: int) -> np.ndarray:
     return np.fromiter(map(math.exp, scaled.tolist()), dtype=float) / _weight_rows(rows(live))
 
 
+def _cohort_reach(n: int, k: int) -> float:
+    """The reach of cohort_sum_S's pass: 1/2 sqrt(800 n / (4k)), the
+    largest distance from (1/2)Z of generator 0's phase x of a vector that
+    _cohort_terms keeps.
+
+    Proof.  The screen keeps a vector unless fl(fl(-c top) top) < -800, c =
+    fl(4k/n) and top the largest of the exact distances |2X_j -
+    rint(2X_j)|; so a kept vector has c top^2 <= 800 / (1 - u)^2, u =
+    2^-53, or c infinite and top = 0.  Doubling is exact, so top >=
+    |2x - rint(2x)| = 2 dist(x, (1/2)Z), and dist(x, (1/2)Z) <= 1/2
+    sqrt(800 / c) / (1 - u), which the three roundings of the reach and
+    its factor 1 + 2^-20 cover.  At k = 0 every term is kept and the reach
+    is 1/4, the whole box.
+    """
+    c = 4.0 * k / n
+    return 0.5 * math.sqrt(-_UNDERFLOW / c) * (1.0 + 2.0**-20) if c else 0.25
+
+
 def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
     """Gaussian-weighted frequency sum
     S = sum over 0 < ||h||_inf <= M of exp(-(4k/n) {2Ah}^2) / R(h)
@@ -99,10 +121,13 @@ def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
 
     This is the actual sum, not a chained over-estimate of it: each term
     is computed as the definition has it (math.hypot, math.exp), except
-    those that a numpy screen proves to underflow to +0.0 (_cohort_terms),
-    which math.fsum would ignore.  At the paper's M every term underflows.
+    those that provably underflow to +0.0, which math.fsum would ignore.
+    The pass yields only the vectors whose term the numpy screen of
+    _cohort_terms may keep (_cohort_reach), and the screen drops those
+    that remain.  At the paper's M every term underflows.
     """
-    terms = _box_terms(G, k, "M", M, "cohort sum", "a smaller --k or --ca", _cohort_terms)
+    fallback, reach = "a smaller --k or --ca", lambda terms, pnorm: _cohort_reach(G.n, k)
+    terms = _box_terms(G, k, "M", M, "cohort sum", fallback, _cohort_terms, reach)
     s = 2.0 * math.fsum(np.concatenate(terms).tolist())
     return s, s <= 0.5 / (M + 1)
 

@@ -5,9 +5,11 @@ rationals.
 Both searches reduce the one pass over a box of integer vectors,
 fourier._half_box, by its {Ah}_inf step (_sup_dist).  In d >= 2 the pass
 is windowed: of each nonzero prefix (h_1, ..., h_{d-1}) it yields only the
-h_0 whose first-generator phase may lie close enough to an integer for the
-vector to matter, so the searches evaluate a small part of the box; an
-estimate is still certified over the whole range priced and searched.
+h_0 whose first-generator phase may lie within the search's reach of the
+half-integers (1/2)Z, a window that holds every h_0 within reach of an
+integer, so the searches evaluate a small part of the box (a superset of
+the vectors that may matter); an estimate is still certified over the
+whole range priced and searched.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
     through the pass windowed at reach 1/q, which yields every match.
     Existence is guaranteed by the pigeonhole principle; a failed search
     (possible only through float boundary effects) scans the last box in
-    full and raises carrying the closest vector, the first of least norm
-    among equally close ones.
+    full, at reach 1/4, and raises carrying the closest vector, the first
+    of least norm among equally close ones.
     """
     if not 1.0 <= q < math.inf:
         raise ValidationError(f"q must be finite and >= 1, not {q}")
@@ -92,7 +94,7 @@ def dirichlet_search(G: GeneratorMatrix, q: float) -> tuple:
         if hit is not None:
             return hit
     best = (math.inf, H + 1, None)  # the last box's closest vector: least distance, then norm
-    for X, norm, rows, spare in fourier._half_box(A, H):
+    for X, norm, rows, spare in fourier._half_box(A, H, lambda pnorm: 0.25):
         dist = _sup_dist(X, spare)
         i = int(np.argmin(np.where(dist == dist.min(), norm, H + 1)))
         if (dist.flat[i], norm.flat[i]) < best[:2]:
@@ -139,10 +141,11 @@ def estimate_bad_constant(G: GeneratorMatrix, hmax: int) -> BadApproxEstimate:
     scale table.  In d = 1 time is proportional to the box size.  In d >= 2
     the pass is windowed at the running minimum tau, read before each range
     of prefixes: a vector with a nonzero prefix of sup norm p can only beat
-    tau if its first-generator distance is below about tau / p^(d/n), so
-    only the h_0 in that window are evaluated, with the same float
-    expressions as the full pass.  The pass stops at the first value 0.0,
-    an integer relation, which no value can fall below.
+    tau if its first-generator distance from an integer is below about tau
+    / p^(d/n), so only the h_0 within that distance of (1/2)Z, a superset,
+    are evaluated, with the same float expressions as the full pass.  The
+    pass stops at the first value 0.0, an integer relation, which no value
+    can fall below.
 
     The margin.  The value is fl(dist * scale[m]), m = ||h||_inf >= p >= 1,
     dist >= the first-generator distance, and scale[m] CPython's pow(m,

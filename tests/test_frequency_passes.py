@@ -190,28 +190,39 @@ def test_windowed_searches_match_oracles(name, d, block):
     assert dirichlet_search(G, q) == first
 
 
+def _half_dist(G, h) -> float:
+    """Distance from (1/2)Z of generator 0's phase of h, summed left to right
+    in CPython floats."""
+    x = h[0] * G.entries[0][0]
+    for hi, a in zip(h[1:], G.entries[0][1:]):
+        x = x + hi * a
+    return abs(2 * x - round(2 * x)) / 2
+
+
 @pytest.mark.parametrize("d,bound", [(2, 30), (3, 8)])
 @pytest.mark.parametrize("name", ["sqrt_primes", "half", "wrap"])
 @pytest.mark.parametrize("reach", [0.0, 0.004, 0.05, 0.45, 0.7])
 def test_windowed_pass_yields_every_vector_within_reach(name, d, bound, reach, block):
     # the zero prefix whole; of the others every vector whose generator-0
-    # distance is at most reach, and (the windows select) none much farther,
-    # in scan order, bit for bit the phases of the full pass
+    # distance from (1/2)Z is at most reach, and (the windows select) none
+    # much farther, in scan order, bit for bit the phases of the full pass;
+    # every distance is at most 1/4, so a reach of 0.45 or 0.7 yields all
     G = _windowed_matrix(name, d)
-    A, first = G.as_array(), load_generators(G.entries[:1])
+    A = G.as_array()
     order = [h for h in scan_order_box(d, bound) if [v for v in h if v][-1] > 0]
     got = []
     for X, norm, rows, spare in fourier._half_box(A, bound, lambda pnorm: reach):
         H = rows(np.arange(norm.size))
-        assert norm.size <= fourier._BLOCK and spare.shape == X.shape
-        assert X.reshape(G.n, -1).T.tolist() == fourier._phases(A, H).tolist()
-        assert norm.ravel().tolist() == np.abs(H).max(axis=1).tolist()
+        assert norm.size <= fourier._BLOCK and spare.shape == X.shape == (G.n, norm.size)
+        assert X.T.tolist() == fourier._phases(A, H).tolist()
+        assert norm.tolist() == np.abs(H).max(axis=1).tolist()
         got.extend(map(tuple, H.tolist()))
     kept = set(got)
     assert len(kept) == len(got) and got == [h for h in order if h in kept]
-    near = {h for h in order if not any(h[1:]) or _sup_dist_left_to_right(first, h) <= reach}
+    near = {h for h in order if not any(h[1:]) or _half_dist(G, h) <= reach}
     assert near <= kept
-    assert all(_sup_dist_left_to_right(first, h) <= reach + 1e-9 for h in kept - near)
+    assert all(_half_dist(G, h) <= reach + 1e-9 for h in kept - near)
+    assert got == order or reach < 0.25
 
 
 def test_dirichlet_failure_names_the_first_closest_vector(monkeypatch, block):
@@ -379,19 +390,19 @@ def test_d1_dirichlet_memory_holds_no_box_sized_array():
 
 
 def _half_box_vectors(d, hmax):
-    """The vectors of fourier._half_box, in its order, and its block shapes
-    (prefixes, h_0 values); checks each block's phases and sup norms
-    against _phases and the decoded vectors."""
+    """The vectors of fourier._half_box at reach 1/4, the whole half box, in
+    its order, and its block sizes; checks each block's phases and sup
+    norms against _phases and the decoded vectors."""
     A = builtin_generators("random", 2, d, seed=3).as_array()
-    vectors, shapes = [], []
-    for X, norm, rows, spare in fourier._half_box(A, hmax):
+    vectors, sizes = [], []
+    for X, norm, rows, spare in fourier._half_box(A, hmax, lambda pnorm: 0.25):
         H = rows(np.arange(norm.size))
-        assert H.dtype == np.int64 and spare.shape == X.shape == (2, *norm.shape)
-        assert X.reshape(2, -1).T.tolist() == fourier._phases(A, H).tolist()
-        assert norm.ravel().tolist() == np.abs(H).max(axis=1).tolist()
-        shapes.append(norm.shape)
+        assert H.dtype == np.int64 and spare.shape == X.shape == (2, norm.size)
+        assert X.T.tolist() == fourier._phases(A, H).tolist()
+        assert norm.tolist() == np.abs(H).max(axis=1).tolist()
+        sizes.append(norm.size)
         vectors.extend(map(tuple, H.tolist()))
-    return vectors, shapes
+    return vectors, sizes
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -406,9 +417,8 @@ def test_frequency_box_is_half_of_the_box(d, block):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_search_half_box_is_one_of_each_pair_in_scan_order(d, block):
     hmax = 3
-    half, shapes = _half_box_vectors(d, hmax)
-    assert max(P for P, _ in shapes) <= max(1, fourier._BLOCK // (2 * hmax + 1))
-    assert max(P * J for P, J in shapes) <= fourier._BLOCK
+    half, sizes = _half_box_vectors(d, hmax)
+    assert max(sizes) <= fourier._BLOCK
     kept = set(half)
     # in scan order, each kept vector comes before its negation
     order = list(scan_order_box(d, hmax))
@@ -511,3 +521,79 @@ def test_libm_underflows_past_the_screen():
         k = math.floor(cut / math.log(q)) + 1  # smallest k with k log q < cut
         assert k * math.log(q) < cut
         assert pow(q, k) == 0.0 and math.copysign(1.0, pow(q, k)) == 1.0
+
+
+# The ETK, cohort and best-bound windows against the oracles and against the
+# same passes at reach 1/4 (the whole half box).  Rows in d = 2 and 3 with
+# n = 1, 2, 3, and rows whose generator-0 phases lie near 0 or near 1/2,
+# where |qhat| is near 1 (near -1 at odd h_0 of the "near-half" rows) at
+# many h with a nonzero prefix.  The ETK window first narrows, for n >= 2,
+# where e^(-800/k) = (n - 1)/n: between k = 1154 and 1155 for n = 2 and
+# between 1973 and 1974 for n = 3; for n = 1 it is narrow at every k > 0.
+LIVE_WINDOWS = {
+    "sqrt_primes-n1-d2": ("sqrt_primes", 1, 2),
+    "sqrt_primes-n2-d2": ("sqrt_primes", 2, 2),
+    "sqrt_primes-n3-d2": ("sqrt_primes", 3, 2),
+    "sqrt_primes-n1-d3": ("sqrt_primes", 1, 3),
+    "sqrt_primes-n3-d3": ("sqrt_primes", 3, 3),
+    "near-half": [[0.4999999, 0.3], [0.5000001, 0.7]],
+    "near-zero": [[1e-7, 0.3], [0.9999999, 0.7]],
+    "near-half-n1-d3": [[0.5000001, 0.25, 0.3]],
+    "near-zero-n3-d3": [[1e-7, 0.25, 0.5], [0.9999999, 0.75, 0.3], [0.5, 0.2, 0.6]],
+}
+LIVE_KS = (0, 1, 30, 1154, 1155, 1973, 1974, 10**4, 10**6)
+LIVE_RADIUS = {2: 8, 3: 3}
+
+
+def _live_matrix(name):
+    spec = LIVE_WINDOWS[name]
+    return load_generators(spec) if isinstance(spec[0], list) else builtin_generators(*spec)
+
+
+@functools.cache
+def _live_oracles(name, k):
+    G = _live_matrix(name)
+    M = LIVE_RADIUS[G.d]
+    return brute_etk(G, k, M), brute_cohort_sum(G, k, M), brute_best_fourier(G, k, M)
+
+
+@pytest.mark.parametrize("name", LIVE_WINDOWS)
+def test_windows_keep_every_live_term(name, block, monkeypatch):
+    G = _live_matrix(name)
+    M = LIVE_RADIUS[G.d]
+    inner, counts = fourier._half_box, []
+
+    def counted(*args):
+        for X, norm, rows, spare in inner(*args):
+            counts.append(norm.size)
+            yield X, norm, rows, spare
+
+    def passes():
+        counts.clear()
+        values = [
+            (etk_upper_bound(G, k, M), cohort_sum_S(G, k, M), best_fourier_lower_bound(G, k, M))
+            for k in LIVE_KS
+        ]
+        return values, sum(counts)
+
+    monkeypatch.setattr(fourier, "_half_box", counted)
+    windowed, evaluated = passes()
+    for k, (etk, (s, ok), best) in zip(LIVE_KS, windowed):
+        etk_oracle, s_oracle, best_oracle = _live_oracles(name, k)
+        assert etk == etk_oracle and best == best_oracle
+        assert s == pytest.approx(s_oracle, rel=1e-12, abs=0.0) and ok == (s <= 0.5 / (M + 1))
+    monkeypatch.setattr(fourier, "_qhat_reach", lambda *args: 0.25)
+    monkeypatch.setattr(bounds, "_cohort_reach", lambda *args: 0.25)
+    whole, every = passes()
+    assert repr(windowed) == repr(whole)
+    assert every == 3 * len(LIVE_KS) * ((2 * M + 1) ** G.d - 1) // 2
+    assert evaluated < every  # the windows do narrow
+
+
+@pytest.mark.parametrize("spec", [("sqrt_primes", 2, 2), ("sqrt_primes", 1, 3)])
+def test_best_bound_of_underflowing_values_is_the_least_vector(spec, block):
+    # every value is +0.0, so every vector of the box ties, though the
+    # windowed pass yields only those whose |qhat| may reach e^(-800/k)
+    G = builtin_generators(*spec)
+    least = (0.0, (-3,) * G.d)
+    assert best_fourier_lower_bound(G, 10**8, 3) == brute_best_fourier(G, 10**8, 3) == least

@@ -11,9 +11,8 @@ generator-0 phase lies far from the half-integers is +0.0.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +83,19 @@ def _cohort_terms(A: np.ndarray, X: np.ndarray, rows, k: int) -> np.ndarray:
     scale it are monotone, so the exponent is at most the same products
     taken of the largest distance.  Where those are below _UNDERFLOW, exp
     returns +0.0, which math.fsum would ignore.
+
+    The products take c = 4k/n as 4 q, q = k/n, and multiply by 4 last.
+    Scaling by 4 is exact, so each product rounds as it would with c, and
+    none overflows, though c does above about k = 4.5e307 n: a zero
+    distance then still gives exp(-0.0) / R(h).
     """
     Y = 2.0 * X
     dist = np.abs(Y - np.rint(Y)).reshape(len(A), -1)
-    c = 4.0 * k / A.shape[0]
+    q = float(k) / A.shape[0]
     top = dist.max(axis=0)
-    live = np.flatnonzero(~(-c * top * top < _UNDERFLOW))  # a NaN exponent is kept, as it was
+    live = np.flatnonzero(~(-q * top * top < _UNDERFLOW / 4.0))  # a NaN exponent is kept, as it was
     euc = np.fromiter(map(math.hypot, *dist[:, live].tolist()), dtype=float)
-    scaled = -c * euc * euc
+    scaled = -q * euc * euc * 4.0
     return np.fromiter(map(math.exp, scaled.tolist()), dtype=float) / _weight_rows(rows(live))
 
 
@@ -100,17 +104,16 @@ def _cohort_reach(n: int, k: int) -> float:
     largest distance from (1/2)Z of generator 0's phase x of a vector that
     _cohort_terms keeps.
 
-    Proof.  The screen keeps a vector unless fl(fl(-c top) top) < -800, c =
-    fl(4k/n) and top the largest of the exact distances |2X_j -
-    rint(2X_j)|; so a kept vector has c top^2 <= 800 / (1 - u)^2, u =
-    2^-53, or c infinite and top = 0.  Doubling is exact, so top >=
-    |2x - rint(2x)| = 2 dist(x, (1/2)Z), and dist(x, (1/2)Z) <= 1/2
-    sqrt(800 / c) / (1 - u), which the three roundings of the reach and
-    its factor 1 + 2^-20 cover.  At k = 0 every term is kept and the reach
-    is 1/4, the whole box.
+    Proof.  The screen keeps a vector unless fl(fl(-q top) top) < -200, q =
+    fl(k/n) and top the largest of the exact distances |2X_j -
+    rint(2X_j)|; so a kept vector has 4 q top^2 <= 800 / (1 - u)^2, u =
+    2^-53.  Doubling is exact, so top >= |2x - rint(2x)| = 2 dist(x,
+    (1/2)Z), and dist(x, (1/2)Z) <= 1/2 sqrt(200 / q) / (1 - u), which the
+    three roundings of the reach and its factor 1 + 2^-20 cover.  At k = 0
+    every term is kept and the reach is 1/4, the whole box.
     """
-    c = 4.0 * k / n
-    return 0.5 * math.sqrt(-_UNDERFLOW / c) * (1.0 + 2.0**-20) if c else 0.25
+    q = float(k) / n
+    return 0.5 * math.sqrt(-_UNDERFLOW / 4.0 / q) * (1.0 + 2.0**-20) if q else 0.25
 
 
 def cohort_sum_S(G: GeneratorMatrix, k: int, M: int) -> tuple[float, bool]:
@@ -162,12 +165,6 @@ class BoundReport:
     M: int | None = None
     s_value: float | None = None
     lemma_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def bound_report(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import __version__, fourier
 from .bounds import bound_report
 from .diophantine import dirichlet_search, estimate_bad_constant, nearest_integer_distance
 from .discrepancy import discrepancy_exact, discrepancy_grid
-from .errors import ToruswalkError, read_input_text, write_output_text
+from .errors import ToruswalkError, json_text, read_input_text, write_output_text
 from .scan import (
     ScanConfig,
     parse_k_schedule,
@@ -90,17 +89,6 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], help="also print this format to stdout")
 
 
-# subcommand -> (help, the function that adds its arguments), in --help order
-_SUBCOMMANDS = {
-    "dist": ("dump the k-step distribution as a point-set CSV", _dist_args),
-    "disc": ("discrepancy of a point-set CSV file", _disc_args),
-    "bounds": ("evaluate the closed-form and ETK bounds", _bounds_args),
-    "dirichlet": ("pigeonhole search for a close frequency", _dirichlet_args),
-    "badapprox": ("estimate the approximation constant", _badapprox_args),
-    "scan": ("full pipeline over a k schedule", _scan_args),
-}
-
-
 @functools.cache
 def _parser() -> tuple:
     """The CLI's one parser, with every subcommand registered by name and
@@ -109,7 +97,7 @@ def _parser() -> tuple:
     ap = argparse.ArgumentParser(prog="toruswalk", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    return ap, {name: sub.add_parser(name, help=help_text) for name, (help_text, _) in _SUBCOMMANDS.items()}, set()
+    return ap, {name: sub.add_parser(name, help=help_text) for name, (help_text, *_) in _SUBCOMMANDS.items()}, set()
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -144,9 +132,7 @@ def _config(args, base: ScanConfig | None = None) -> ScanConfig:
 
 def _print_json(record) -> None:
     """Print a dict, or a dataclass as its dict, as indented JSON."""
-    if dataclasses.is_dataclass(record):
-        record = dataclasses.asdict(record)
-    print(json.dumps(record, indent=2))
+    sys.stdout.write(json_text(record))
 
 
 def _cmd_dist(args) -> int:
@@ -177,7 +163,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_bounds(args) -> int:
     G = resolve_matrix(_config(args))[0]
-    out = bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax).to_dict()
+    out = dataclasses.asdict(bound_report(G, args.k, c_a=args.ca, c_a_certified_up_to=args.ca_hmax))
     if args.etk_m is not None:
         # looked up in fourier at call time, where a tracer may have wrapped it
         out["etk"] = fourier.etk_upper_bound(G, args.k, args.etk_m)
@@ -216,20 +202,22 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "dist": _cmd_dist,
-    "disc": _cmd_disc,
-    "bounds": _cmd_bounds,
-    "dirichlet": _cmd_dirichlet,
-    "badapprox": _cmd_badapprox,
-    "scan": _cmd_scan,
+# subcommand -> (help, the function that adds its arguments, its handler),
+# in --help order
+_SUBCOMMANDS = {
+    "dist": ("dump the k-step distribution as a point-set CSV", _dist_args, _cmd_dist),
+    "disc": ("discrepancy of a point-set CSV file", _disc_args, _cmd_disc),
+    "bounds": ("evaluate the closed-form and ETK bounds", _bounds_args, _cmd_bounds),
+    "dirichlet": ("pigeonhole search for a close frequency", _dirichlet_args, _cmd_dirichlet),
+    "badapprox": ("estimate the approximation constant", _badapprox_args, _cmd_badapprox),
+    "scan": ("full pipeline over a k schedule", _scan_args, _cmd_scan),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)  # --k-schedule's parser raises ValidationError
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except ToruswalkError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -1,9 +1,14 @@
 """Exception hierarchy shared by the library and the CLI, the guards that
 read input files and write output files, the one reader of their data
-lines, and the one cost budget every layer checks before it starts.
+lines and of their numeric rows, the one writer of JSON text, and the one
+cost budget every layer checks before it starts.
 
 Each class carries the process exit code the CLI maps it to.
 """
+
+import dataclasses
+import json
+import math
 
 
 class ToruswalkError(Exception):
@@ -71,6 +76,40 @@ def data_lines(text: str):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def numeric_rows(text: str, kind: str, split, minimum: int, check=None) -> list:
+    """The rows of floats of an input file's data lines, each split into
+    fields by split(line).  A line whose fields do not all parse as floats,
+    number fewer than minimum or other than the first data line's, are not
+    all finite, or of which check(row) names a problem, raises
+    ValidationError naming kind, the line number and the line."""
+    rows = []
+    for lineno, line in data_lines(text):
+        try:
+            row = [float(f) for f in split(line)]
+        except ValueError:
+            problem = "a non-numeric field"
+        else:
+            if len(row) < minimum:
+                problem = f"fewer than {minimum} field" + "s" * (minimum > 1)
+            elif rows and len(row) != len(rows[0]):
+                problem = f"{len(row)} fields, where the first data line has {len(rows[0])}"
+            elif not all(map(math.isfinite, row)):
+                problem = "a non-finite field"
+            else:
+                problem = check(row) if check else None
+        if problem:
+            raise ValidationError(f"{kind} line {lineno} has {problem}: {line!r}")
+        rows.append(row)
+    return rows
+
+
+def json_text(record) -> str:
+    """A dict, or a dataclass as its dict, as indented JSON with a final newline."""
+    if dataclasses.is_dataclass(record):
+        record = dataclasses.asdict(record)
+    return json.dumps(record, indent=2) + "\n"
 
 
 def write_output_text(path, text: str, kind: str) -> None:

@@ -403,18 +403,21 @@ def _etk_terms(A: np.ndarray, X: np.ndarray, rows, k: int) -> np.ndarray:
 
     A screen in numpy on the block's phases X finds the vectors whose term
     is provably +0.0 and spares them math.cos and pow: |qhat| <= |mean of
-    np.cos(2 pi X)| + 1e-9, so k log of that bound below _UNDERFLOW puts
-    |qhat|^k under e^-800.  For d <= 2 the phases X are those of qhat.  For
-    d >= 3 X sums the same rounded products left to right where qhat takes
-    their math.fsum, so the two differ only by the d - 1 roundings of the
-    partial sums.  Entries lie in [0, 1) and the budget, (2M+1)^d n 64 <=
-    8e7, keeps d M and so every partial sum below 2^8, where a rounding is
-    at most 2^-45: the phases, the cosines (up to 2 pi times that) and
-    their means agree far closer than 1e-9.  A bound >= 1 (|qhat| = 1, or
-    k = 0) is never screened.
+    np.cos(2 pi X)| + 1e-9, so the log of that bound below _UNDERFLOW / k
+    puts |qhat|^k under e^-799, the roundings of the log and the quotient
+    included, and so below the least subnormal, e^-744.4.  The compare
+    takes no product with k, which would overflow at k near 1e308; at k
+    <= 1 the cut, -800, lies below every log of a bound >= 1e-9.  For d <=
+    2 the phases X are those of qhat.  For d >= 3 X sums the same rounded
+    products left to right where qhat takes their math.fsum, so the two
+    differ only by the d - 1 roundings of the partial sums.  Entries lie in
+    [0, 1) and the budget, (2M+1)^d n 64 <= 8e7, keeps d M and so every
+    partial sum below 2^8, where a rounding is at most 2^-45: the phases,
+    the cosines (up to 2 pi times that) and their means agree far closer
+    than 1e-9.  A bound >= 1 (|qhat| = 1, or k = 0) is never screened.
     """
     bound = np.abs(reduce(np.add, np.cos(TWO_PI * X))) / A.shape[0] + 1e-9
-    H = rows(np.flatnonzero(float(k) * np.log(bound) >= _UNDERFLOW))  # finite: bound >= 1e-9
+    H = rows(np.flatnonzero(np.log(bound) >= _UNDERFLOW / max(k, 1)))  # finite: bound >= 1e-9
     return _abs_pow(_qhat_rows(A, H), k) / _weight_rows(H)
 
 

@@ -15,7 +15,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import ValidationError, data_lines, read_input_text, write_output_text
+from .errors import ValidationError, numeric_rows, read_input_text, write_output_text
 
 
 def frac(x: float) -> float:
@@ -149,20 +149,10 @@ def matrix_to_text(G: GeneratorMatrix) -> str:
 
 
 def parse_matrix_text(text: str) -> GeneratorMatrix:
-    """Parse the matrix file format: '#' comments, comma or whitespace separators."""
-    rows = []
-    for lineno, line in data_lines(text):
-        try:
-            row = [float(f) for f in re.split(r"[,\s]+", line) if f]
-        except ValueError as e:
-            raise ValidationError(f"bad matrix line {lineno} {line!r}: {e}") from None
-        if not row:
-            raise ValidationError(f"bad matrix line {lineno} {line!r}: no number")
-        if rows and len(row) != len(rows[0]):
-            msg = f"length {len(row)}, where the first data line has length {len(rows[0])}"
-            raise ValidationError(f"bad matrix line {lineno} {line!r}: {msg}")
-        rows.append(row)
-    return load_generators(rows)
+    """Parse the matrix file format: '#' comments, comma or whitespace
+    separators, empty fields skipped."""
+    split = lambda line: filter(None, re.split(r"[,\s]+", line))
+    return load_generators(numeric_rows(text, "matrix", split, 1))
 
 
 def read_matrix(path) -> GeneratorMatrix:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import json
 import math
 import os
 import typing
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 from . import __version__
 from .bounds import (
@@ -33,13 +32,14 @@ from .errors import (
     InternalConsistencyError,
     ValidationError,
     data_lines,
+    json_text,
     read_input_text,
     write_output_text,
 )
 from .fourier import etk_upper_bound
 from .generators import GeneratorMatrix, builtin_generators, read_matrix
 from .svgplot import loglog_svg
-from .walk import check_trials, exact_walk_distribution, project_to_torus, simulate_walk
+from .walk import MC_KEYS, MC_STEPS, check_trials, exact_walk_distribution, project_to_torus, simulate_walk
 
 
 @dataclass
@@ -154,12 +154,6 @@ class ScanReport:
     version: str
     generated_at: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -259,17 +253,18 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     G, descriptor = resolve_matrix(cfg)
     # any row of auto or mc may run Monte Carlo, which takes k below 2^63 and
     # at least one trial, and keys the row by seed + k, which Philox needs in
-    # [0, 2^128)
+    # [0, 2^128): the keys of the smallest and the largest k bracket them all
     if cfg.method != "exact":
         check_trials(cfg.trials)
-        if ks[-1] >= 2**63:
+        if ks[-1] >= MC_STEPS:
             raise ValidationError(
                 f"k = {ks[-1]} is past 2^63 - 1, the largest step count of a Monte Carlo row"
                 " (numpy's sampler range)"
             )
-        if not 0 <= cfg.seed < 2**128 - ks[-1]:
-            msg = f"seed {cfg.seed} puts the Monte Carlo key seed + k outside [0, 2^128)"
-            raise ValidationError(f"{msg} for k up to {ks[-1]}")
+        for k in ks[0], ks[-1]:
+            if not 0 <= cfg.seed + k < MC_KEYS:
+                msg = f"seed {cfg.seed} puts the Monte Carlo key of k = {k}, seed + k = {cfg.seed + k}"
+                raise ValidationError(f"{msg}, outside [0, 2^128)")
     rows = [_row_for_k(G, cfg, k) for k in ks]
     fitted = None
     if len(rows) >= 3:
@@ -301,7 +296,7 @@ def write_report(report: ScanReport, out_dir, svg: bool = False) -> list:
         raise ValidationError(
             f"cannot create output directory {str(out_dir)!r}: {e.strerror}"
         ) from None
-    texts = {"report.json": report.to_json(), "report.csv": report.to_csv()}
+    texts = {"report.json": json_text(report), "report.csv": report.to_csv()}
     if svg:
         columns = ("D", "discrepancy"), ("lower", "lower"), ("upper", "upper"), ("etk", "etk")
         series = {name: [(r.k, getattr(r, column)) for r in report.rows] for name, column in columns}

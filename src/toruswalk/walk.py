@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import PER_CALL, ValidationError, data_lines, require
+from .errors import PER_CALL, ValidationError, numeric_rows, require
 from .fourier import _phases
 from .generators import GeneratorMatrix
 
@@ -723,6 +723,11 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     return _pointset(G, points, _exact_weights(run, counts, L.denominator), "exact")
 
 
+# A Monte Carlo walk takes k in [0, MC_STEPS) and a key in [0, MC_KEYS):
+# numpy's samplers take k as a C long, and a Philox key has 128 bits.
+MC_STEPS, MC_KEYS = 2**63, 2**128
+
+
 def check_trials(trials: int) -> None:
     """Raise ValidationError unless a Monte Carlo walk has at least one trial."""
     if trials < 1:
@@ -753,10 +758,10 @@ def simulate_walk(G: GeneratorMatrix, k: int, trials: int, seed: int) -> Weighte
     place, or _merge's sort of the rows where their ranges multiply past
     2^63.  The rows come out in the same order either way.
     """
-    if not 0 <= k < 2**63:
+    if not 0 <= k < MC_STEPS:
         raise ValidationError("step count k must lie in [0, 2^63), numpy's sampler range")
     check_trials(trials)
-    if not 0 <= seed < 2**128:
+    if not 0 <= seed < MC_KEYS:
         raise ValidationError(f"seed {seed} is outside [0, 2^128), the range of a Philox key")
     n = G.n
     # at most 2n draws per trial (n binomials, and for n >= 3 a multinomial
@@ -800,31 +805,18 @@ def pointset_to_csv_text(P: WeightedPointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pointset_row_problem(row: list):
+    """What is wrong with a point-set row of finite floats, or None."""
+    if not all(0.0 <= x < 1.0 for x in row[:-1]):
+        return "a coordinate outside [0, 1)"
+    return "a negative weight" if row[-1] < 0.0 else None
+
+
 def pointset_from_csv_text(text: str, provenance: str = "exact") -> WeightedPointSet:
     """Parse one atom per line: d coordinates in [0, 1), then a finite weight
     >= 0; the weights must sum to 1 within 1e-9, as a probability measure's
     do.  Equal points are merged, their weights added in file order."""
-    rows = []
-    for lineno, line in data_lines(text):
-        try:
-            fields = [float(f) for f in line.split(",")]
-        except ValueError:
-            msg = f"point-set line {lineno} has a non-numeric field: {line!r}"
-            raise ValidationError(msg) from None
-        if len(fields) < 2:
-            problem = "fewer than 2 fields"
-        elif rows and len(fields) != len(rows[0]):
-            problem = f"{len(fields)} fields, where the first data line has {len(rows[0])}"
-        elif not all(map(math.isfinite, fields)):
-            problem = "a non-finite field"
-        elif not all(0.0 <= x < 1.0 for x in fields[:-1]):
-            problem = "a coordinate outside [0, 1)"
-        elif fields[-1] < 0.0:
-            problem = "a negative weight"
-        else:
-            rows.append(fields)
-            continue
-        raise ValidationError(f"point-set line {lineno} has {problem}: {line!r}")
+    rows = numeric_rows(text, "point-set", lambda line: line.split(","), 2, _pointset_row_problem)
     if not rows:
         raise ValidationError("empty point-set file")
     X = np.array(rows)

@@ -19,6 +19,7 @@ from toruswalk import (
     theorem1_lower_bound,
     theorem2_upper_bound,
 )
+from toruswalk.errors import json_text
 
 GOLDEN = builtin_generators("golden", 1, 1)
 
@@ -159,10 +160,26 @@ class TestFitDecayExponent:
             fit_decay_exponent([(1, 1.0), (1, 0.5), (3, 0.2)])
 
 
+@pytest.mark.parametrize(
+    "G",
+    [load_generators([[0.5, 0.25]]), builtin_generators("sqrt_primes", 2, 2)],
+    ids=["half-quarter", "sqrt_primes"],
+)
+def test_frequency_sums_hold_their_value_past_4e307(G):
+    # 4k/n overflows a float above about 4.5e307 n, and k log|qhat| near
+    # 1e308; the suite turns a RuntimeWarning of either into an error
+    calls = cohort_sum_S, etk_upper_bound, best_fourier_lower_bound
+    at = {k: [call(G, k, 3) for call in calls] for k in (4 * 10**307, 5 * 10**307, 10**308)}
+    assert at[5 * 10**307] == at[10**308] == at[4 * 10**307]
+    if G.n == 1:
+        # a vector with {2Ah} = 0 adds 1/R(h) to S at every k: h_1 even
+        assert at[10**308][0] == (8.333333333333334, False)
+
+
 class TestBoundReport:
     def test_json_round_trip(self):
         rep = bound_report(GOLDEN, 10**4, c_a=0.437, c_a_certified_up_to=10**5)
-        data = json.loads(rep.to_json())
+        data = json.loads(json_text(rep))
         assert data["n"] == 1 and data["d"] == 1 and data["k"] == 10**4
         assert data["lower"] == pytest.approx(theorem1_lower_bound(1, 1, 10**4))
         assert data["upper"] == pytest.approx(theorem2_upper_bound(1, 1, 0.437, 10**4))

@@ -286,6 +286,15 @@ def test_matrix_file_input(tmp_path, capsys):
     assert json.loads(out)["h"] == [2]
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_matrix_entry_exits_2_naming_its_line(tmp_path, capsys, entry):
+    mat = tmp_path / "m.txt"
+    mat.write_text(f"# two generators\n0.5\n{entry}\n")
+    code, out, err = run_cli(capsys, "dist", "--matrix", str(mat), "--k", "2")
+    assert code == 2 and out == ""
+    assert f"error: matrix line 3 has a non-finite field: '{entry}'" in err
+
+
 def test_exit_code_validation(capsys):
     code, _, err = run_cli(capsys, "dist", "--k", "2")
     assert code == 2
@@ -450,17 +459,19 @@ def _no_row(*args, **kwargs):
         (["--k-schedule", "4,4,8"], "k schedule repeats k = 4"),
         (["--k-schedule", "8,8,16,16"], "k schedule repeats k = 8, 16"),
         (["--method", "auto", "--seed", "-200000", "--k-schedule", "8,100000"],
-         "seed -200000 puts the Monte Carlo key seed + k outside [0, 2^128) for k up to 100000"),
+         "seed -200000 puts the Monte Carlo key of k = 8, seed + k = -199992, outside [0, 2^128)"),
+        (["--method", "mc", "--seed", "-9", "--k-schedule", "8,16"],
+         "seed -9 puts the Monte Carlo key of k = 8, seed + k = -1, outside [0, 2^128)"),
         (["--method", "mc", "--seed", str(2**128 - 8), "--k-schedule", "4,8"],
-         f"seed {2**128 - 8} puts the Monte Carlo key"),
+         f"seed {2**128 - 8} puts the Monte Carlo key of k = 8, seed + k = {2**128}, outside"),
         (["--method", "mc", "--k-schedule", "pow2:0..63"],
          f"k = {2**63} is past 2^63 - 1, the largest step count of a Monte Carlo row"),
         (["--method", "auto", "--k-schedule", "pow2:0..200"], f"k = {2**200} is past 2^63 - 1"),
         (["--k-schedule", "pow2:a..b"], "error: bad pow2 schedule 'pow2:a..b'"),
     ],
     ids=[
-        "repeat", "repeats", "auto-negative", "mc-past-2^128", "mc-past-2^63", "auto-past-2^63",
-        "unparsed",
+        "repeat", "repeats", "auto-negative", "mc-key-minus-1", "mc-past-2^128", "mc-past-2^63",
+        "auto-past-2^63", "unparsed",
     ],
 )
 def test_scan_checks_schedule_and_seed_before_any_row(capsys, tmp_path, monkeypatch, argv, message):
@@ -472,6 +483,22 @@ def test_scan_checks_schedule_and_seed_before_any_row(capsys, tmp_path, monkeypa
     assert code == 2 and out == ""
     assert message in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_scan_takes_a_negative_seed_whose_keys_are_in_range(capsys, tmp_path):
+    # seed -1 keys the one row, k = 8, with 7
+    argv = ["scan", "--builtin", "golden", "--method", "mc", "--trials", "100", "--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv, "--k-schedule", "8", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["seed"] == -1 and [row["method"] for row in report["rows"]] == ["mc"]
+
+
+def test_scan_json_format_prints_the_bytes_of_report_json(capsys, tmp_path):
+    argv = ["scan", "--builtin", "golden", "--k-schedule", "pow2:14..16", "--ca", "0.4", "--hmax", "100"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(tmp_path))
+    assert code == 0
+    assert out == (tmp_path / "report.json").read_text(encoding="utf-8")
 
 
 def test_scan_exact_method_takes_any_seed(capsys, tmp_path):
@@ -739,7 +766,7 @@ def test_scan_determinism(tmp_path):
     cfg = ScanConfig(builtin="golden", k_schedule=[16, 64, 256], seed=3)
     a, b = run_scan(cfg), run_scan(cfg)
     assert a.to_csv() == b.to_csv()
-    da, db = a.to_dict(), b.to_dict()
+    da, db = dataclasses.asdict(a), dataclasses.asdict(b)
     da.pop("generated_at")
     db.pop("generated_at")
     assert json.dumps(da) == json.dumps(db)
@@ -862,9 +889,10 @@ def test_parser_is_built_once_and_calls_get_their_own_namespace(capsys, tmp_path
         seen.append(args)
         return commands[args.command](args)
 
-    seen, commands = [], dict(cli._COMMANDS)
+    seen, commands = [], {name: handler for name, (_, _, handler) in cli._SUBCOMMANDS.items()}
     for name in ("scan", "bounds"):
-        monkeypatch.setitem(cli._COMMANDS, name, spy)
+        help_text, add_args, _ = cli._SUBCOMMANDS[name]
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, add_args, spy))
     assert cli.build_parser(["scan"]) is cli.build_parser(["bounds"])  # one parser serves every command
     scan = ["scan", "--builtin", "golden", "--out", str(tmp_path), "--format", "json"]
     bounds = ["bounds", "--builtin", "golden", "--k", "10"]

@@ -130,11 +130,19 @@ def test_parse_comments_and_commas():
     G = parse_matrix_text("# a comment\n0.1, 0.2\n0.3\t0.4\n\n")
     assert G.entries == ((0.1, 0.2), (0.3, 0.4))
     # a bad line is named by its number, counting comment and blank lines
-    with pytest.raises(ValidationError, match="bad matrix line 3 '0.1, abc'"):
+    with pytest.raises(ValidationError, match="matrix line 3 has a non-numeric field: '0.1, abc'"):
         parse_matrix_text("# a comment\n\n0.1, abc\n")
     # as are a line with no number and a row whose length differs from the first's
-    with pytest.raises(ValidationError, match="bad matrix line 2 ',,': no number"):
+    with pytest.raises(ValidationError, match="matrix line 2 has fewer than 1 field: ',,'"):
         parse_matrix_text("0.1, 0.2\n,,\n")
-    message = "bad matrix line 4 '0.5': length 1, where the first data line has length 2"
+    message = "matrix line 4 has 1 fields, where the first data line has 2: '0.5'"
     with pytest.raises(ValidationError, match=message):
         parse_matrix_text("0.1 0.2\n# a comment\n0.3 0.4\n0.5\n")
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_a_non_finite_matrix_entry_names_its_line(entry):
+    with pytest.raises(ValidationError, match=f"matrix line 3 has a non-finite field: '0.1 {entry}'"):
+        parse_matrix_text(f"0.1 0.2\n# a comment\n0.1 {entry}\n")
+    with pytest.raises(ValidationError, match="generator entries must be finite"):
+        load_generators([[0.1, 0.2], [0.1, float(entry)]])  # direct callers keep their check

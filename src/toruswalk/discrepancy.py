@@ -14,16 +14,12 @@ first d-1 axes and packs the boxes' final-axis masses, as padded prefix
 sums read off that table, strip after strip into blocks of one size for the
 estimator's own final-axis reduction.  For the grid the table first has the
 volume subtracted, in place, so a block reads mass minus volume directly.
-Strips run coarse to fine: the strips between every _COARSE-th face on axis
-d-2 come first, and each cell pair of strips between them is bounded by
-the values of its outer and inner coarse strips plus the volume the two
-differ by, so the fine pass skips the cell pairs that cannot beat the
-estimator's best value so far by more than a rounding margin; values and
-witnesses are those of the full enumeration, and each strip is evaluated
-at most once.  Each estimator builds its face arrays first
-and prices the worst case, every strip in blocks of one left face each,
-against the budget before it enumerates anything; the budget also bounds
-the table, which has (c+1)^d cells for c faces per axis.
+A dyadic tree over the faces of axis d-2 skips the nodes of strips whose
+bound, read and reduced as a strip is, misses the best value so far by
+more than a rounding margin: values and witnesses are those of the full
+enumeration.  Each estimator prices the worst case, every strip in blocks
+of one left face each, against the budget before it enumerates anything;
+the budget also bounds the table, (c+1)^d cells for c faces per axis.
 """
 
 from __future__ import annotations
@@ -96,12 +92,13 @@ _BLOCK = 1 << 15
 # The budget charges blocks of at most this many elements that each hold one
 # left face's boxes, the enumerator's before it packed them (see _elements).
 _PRICED_BLOCK = 1 << 13
-# The least margin by which a cell pair's bound must miss the best value so
-# far before _blocks skips the cell pair's strips (see _blocks).
+# The least margin by which a node's bound must miss the best value so far
+# before _blocks skips the node's strips (see _blocks).
 _MARGIN = 2.0**-40
-# The stride of the coarse faces on axis d-2, whose strips bound the others
-# (see _blocks).
-_COARSE = 4
+# _blocks' tree of nodes: the most blocks of faces a side in its first level,
+# the nodes a level whose widest strip it evaluates early, and the numpy calls
+# charged to a block of bound rows and four times to a level's arithmetic.
+_TOP, _EARLY, _BOUND_CALLS = 16, 4, 16
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -126,38 +123,33 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
     (i, js[1]), ....  P[r, t + 1] is row r's mass up to final-axis face t,
     W[r] its volume on axes 0..d-2.  Before it asks for the next block the
     caller writes into best[r] row r's value, the largest value of its
-    boxes, and keeps floor, a one-element list, at its best value so far.
-    In d = 1 the one block is the table, with no segments.
+    boxes, and keeps floor, a one-element list, at its best value so far,
+    which blocks of bound rows (segments None) do not raise.  In d = 1 the
+    one block is the table, with no segments.
 
-    Coarse to fine.  Every _COARSE-th face u_i on axis d-2, counted back
-    from the last, and the first are coarse: K_0 = 0 < K_1 < ... < K_m =
-    c - 1.  Each slab yields first the coarse strips (K_p, K_q) in (i, j)
-    order, then the others, left face by left face, so each strip comes
-    once; a coarse left face's right faces come by residue mod _COARSE, out
-    of order.  A strip (i, j) of the cell pair (A, B), K_A <= i <= K_(A+1)
-    and K_B <= j <= K_(B+1), holds the inner strip (K_(A+1), K_B) and lies
-    in the outer strip (K_A, K_(B+1)), with widths w_in <= w_ij <= w_out on
-    axis d-2.  Widened to the outer strip, a box gains mass, and volume at
-    most W (w_out - w_ij) <= W (w_out - w_in), as its final-axis side is at
-    most 1; narrowed to the inner strip, it loses mass, and volume at most
-    as much.  So its excess is at most the outer strip's value plus that
-    slack, its deficit at most the inner strip's value plus it, and every
-    box of the cell pair has a value of at most bound(A, B) = max(v_out,
-    v_in) + W (w_out - w_in), v a strip's value.  An inner strip that is no
-    pair (K_B < K_(A+1) + jmin) counts as a strip of width and value 0: a
-    deficit is at most the box's volume.  At each left face the fine pass
-    skips the cell pairs whose bound is below floor[0] - margin, so a
-    skipped box cannot reach floor[0] and the first box attaining the
-    maximum is still yielded.  In d >= 3 a box's excess is also at most its
-    slab's mass and its deficit at most the slab's volume on axes 0..d-3,
-    so a slab whose larger one is below floor[0] - margin is skipped whole.
+    A tree of nodes prunes the strips.  A node of size s holds the strips
+    (i, j) with p s = i0 <= i <= i1, q s = j0 <= j <= j1 and q >= p; each
+    lies in the outer strip (i0, j1), holds the inner one (i1, j0), of mass
+    at most 0 if no pair, and is w_in = u_j0 - u_i1 to w_out = u_j1 - u_i0
+    wide.  So a box's excess is at most the value of the bound row of the
+    outer mass and width max(0, w_in), its deficit that of the inner mass
+    and width w_out, its grid value the larger.  The first level has at
+    most _TOP blocks of 2^m faces a side.  Each level yields its nodes'
+    bound rows, evaluates the widest strips (i0, j1) of its _EARLY best
+    nodes above floor[0], skips the nodes below floor[0] - margin and
+    quarters the others, down to size 2; then the nodes left yield their
+    strips not yet evaluated, in runs of a left face.  A level runs only
+    while the charge covers what was spent, the level and the worst case
+    of the live pairs (packed, the pairs cost 8-12 % less than it).  In
+    d >= 3 a slab is skipped whole when its mass and its volume on axes
+    0..d-3, which bound its boxes' values, are below floor[0] - margin.
 
     The margin covers rounding.  The bounds hold exactly for the exact sums
-    of the binned cells.  A box value, and the value or mass that bounds
-    it, read at most 2^d table entries each, each a sum over at most
-    sum(shape) additions and so within sum(shape) * 2^-53 * M of its exact
-    sum (M the total mass, the table's last entry); the two values, the
-    slack and the bound take at most 8 * 2^d + 8 d + 16 more roundings of
+    of the binned cells.  A box value and a bound row's value read at most
+    2^d table entries each, each a sum over at most sum(shape) additions
+    and so within sum(shape) * 2^-53 * M of its exact sum (M the total
+    mass, the table's last entry); the two, a bound row's width or volume
+    shift included, take at most 8 * 2^d + 8 d + 16 more roundings of
     numbers below 2 * max(1, M).  As sum(shape) >= 2 d, that is below
     max(2^13, 2^(d+5) * sum(shape)) * 2^-53 * max(1, M), which is margin =
     _MARGIN * max(1, M) * max(1, 2^d * sum(shape) / 256).
@@ -166,7 +158,8 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
     r stands for face u_r on axis d-2 on both sides of a pair: each slab
     row first loses its volume W * u_r * g_t below every final-axis face
     g_t, in place, so that P[r, t] is the mass below g_t minus the volume
-    there (the last column stays a mass) and W is not yielded (None)."""
+    there (the last column stays a mass) and W is not yielded (None); a
+    bound row gets back the volume of its own width less the other's."""
     a, b, jmin = rule
     g = faces[-1]
     shape = tuple(f.size + 1 for f in faces)
@@ -192,9 +185,8 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
                 if max(T[j - b + 1].flat[-1] - T[i + a].flat[-1], w) >= floor[0] - margin:
                     yield from slabs(T[j - b + 1] - T[i + a], lo + (i,), hi + (j,), w)
 
-    u, rows = faces[-2], max(1, _BLOCK // shape[-1])
-    buf, best = np.empty((rows, shape[-1])), np.empty(rows)
-    widths = None if minus_volume else np.empty(rows)
+    u, c, cols, rows = faces[-2], faces[-2].size, shape[-1], max(1, _BLOCK // shape[-1])
+    buf, (best, widths) = np.empty((rows, cols)), np.empty((2, rows))
 
     def pack(runs, lo, hi, T, W):  # the blocks of these runs of strips (i, js)
         n, segments = 0, []
@@ -202,70 +194,78 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
             while js:
                 k = min(rows - n, len(js))
                 part, js = js[:k], js[k:]
-                rows_j = slice(part.start - b + 1, part.stop - b + 1, part.step)
-                np.subtract(T[rows_j], T[i + a], out=buf[n : n + k])
-                if widths is not None:
-                    np.subtract(u[part.start : part.stop : part.step], u[i], out=widths[n : n + k])
+                np.subtract(T[part.start - b + 1 : part.stop - b + 1], T[i + a], out=buf[n : n + k])
+                np.subtract(u[part.start : part.stop], u[i], out=widths[n : n + k])
                 segments.append((n, i, part))
                 n += k
                 if n == rows:
-                    yield lo, hi, buf, None if widths is None else W * widths, segments, best
+                    yield lo, hi, buf, None if minus_volume else W * widths, segments, best
                     n, segments = 0, []
         if n:
-            yield lo, hi, buf[:n], None if widths is None else W * widths[:n], segments, best[:n]
+            yield lo, hi, buf[:n], None if minus_volume else W * widths[:n], segments, best[:n]
 
-    c, offset = u.size, (u.size - 1) % _COARSE  # the last face is coarse, and the first
-    K = [0, *range(offset, c, _COARSE)] if offset else list(range(0, c, _COARSE))
-    m, rank, coarse = len(K) - 1, {x: p for p, x in enumerate(K)}, []
-    for p, i in enumerate(K[: m + 1 - jmin]):  # the coarse strips (K_p, K_q), q >= p + jmin
-        q = p + jmin
-        if K[q] % _COARSE != offset:  # the pair (0, 0), as K_0 = 0 is off the stride
-            coarse.append((i, range(0, 1)))
-            q += 1
-        if q <= m:
-            coarse.append((i, range(K[q], c, _COARSE)))
-    uk, cell = u[K], np.arange(m)
-    upper = cell >= cell[:, None]  # [A, B]: whether B >= A
-    inner = cell >= cell[:, None] + 1 + jmin  # and whether the inner strip is a pair
-    slack = uk[1:] - uk[:-1, None] - np.where(inner, uk[:-1] - uk[1:, None], 0.0)
-    value = np.zeros((m + 1, m + 1))  # [p, q]: the value of the coarse strip (K_p, K_q)
-    bound = value[:-1, 1:]  # [A, B], B >= A: bound(A, B), in place of the outer strip's value
+    def level(s, p, q):  # nodes (p, q): faces, what a skip saves, bound rows and their widths
+        i0, j0 = p * s, q * s
+        i1, j1 = np.minimum(i0 + s, c) - 1, np.minimum(j0 + s, c) - 1
+        w_in, w_out, fp, fq = u[j0] - u[i1], u[j1] - u[i0], i1 - i0 + 1, j1 - j0 + 1
+        saved = cols * np.where(p < q, fp * fq, fp * (fp + 1 - 2 * jmin) // 2) - 2 * PER_CALL * fp
+        w_pos = np.maximum(w_in, 0.0)
+        outer = (j1 - b + 1, i0 + a, w_pos, w_out - w_pos)  # rows, width, grid's volume shift
+        inner = (j0 - b + 1, i1 + a, w_out, w_in - w_out)
+        sides = [outer, inner] if minus_volume else [inner] if jmin else [outer]
+        tops, lows, width, shift = map(np.concatenate, zip(*sides))
+        return p, q, i0, j1, saved, tops, lows, shift if minus_volume else width
 
-    def fine():  # the strips that are not coarse, by left face, less the skipped cell pairs
-        cut = None
-        for A in range(m):
-            for i in range(K[A], K[A + 1]):
-                if floor[0] - margin != cut:
-                    cut = floor[0] - margin
-                    spans = [[] for _ in range(m)]  # [A]: live cells B >= A, as runs [B0, B1]
-                    for x in np.flatnonzero((bound >= cut) & upper).tolist():
-                        row, B = spans[x // m], x % m
-                        if row and row[-1][1] == B - 1:
-                            row[-1][1] = B
-                        else:
-                            row.append([B, B])
-                if i == K[A]:  # a coarse left face: the live cells' right faces less the
-                    for B0, B1 in spans[A]:  # coarse ones, by residue mod _COARSE
-                        for j in range(K[B0] + 1, min(K[B0] + 1 + _COARSE, K[B1 + 1])):
-                            if j % _COARSE != offset:
-                                yield i, range(j, K[B1 + 1], _COARSE)
-                else:
-                    for B0, B1 in spans[A]:
-                        yield i, range(max(K[B0], i + jmin), K[B1 + 1] + (B1 == m - 1))
+    def leaves(s, p, q, done):  # the nodes' face pairs as runs (i, js), less those done
+        head = np.ones(p.size + 1, bool)  # [x]: node x starts a run (p, q), (p, q + 1), ...
+        head[1:-1] = (p[1:] != p[:-1]) | (q[1:] != q[:-1] + 1)  # and [p.size] ends the last
+        for x0, x1 in zip(heads := np.flatnonzero(head).tolist(), heads[1:]):
+            j0, j1 = int(q[x0]) * s, min(int(q[x1 - 1]) * s + s, c)
+            for i in range(int(p[x0]) * s, min(int(p[x0]) * s + s, c)):
+                cuts = [max(j0, i + jmin) - 1, *sorted(j for d, j in done if d == i and j0 <= j < j1), j1]
+                yield from ((i, range(x + 1, y)) for x, y in zip(cuts, cuts[1:]) if x + 1 < y)
+
+    n = c * (c + 1 - 2 * jmin) // 2  # the pairs on axis d-2; their worst case, a run a left face
+    worst = n * cols + PER_CALL * (8 * -(-n // rows) + 2 * min(n, c - 1 - (-n // rows)))
+    top, charge = 1 << (-(-c // _TOP) - 1).bit_length(), _elements(faces[-2:], jmin)
+    first = level(top, *np.triu_indices(-(-c // top)))
 
     for lo, hi, T, W in slabs(S, (), (), 1.0):  # T is S itself in d = 2, else a fresh slab
         if minus_volume:  # in row chunks, so no temporary holds more than _BLOCK elements
             V = T[:-1, :-1]  # the rows of faces u_r and the columns of faces g_t
             for r in range(0, u.size, rows):
                 V[r : r + rows] -= np.multiply.outer(W * u[r : r + rows], g)
-        for block in pack(coarse, lo, hi, T, W):
-            yield block
-            for r0, i, js in block[4]:
-                p, q = rank[i], rank[js[0]]
-                value[p, q : q + len(js)] = block[5][r0 : r0 + len(js)]
-        np.maximum(bound, np.where(inner, value[1:, :-1], 0.0), out=bound)
-        bound += W * slack
-        yield from pack(fine(), lo, hi, T, W)
+        s, (p, q, *nodes), done, spent, rest = top, first, set(), 0, worst  # down the tree
+        while s > 1:
+            i0, j1, saved, tops, lows, width = nodes
+            calls = _BOUND_CALLS * (4 - (-tops.size // rows)) + 8 * -(-_EARLY // rows) + 4 * _EARLY
+            plan = (tops.size + _EARLY) * cols + PER_CALL * calls
+            if spent + plan + rest > charge:
+                break
+            spent, width, bound = spent + plan, W * width, np.empty(tops.size)
+            for r in range(0, tops.size, rows):  # the bound rows
+                P, k = buf[: tops.size - r], slice(r, r + rows)
+                np.subtract(np.take(T, tops[k], axis=0, out=P, mode="clip"), T[lows[k]], out=P)
+                if minus_volume:  # the volume of the row's own width, less the other's
+                    P[:, :-1] += np.multiply.outer(width[k], g)
+                yield lo, hi, P, None if minus_volume else width[k], None, best[: len(P)]
+                bound[k] = best[: len(P)]
+            bound = bound.reshape(-1, p.size).max(axis=0)
+            # the _EARLY best nodes above the floor (np.sort: a first argsort adds 0.3 MB of RSS)
+            few = (bound >= np.sort(bound)[-_EARLY:][0]) & (bound > floor[0]) & (j1 >= i0 + jmin)
+            early = sorted({(int(i0[x]), int(j1[x])) for x in np.flatnonzero(few)[:_EARLY]} - done)
+            done.update(early)
+            yield from pack([(i, range(j, j + 1)) for i, j in early], lo, hi, T, W)
+            cut = bound < floor[0] - margin
+            if spent + rest - (saving := int(np.dot(cut, saved))) <= charge:
+                p, q, rest = p[~cut], q[~cut], rest - saving
+            if s == 2 or not p.size:
+                break
+            p, q = (2 * p[:, None] + [0, 0, 1, 1]).ravel(), (2 * q[:, None] + [0, 1, 0, 1]).ravel()
+            s, live = s // 2, (q >= p) & (q * (s // 2) < c)
+            order = np.lexsort((q[live], p[live]))
+            p, q, *nodes = level(s, p[live][order], q[live][order])
+        yield from pack(leaves(s, p, q, done), lo, hi, T, W)
 
 
 def _elements(faces, jmin: int) -> int:
@@ -274,8 +274,8 @@ def _elements(faces, jmin: int) -> int:
     columns of the final axis, as if no strip were skipped, and 10 * PER_CALL
     (about 10 us of numpy calls) for each block of an enumerator that gives
     every left face on axis d-2 blocks of its own of at most _PRICED_BLOCK
-    elements.  _blocks packs left faces into fewer, larger blocks: at 8 calls
-    a block and 2 a segment it stays within that charge."""
+    elements.  Packed at 8 calls a block and 2 a segment, _blocks' pairs
+    cost less, and it spends the rest on bound rows only (see _blocks)."""
     width = faces[-1].size + 1
     pairs = [(f.size - jmin) * (f.size - jmin + 1) // 2 for f in faces[:-1]]
     blocks = 1
@@ -292,12 +292,11 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
 
     Excess boxes are closed with faces at atom coordinates, deficit boxes
     open with the cube boundary added; on the final axis the best interval
-    of each row comes from one running-min sweep.  _blocks yields a slab's
-    coarse strips before the others, and some rows out of (i, j) order, so
-    of the boxes attaining a block's best value, and of a block's best box
-    and the best so far on a tie, the one whose strip comes first in (i, j)
-    order wins: the witness is the first box of the full enumeration that
-    attains the maximum.
+    of each row comes from one running-min sweep.  _blocks yields early
+    strips out of (i, j) order, so of the boxes attaining a block's best
+    value, and of a block's best box and the best so far on a tie, the one
+    whose strip comes first in (i, j) order wins: the witness is the first
+    box of the full enumeration that attains the maximum.
     """
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
@@ -313,7 +312,7 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
         # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
         vals = np.subtract(top[:, jmin:], low[:, : u.size - jmin], out=top[:, jmin:])
         v = float(np.max(vals, axis=1, out=rowbest).max())
-        if v < floor[0]:
+        if segments is None or v < floor[0]:  # bound rows, or no box above the best so far
             continue
         rows = np.flatnonzero(rowbest == v).tolist()
         if segments:  # the runs give the rows' pairs on axis d-2: the first strip wins a tie
@@ -391,8 +390,9 @@ def discrepancy_grid(P: WeightedPointSet, resolution: int) -> float:
     require(kind, _elements(faces, 1), "a coarser --resolution")
     # [g_i, g_j) holds x when g_i <= x < g_j: index i <= p < j
     floor = [0.0]
-    for _, _, F, _, _, rowbest in _blocks(pts, wts, faces, (0, 1, 1), floor, True):
+    for _, _, F, _, segments, rowbest in _blocks(pts, wts, faces, (0, 1, 1), floor, True):
         F = F[:, :-1]  # mass below g_t minus the volume there, for each final-axis face g_t
         np.subtract(F.max(axis=1), F.min(axis=1), out=rowbest)
-        floor[0] = max(floor[0], float(rowbest.max()))
+        if segments is not None:  # not bound rows
+            floor[0] = max(floor[0], float(rowbest.max()))
     return floor[0]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_discrepancy_exact, brute_discrepancy_grid, random_point_set
 from toruswalk import (
@@ -249,20 +251,33 @@ def _faces(P, rule, resolution=6):
     return pts, faces
 
 
-def _blocks_of(P, rule):
+def _blocks_of(P, rule, resolution=6):
     """Every block _blocks yields for P under one estimator's rule, with the
-    pair (slab, i, j) of each row; the floor stays at -inf, so no strip is
-    skipped."""
-    (pts, faces), (triple, minus_volume) = _faces(P, rule), RULES[rule]
+    pair (slab, i, j) of each row, none in a block of bound rows; the floor
+    stays at -inf, so no node is skipped."""
+    (pts, faces), (triple, minus_volume) = _faces(P, rule, resolution), RULES[rule]
     wts = np.array([w for _, w in P.atoms])
     blocks = []
     for lo, hi, prefix, _, segs, best in discrepancy_module._blocks(
         pts, wts, faces, triple, [-math.inf], minus_volume
     ):
         best[:] = 0.0
-        pairs = [(lo, hi, i, js[r]) for _, i, js in segs for r in range(len(js))]
+        pairs = [(lo, hi, i, js[r]) for _, i, js in segs or () for r in range(len(js))]
         blocks.append((lo, hi, prefix.copy(), segs, pairs))
     return faces, triple, blocks
+
+
+def _unmetered(monkeypatch):
+    """Lift the budget and _blocks' charge, so that even the smallest sets
+    get bound rows at every level of nodes."""
+    monkeypatch.setattr(errors, "BUDGET", math.inf)
+    monkeypatch.setattr(discrepancy_module, "_elements", lambda faces, jmin: math.inf)
+
+
+def _full_enumeration(monkeypatch):
+    """Every strip in (i, j) order: no levels of nodes, nothing skipped."""
+    monkeypatch.setattr(discrepancy_module, "_MARGIN", math.inf)
+    monkeypatch.setattr(discrepancy_module, "_TOP", 10**9)
 
 
 # sqrt_primes n = d = 2 at the k of the disc-d2 benchmark scan: value,
@@ -303,19 +318,25 @@ class TestPackedBlocks:
                 brute_discrepancy_grid(P, res), abs=1e-12
             )
 
+    @pytest.mark.parametrize("top", [1, 16])
     @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_rows_are_the_face_pairs_in_order(self, d, rule, monkeypatch):
+    def test_rows_are_the_face_pairs_once(self, d, rule, top, monkeypatch):
         # 25 elements: 2 or 3 rows of at most 11 columns, so runs split and
-        # share blocks; each slab yields its coarse pairs in order, then the
-        # others left face by left face
+        # share blocks; unmetered and unskipped, every slab yields bound rows
+        # at each level (top = 1) or none (c <= 16 = top), and each face pair
+        # once, early or in a run of its left face
         monkeypatch.setattr(discrepancy_module, "_BLOCK", 25)
+        monkeypatch.setattr(discrepancy_module, "_TOP", top)
+        _unmetered(monkeypatch)
         P = random_point_set(np.random.Generator(np.random.PCG64(7100 + d)), 8, d)
         faces, (a, b, jmin), blocks = _blocks_of(P, rule)
-        u, stride = faces[-2].size, discrepancy_module._COARSE
-        coarse = [x for x in range(u) if (u - 1 - x) % stride == 0 or x == 0]
-        pairs, split, shared, last = {}, False, False, None
+        u = faces[-2].size
+        pairs, split, shared, last, bound_rows = {}, False, False, None, 0
         for lo, hi, prefix, segments, rows in blocks:
+            if segments is None:
+                bound_rows += prefix.shape[0]
+                continue
             assert prefix.shape[0] == len(rows)
             assert [r0 for r0, _, _ in segments] == [
                 sum(len(js) for _, _, js in segments[:m]) for m in range(len(segments))
@@ -327,12 +348,10 @@ class TestPackedBlocks:
             last = (lo, hi, i, js[-1])
             pairs.setdefault((lo, hi), []).extend((i, j) for _, _, i, j in rows)
         assert split and shared
-        first = [(i, j) for i in coarse for j in coarse if j >= i + jmin]
-        rest = [(i, j) for i in range(u) for j in range(i + jmin, u) if (i, j) not in first]
+        assert (bound_rows > 0) == (top == 1)
+        every = [(i, j) for i in range(u) for j in range(i + jmin, u)]
         for slab in pairs.values():
-            assert slab[: len(first)] == first
-            assert sorted(slab[len(first) :]) == rest
-            assert sorted(slab[len(first) :], key=lambda pair: pair[0]) == slab[len(first) :]
+            assert sorted(slab) == every
 
     def test_disc_d2_outputs_are_pinned(self):
         for k, (value, lo, hi) in DISC_D2_EXACT.items():
@@ -372,10 +391,10 @@ def _tied_set():
 
 
 class TestStripBound:
-    """Skipping the cell pairs whose bound misses the best value so far
-    changes no value, witness or direction: each case is run with the skip
-    and with the margin at infinity, which skips nothing, at coarse strides
-    of 2, 3 and 4 faces and one past every face count."""
+    """Skipping the nodes whose bound misses the best value so far changes no
+    value, witness or direction: each case is run with the skip, unmetered,
+    with a first level of 1, 2, 4 and every node a side, and with the full
+    enumeration, which skips nothing."""
 
     CASES = {
         "heavy atom d=2": (lambda: _heavy_atom_set(2), "excess"),
@@ -394,15 +413,16 @@ class TestStripBound:
         if block is not None:  # one-row blocks raise the floor after every row
             monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
         rows, skipped = _rows_yielded(monkeypatch), False
-        for stride in (2, 3, 4, 10**6):
-            monkeypatch.setattr(discrepancy_module, "_COARSE", stride)
+        with monkeypatch.context() as m:
+            _full_enumeration(m)
+            rows[0] = 0
+            ref, ref_grid = discrepancy_exact(P), discrepancy_grid(P, 4)
+            all_rows = rows[0]
+        _unmetered(monkeypatch)
+        for top in (1, 2, 4, 10**6):
+            monkeypatch.setattr(discrepancy_module, "_TOP", top)
             rows[0] = 0
             res, grid = discrepancy_exact(P), discrepancy_grid(P, 4)
-            skipped_rows = rows[0]
-            with monkeypatch.context() as m:
-                m.setattr(discrepancy_module, "_MARGIN", math.inf)
-                rows[0] = 0
-                ref, ref_grid = discrepancy_exact(P), discrepancy_grid(P, 4)
             assert (res.value, res.witness) == (ref.value, ref.witness)
             assert res.direction == ref.direction == direction
             assert grid == ref_grid
@@ -412,9 +432,8 @@ class TestStripBound:
             assert abs(box_mass(P, res.witness, mode) - res.witness.volume()) == pytest.approx(
                 res.value, abs=1e-12
             )
-            assert skipped_rows <= rows[0]
-            skipped |= skipped_rows < rows[0]
-        assert skipped or case == "tie"  # the tie's bounds reach its value at every stride
+            skipped |= rows[0] < all_rows
+        assert skipped or case == "tie"  # the tie's bounds reach its value at every level
 
 
 def _oracle_set(family, n, d, k):
@@ -424,8 +443,8 @@ def _oracle_set(family, n, d, k):
 
 def _wall_set(x, seed):
     # a wall of 0.2 of the mass on the line x guards the empty region right
-    # of it: the best deficit box starts at the wall, and the outer strip of
-    # its cell pair holds the wall unless the wall is a coarse face
+    # of it: the best deficit box starts at the wall, and the bound of a node
+    # whose left faces straddle the wall is loose by the wall's mass
     rng = np.random.Generator(np.random.PCG64(seed))
     light = [(p, q) for p, q in rng.random((40, 2)).tolist() if not (p > x and q < 0.75)]
     wall = [(x, q) for q in np.linspace(0.05, 0.7, 6).tolist()]
@@ -454,10 +473,10 @@ def _mirrored_set(n):
     return WeightedPointSet(d=2, atoms=atoms, provenance="exact")
 
 
-class TestCellPairBound:
-    """The coarse pass and the cell-pair skip against the brute-force
-    oracles and against the full enumeration in (i, j) order, which is
-    _COARSE = 1 (every strip coarse) with the margin at infinity."""
+class TestNodeBound:
+    """The levels of nodes and their skip against the brute-force oracles and
+    against the full enumeration in (i, j) order, unmetered, with a first
+    level of 1, 2, 4 and every node a side."""
 
     SETS = {
         **{
@@ -487,18 +506,18 @@ class TestCellPairBound:
         "mirrored deficit": (lambda: _mirrored_set(1), "deficit"),
     }
 
-    @pytest.mark.parametrize("stride", [2, 3, 4, 10**6])
+    @pytest.mark.parametrize("top", [1, 2, 4, 10**6])
     @pytest.mark.parametrize("case", list(SETS))
-    def test_matches_brute_force_and_the_full_enumeration(self, case, stride, monkeypatch):
+    def test_matches_brute_force_and_the_full_enumeration(self, case, top, monkeypatch):
         make, direction = self.SETS[case]
         P = make()
         resolutions = (3, 5, 8) if P.d == 2 else (2, 3)
         with monkeypatch.context() as m:
-            m.setattr(discrepancy_module, "_COARSE", 1)
-            m.setattr(discrepancy_module, "_MARGIN", math.inf)
+            _full_enumeration(m)
             ref = discrepancy_exact(P)
             ref_grids = [discrepancy_grid(P, r) for r in resolutions]
-        monkeypatch.setattr(discrepancy_module, "_COARSE", stride)
+        _unmetered(monkeypatch)
+        monkeypatch.setattr(discrepancy_module, "_TOP", top)
         res = discrepancy_exact(P)
         assert (res.value, res.witness, res.direction) == (ref.value, ref.witness, ref.direction)
         brute = P.weights.size <= 16  # the walls' 45 atoms would take the oracle minutes
@@ -511,6 +530,18 @@ class TestCellPairBound:
             assert grid == ref_grid
             if brute:
                 assert grid == pytest.approx(brute_discrepancy_grid(P, r), abs=1e-12)
+
+    def test_exact_on_the_disc_d2_set_yields_few_rows(self, monkeypatch):
+        # sqrt_primes n = d = 2 at k = 10: 121 atoms, 121 faces a side for the
+        # excess and 122 for the deficit (0 is an atom coordinate, 1 is not),
+        # so 7 381 face pairs each; bound rows count as rows
+        rows = _rows_yielded(monkeypatch)
+        P = _disc_d2(10)
+        assert discrepancy_exact(P).value == DISC_D2_EXACT[10][0]
+        c = [_faces(P, rule)[1][0].size for rule in ("excess", "deficit")]
+        pairs = sum(f * (f + 1 - 2 * jmin) // 2 for f, jmin in zip(c, (0, 1)))
+        assert pairs == 14_762
+        assert rows[0] <= 0.2 * pairs
 
     def test_grid_on_the_disc_d2_set_yields_few_rows(self, monkeypatch):
         # grid(512) on sqrt_primes n = d = 2 at k = 20: 513 faces a side
@@ -533,31 +564,62 @@ class TestCellPairBound:
         )
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(2.0**-1000, 1.0)),
+        min_size=1,
+        max_size=16,
+        unique_by=lambda atom: atom[:2],
+    ),
+    st.sampled_from([1, 2, 16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_tree_matches_the_full_enumeration_on_a_grid(atoms, top):
+    # atoms on the 1/8 grid share coordinates, so boxes and strips tie;
+    # weights from 2^-1000 to 1 put some atoms far below the rounding of others
+    P = WeightedPointSet(d=2, atoms=tuple(((x / 8, y / 8), w) for x, y, w in atoms), provenance="exact")
+    with pytest.MonkeyPatch.context() as m:
+        _full_enumeration(m)
+        ref = discrepancy_exact(P)
+    with pytest.MonkeyPatch.context() as m:
+        _unmetered(m)
+        m.setattr(discrepancy_module, "_TOP", top)
+        res = discrepancy_exact(P)
+    assert (res.value, res.witness, res.direction) == (ref.value, ref.witness, ref.direction)
+    assert res.value == pytest.approx(brute_discrepancy_exact(P), abs=1e-12)
+
+
 class TestPricing:
     """The budget charges the enumerator's worst case before it starts."""
 
     @pytest.mark.parametrize("block", [None, 1, 20])
     @pytest.mark.parametrize("rule", ["excess", "deficit", "grid"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_price_counts_the_yielded_elements_and_blocks(self, d, rule, block, monkeypatch):
-        # unskipped, the blocks hold exactly the charged elements, each face
-        # pair once; at 8 numpy calls a packed block and 2 a segment they
-        # cost no more calls than the 10 charged for each block of one left
-        # face's rows
+    def test_price_covers_the_yielded_elements_and_calls(self, d, rule, block, monkeypatch):
+        # unskipped, the blocks hold each face pair once, plus the bound rows
+        # that the charge's slack pays for; at 8 numpy calls a block of face
+        # pairs and 2 a segment, and _BOUND_CALLS a block of bound rows, they
+        # stay within the charge.  Only 40 atoms in d = 2 and 18 in d = 3,
+        # with the default blocks, leave slack enough for a level of nodes
         if block is not None:
             monkeypatch.setattr(discrepancy_module, "_BLOCK", block)
             monkeypatch.setattr(discrepancy_module, "_PRICED_BLOCK", block)
-        P = random_point_set(np.random.Generator(np.random.PCG64(5000 + d)), 7, d)
-        faces, triple, yielded = _blocks_of(P, rule)
+        monkeypatch.setattr(discrepancy_module, "_MARGIN", math.inf)
+        atoms, resolution = {1: (7, 6), 2: (40, 64), 3: (18, 24)}[d]
+        P = random_point_set(np.random.Generator(np.random.PCG64(5000 + d)), atoms, d)
+        faces, (_, _, jmin), yielded = _blocks_of(P, rule, resolution)
         elements = sum(prefix.size for _, _, prefix, _, _ in yielded)
         assert all(prefix.shape[1] == faces[-1].size + 1 for _, _, prefix, _, _ in yielded)
         rows = [pair for *_, pairs in yielded for pair in pairs]
         assert len(set(rows)) == len(rows)
-        segments = sum(len(segs) for _, _, _, segs, _ in yielded)
-        charged = discrepancy_module._elements(faces, triple[2])
-        unpacked, rest = divmod(charged - elements, 10 * errors.PER_CALL)
-        assert rest == 0 and len(yielded) > 0
-        assert 8 * len(yielded) + 2 * segments <= 10 * unpacked
+        pairs = [(f.size - jmin) * (f.size - jmin + 1) // 2 for f in faces[:-1]]
+        assert len(rows) == (math.prod(pairs) if pairs else 0)  # d = 1: the table, no pairs
+        calls = sum(
+            discrepancy_module._BOUND_CALLS if segs is None else 8 + 2 * len(segs)
+            for _, _, _, segs, _ in yielded
+        )
+        assert elements + errors.PER_CALL * calls <= discrepancy_module._elements(faces, jmin)
+        assert any(segs is None for _, _, _, segs, _ in yielded) == (d > 1 and block is None)
 
     def test_disc_d2_prices_are_pinned(self):
         P = _disc_d2(20)

@@ -124,8 +124,9 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
     W[r] its volume on axes 0..d-2.  Before it asks for the next block the
     caller writes into best[r] row r's value, the largest value of its
     boxes, and keeps floor, a one-element list, at its best value so far,
-    which blocks of bound rows (segments None) do not raise.  In d = 1 the
-    one block is the table, with no segments.
+    which blocks of bound rows (segments None) do not raise; for a bound
+    row any value at least its reduction as a strip row will do.  In d = 1
+    the one block is the table, with no segments.
 
     A tree of nodes prunes the strips.  A node of size s holds the strips
     (i, j) with p s = i0 <= i <= i1, q s = j0 <= j <= j1 and q >= p; each
@@ -133,16 +134,18 @@ def _blocks(pts, wts, faces, rule, floor, minus_volume=False):
     at most 0 if no pair, and is w_in = u_j0 - u_i1 to w_out = u_j1 - u_i0
     wide.  So a box's excess is at most the value of the bound row of the
     outer mass and width max(0, w_in), its deficit that of the inner mass
-    and width w_out, its grid value the larger.  The first level has at
-    most _TOP blocks of 2^m faces a side.  Each level yields its nodes'
-    bound rows, evaluates the widest strips (i0, j1) of its _EARLY best
-    nodes above floor[0], skips the nodes below floor[0] - margin and
-    quarters the others, down to size 2; then the nodes left yield their
-    strips not yet evaluated, in runs of a left face.  A level runs only
-    while the charge covers what was spent, the level and the worst case
-    of the live pairs (packed, the pairs cost 8-12 % less than it).  In
-    d >= 3 a slab is skipped whole when its mass and its volume on axes
-    0..d-3, which bound its boxes' values, are below floor[0] - margin.
+    and width w_out, its grid value the larger.  Rounding is monotone, so a
+    bound row reduced more coarsely, to a value no smaller, still bounds
+    every box of its node.  The first level has at most _TOP blocks of 2^m
+    faces a side.  Each level yields its nodes' bound rows, evaluates the
+    widest strips (i0, j1) of its _EARLY best nodes above floor[0], skips
+    the nodes below floor[0] - margin and quarters the others, down to
+    size 2; then the nodes left yield their strips not yet evaluated, in
+    runs of a left face.  A level runs only while the charge covers what
+    was spent, the level and the worst case of the live pairs (packed, the
+    pairs cost 8-12 % less than it).  In d >= 3 a slab is skipped whole
+    when its mass and its volume on axes 0..d-3, which bound its boxes'
+    values, are below floor[0] - margin.
 
     The margin covers rounding.  The bounds hold exactly for the exact sums
     of the binned cells.  A box value and a bound row's value read at most
@@ -292,11 +295,13 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
 
     Excess boxes are closed with faces at atom coordinates, deficit boxes
     open with the cube boundary added; on the final axis the best interval
-    of each row comes from one running-min sweep.  _blocks yields early
-    strips out of (i, j) order, so of the boxes attaining a block's best
-    value, and of a block's best box and the best so far on a tie, the one
-    whose strip comes first in (i, j) order wins: the witness is the first
-    box of the full enumeration that attains the maximum.
+    of each row comes from one running-min sweep.  A bound row takes its
+    largest top less its least bot instead, which no interval exceeds.
+    _blocks yields early strips out of (i, j) order, so of the boxes
+    attaining a block's best value, and of a block's best box and the best
+    so far on a tie, the one whose strip comes first in (i, j) order wins:
+    the witness is the first box of the full enumeration that attains the
+    maximum.
     """
     jmin = 0 if excess else 1  # rule (0, 0, 0): i <= p <= j; rule (1, 1, 1): i < p < j
     u = faces[-1]
@@ -308,11 +313,14 @@ def _exact_branch(pts: np.ndarray, wts: np.ndarray, faces: list, excess: bool, s
             bot, top = below - wu, np.subtract(c, wu, out=wu)
         else:
             bot, top = wu - c, np.subtract(wu, below, out=wu)
+        if segments is None:  # bound rows: at least every fl(top[t] - low[s]) below
+            np.subtract(top[:, jmin:].max(axis=1), bot[:, : u.size - jmin].min(axis=1), out=rowbest)
+            continue
         low = np.minimum.accumulate(bot, axis=1, out=bot)  # low[t] = min of bot[: t + 1]
         # interval [u_s, u_t] with s <= t - jmin: top[t] - bot[s]
         vals = np.subtract(top[:, jmin:], low[:, : u.size - jmin], out=top[:, jmin:])
         v = float(np.max(vals, axis=1, out=rowbest).max())
-        if segments is None or v < floor[0]:  # bound rows, or no box above the best so far
+        if v < floor[0]:  # no box above the best so far
             continue
         rows = np.flatnonzero(rowbest == v).tolist()
         if segments:  # the runs give the rows' pairs on axis d-2: the first strip wins a tie

@@ -24,20 +24,20 @@ double-doubles (about 106 bits) in one prefix scan with a proven relative
 error bound, and each weight is rounded once where the bound decides it
 (_dd_weights, _bracketed_weights).  So the whole projection is a few numpy
 passes over the window; only the rows up to the first weight that rounds
-to 0.0 get a torus point.  A row the bound cannot decide gets a 128-bit
-bracket of its own (_row_bracket).  Where that cannot decide the rounding
-either, or the rows might not land on distinct points (_separated), the
+to 0.0 get a torus point.  Where the bound leaves a row of the window
+undecided, or the rows might not land on distinct points (_separated), the
 projection falls back to exact work: one pass that builds every count, one
 big integer at a time for n <= 2, at the price of every exact count.  This
 is Ziv's strategy (ACM TOMS 1991): work at a little more than the output
 precision, and fall back to exact work only when rounding cannot be
-decided.
+decided.  An undecided row is rare, about 3e-13 k of them expected per
+walk, but past the k where the budget refuses every exact count such a
+walk is refused too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -54,8 +54,8 @@ from .generators import GeneratorMatrix
 # smallest subnormal float.
 _ZERO_EXP = 1075
 
-# Bits of the mantissa of a count's bracket (_centre, _row_bracket): 53 for
-# the weight plus enough guard bits that rounding is decided at once.
+# Bits of the mantissa of the centre count's bracket (_centre): 53 for the
+# weight plus enough guard bits that its error is far below the last bit.
 _MANT = 128
 # Bits beyond _MANT to which _centre computes the centre count.
 _GUARD = 32
@@ -234,8 +234,9 @@ def _walk_cost(n: int, k: int) -> int:
     double-double pass over that window (_dd_weights, _round_rows,
     _bracketed_weights) takes about 60 numpy element operations per priced
     row, one value serving the rows m and -m, so fewer than that.  A row its
-    bound cannot decide costs a big-integer bracket more; that is rare (none
-    in 2.7 million rows of 206 golden walks, k from 1087 to 4 10^6).
+    bound cannot decide sends the walk to the exact counts, priced where
+    they are built; that is rare (none in 2.7 million rows of 206 golden
+    walks, k from 1087 to 4 10^6).
     This prices the rows whose count exceeds tau = 2^k / ((2k+1) 2^1075), a
     superset of that window, as a weight at most tau / 2^k < 2^-1075 rounds
     to 0.0.  By Hoeffding,
@@ -339,19 +340,6 @@ def _exact_weights(run, counts, denominator: int):
     return weights
 
 
-def _times(m: int, e: int, t: int, a: int, b: int):
-    """The bracket (m, e, t) of a count times a / b.
-
-    The new mantissa is one floor of the exact quotient m a 2^s / b, with s
-    chosen so that the quotient lies in (2^(_MANT-1), 2^(_MANT+1)); t counts
-    the floors that dropped bits.
-    """
-    p = m * a
-    s = _MANT + b.bit_length() - p.bit_length()
-    q, r = divmod(p << s, b) if s >= 0 else divmod(p, b << -s)
-    return q, e - s, t + (r != 0)
-
-
 def _exp_bracket(x: int, f: int):
     """(lo, hi) with lo <= exp(x / 2^f) 2^f <= hi, for |x| <= 2^(f-1).
 
@@ -370,9 +358,9 @@ def _exp_bracket(x: int, f: int):
 
 
 def _centre(k: int):
-    """The bracket (m, e, t) of the centre count c = C(k, floor(k/2)), in the
-    form _times keeps: m 2^e <= c <= m 2^e / (1 - t 2^-(P-1)) for P = _MANT,
-    with m < 2^(P+1).  k must be at least 1024: from there n >= 512 and the
+    """The bracket (m, e, t) of the centre count c = C(k, floor(k/2)):
+    m 2^e <= c <= m 2^e / (1 - t 2^-(P-1)) for P = _MANT, with m of P bits
+    and t at most 2.  k must be at least 1024: from there n >= 512 and the
     remainder of Stirling's series is below 2^-154 of c.
 
     Here c = 2^k w(n) with n = ceil(k/2), since for odd k
@@ -404,25 +392,6 @@ def _centre(k: int):
     s = lo.bit_length() - P
     m = lo >> s
     return m, k - f + s, -(-((hi - (m << s)) << (P - 1)) // hi)
-
-
-def _row_bracket(k: int, j: int, centre):
-    """The bracket (m, err, e) of C(k, j) for j <= c = floor(k/2), from the
-    centre count's bracket (m, e, t) (_centre): the count lies in
-    [m, m + err] 2^e.  No exact count is built.
-
-    C(k, j) = C(k, c) perm(c, c - j) / perm(k - j, c - j), which _times
-    takes in one floor, so t grows by at most one, to at most 3.  Each floor
-    leaves a quotient above 2^(P-1), P = _MANT, so it loses less than
-    2^-(P-1) of the value, and the count c >= m 2^e is at most
-    m 2^e / (1 - t 2^-(P-1)).  Since m < 2^(P+1), c / 2^e exceeds
-    m + m t / 2^(P-1) by less than one while 4 t^2 < 2^(P-1) - t, which holds
-    for t <= 3 at every _MANT >= 8.  So err = ceil(m t / 2^(P-1)) + 1, and
-    err = 0 while no bit was dropped.
-    """
-    c = k // 2
-    m, e, t = _times(*centre, math.perm(c, c - j), math.perm(k - j, c - j))
-    return m, -(-m * t >> (_MANT - 1)) + 1 if t else 0, e
 
 
 def _two_prod(a, b):
@@ -591,14 +560,6 @@ def _separated(G: GeneratorMatrix, k: int) -> bool:
     return False
 
 
-def _rounded(x: int, e: int) -> float:
-    """x 2^e correctly rounded to a float, for e < 0.  float(x) rounds once,
-    to nearest, and while the result is normal ldexp scales it exactly; a
-    result below the least normal float is rounded by int / int instead."""
-    w = math.ldexp(float(x), e)
-    return w if w >= sys.float_info.min else x / (1 << -e)
-
-
 def _round_rows(hi, lo, x, delta):
     """Each row (hi + lo) 2^x, a double-double within a relative delta of a
     real number, rounded to the nearest float where delta decides it:
@@ -633,33 +594,23 @@ def _bracketed_weights(G: GeneratorMatrix, k: int):
     bracketed.  With it, a row's weight is its count over 2^k, rounded once.
     _dd_weights gives every row of the window as a double-double within a
     relative delta of it, and _round_rows rounds, in one vectorized pass,
-    every row that delta decides: nearly all.  A row it cannot decide gets
-    its own bracket [m, m + err] 2^e (_row_bracket), which gives the float
-    when both ends round to it (_rounded is monotone); where they round
-    apart None is returned.  Counts fall away from the centre, so
-    from the first row whose weight (or upper end) rounds to 0.0 every row
+    every row that delta decides: nearly all.  Counts fall away from the
+    centre, so from the first row whose weight rounds to 0.0 every row
     outward has weight 0.0 too and is dropped, just as _pointset drops it
     from the exact counts; the window before that row gets torus points.
-    The pass ends one row past _walk_cost's window, which rounds to 0.0, so
-    a pass with no such row short of j = 0 would have left out rows, and
-    returns None.  A window that lands on fewer points than rows also
-    returns None.
+    A row before it that delta cannot decide returns None, and the exact
+    counts decide every weight.  The pass ends one row past _walk_cost's
+    window, which rounds to 0.0, so a pass with no such row short of j = 0
+    would have left out rows, and returns None.  A window that lands on
+    fewer points than rows also returns None.
     """
     if not _separated(G, k):
         return None
-    centre = _centre(k)
-    window, decided = _round_rows(*_dd_weights(k, centre))
+    window, decided = _round_rows(*_dd_weights(k, _centre(k)))
     zeros = np.flatnonzero(decided & (window == 0.0))
     end = int(zeros[0]) if len(zeros) else len(window)
-    for i in np.flatnonzero(~decided[:end]).tolist():
-        m, err, e = _row_bracket(k, k // 2 - i, centre)
-        w = _rounded(m + err, e - k)
-        if w == 0.0:
-            end = i
-            break
-        if err and _rounded(m, e - k) != w:
-            return None
-        window[i] = w
+    if not decided[:end].all():
+        return None
     if end == len(window) <= k // 2:
         return None  # no cut row: the priced window missed rows that survive
     window = window[:end]
@@ -685,14 +636,14 @@ def project_to_torus(L: LatticeDistribution, G: GeneratorMatrix) -> WeightedPoin
     For one generator from k = 1087 no exact count is built: each weight
     C(k, j) / 2^k of the window about the centre is a double-double within
     a proven relative bound, below 2^-80 at every admitted k, of it
-    (_dd_weights), from one numpy scan, and is
-    rounded once where that bound decides it, or else from a 128-bit
-    bracket of its own (_row_bracket); only the rows before the first weight
-    that rounds to 0.0 get a torus point (see _bracketed_weights).  The
-    exact fallback runs for n >= 2, for k < 1087, and where no bound
-    decides: a weight whose bracket's two ends round apart, a point shared
-    by several rows, or a generator that _separated cannot show to keep its
-    rows apart.  It first checks the price of every exact
+    (_dd_weights), from one numpy scan, and is rounded once where that
+    bound decides it; only the rows before the first weight that rounds to
+    0.0 get a torus point (see _bracketed_weights).  The exact fallback runs
+    for n >= 2, for k < 1087, and where the window cannot decide: a weight
+    the bound leaves undecided, a point shared by several rows, or a
+    generator that _separated cannot show to keep its rows apart.  Below
+    k = 1087 some weights are exact rounding ties, which no relative bound
+    decides.  The fallback first checks the price of every exact
     count (_count_cost) against the budget, then builds every count in one
     pass, one big integer at a time for n <= 2, and sums each
     point's counts before one division (_exact_weights); weights that round

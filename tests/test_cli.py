@@ -78,7 +78,7 @@ def test_dist_unseparated_golden_exits_3_before_its_window(capsys, monkeypatch):
     def no_window(*args):
         raise AssertionError("the window was walked")
 
-    for name in ("_centre", "_dd_weights", "_row_bracket"):
+    for name in ("_centre", "_dd_weights"):
         monkeypatch.setattr(walk, name, no_window)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "dist", "--builtin", "golden", "--k", "100000000")

@@ -233,20 +233,6 @@ def _spy(monkeypatch, name):
     return results
 
 
-@pytest.mark.parametrize("mant", [56, 128])
-@pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097])
-def test_brackets_hold_every_count(monkeypatch, mant, k):
-    monkeypatch.setattr(walk, "_MANT", mant)
-    centre = walk._centre(k)
-    for j in range(k // 2, -1, -1):
-        m, err, e = walk._row_bracket(k, j, centre)
-        c = math.comb(k, j)
-        lo, c, hi = (m << e, c, (m + err) << e) if e >= 0 else (m, c << -e, m + err)
-        assert lo <= c <= hi
-        # err / m <= (t + 2) / 2^(mant-1) with t <= 3 lossy floors
-        assert err << (mant - 14) < m
-
-
 @pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 1), ("sqrt_primes", 2)])
 @pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097, 8192, 8193])
 def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
@@ -257,17 +243,32 @@ def test_bracketed_projection_matches_complete(monkeypatch, family, d, k):
     assert bracketed[0] is not None and exact == []
 
 
+def test_each_k_about_the_window_start_takes_one_route(monkeypatch):
+    # Near the cut the weights are subnormal dyadic numbers, and below
+    # k = 1087 some are exact rounding ties that no relative bound decides:
+    # from the first k whose last weight rounds to 0.0 to past the window's
+    # start, the exact counts give every weight below k = 1087 and the
+    # window alone from there, each the complete projection.
+    exact = _spy(monkeypatch, "_exact_weights")
+    for k in range(1075, 1201):
+        exact.clear()
+        atoms = project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms
+        assert atoms == _complete_atoms(GOLDEN, k), k
+        assert (exact == []) == (k >= 1087), k
+
+
 @pytest.mark.parametrize("mant", [56, 128])
-@pytest.mark.parametrize("k", [1087, 1088, 4097, 2**15, 10**5 + 1, 10**6])
+@pytest.mark.parametrize("k", [1087, 1088, 2001, 4096, 4097, 2**15, 10**5 + 1, 10**6])
 def test_centre_bracket_holds_the_centre_count(monkeypatch, mant, k):
     # mpmath at 600 bits stands in for C(k, floor(k/2)), which has up to k bits
     monkeypatch.setattr(walk, "_MANT", mant)
-    m, err, e = walk._row_bracket(k, k // 2, walk._centre(k))
+    m, e, t = walk._centre(k)
+    assert m.bit_length() == mant
+    # the width _centre states: t <= 2 units of 2^-(mant-1)
+    assert 0 < t <= 2
     with mpmath.workprec(600):
         c = mpmath.binomial(k, k // 2)
-        assert mpmath.ldexp(m, e) <= c <= mpmath.ldexp(m + err, e)
-    # the width _centre states: t <= 2 floors' worth
-    assert 0 < err <= -(-2 * m >> (mant - 1)) + 1
+        assert mpmath.ldexp(m, e) <= c <= mpmath.ldexp(m, e) / (1 - mpmath.ldexp(t, 1 - mant))
 
 
 @pytest.mark.parametrize(
@@ -293,7 +294,7 @@ def test_separation_holds_where_rows_cannot_meet():
 
 def _undecided(monkeypatch):
     """Widen every row's double-double bound past deciding any rounding, so
-    each row of the window goes to its own bracket."""
+    the window decides no row."""
     real = walk._dd_weights
 
     def wide(k, centre):
@@ -304,9 +305,9 @@ def _undecided(monkeypatch):
 
 
 # Rational generators: several rows share each point, so _separated fails.
-# A 56-bit mantissa with the double-double bound forced wide: each weight's
-# own bracket is wider than the last bit of a float, so its two ends round
-# apart.
+# Golden and sqrt_primes with the double-double bound forced wide, at a 56-
+# or 128-bit centre: a row the window cannot decide sends the whole walk to
+# the exact counts, which give the same weights.
 @pytest.mark.parametrize(
     "family,d,k,mant",
     [
@@ -314,6 +315,7 @@ def _undecided(monkeypatch):
         ("rational:7", 1, 4097, 128),
         ("golden", 1, 4097, 56),
         ("sqrt_primes", 2, 4097, 56),
+        *[(family, d, k, 128) for family, d in [("golden", 1), ("sqrt_primes", 2)] for k in (1087, 1088, 2001, 4097)],
     ],
 )
 def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k, mant):
@@ -324,26 +326,6 @@ def test_undecided_bracket_falls_back_to_exact_counts(monkeypatch, family, d, k,
     bracketed, exact = _spy(monkeypatch, "_bracketed_weights"), _spy(monkeypatch, "_exact_weights")
     assert project_to_torus(exact_walk_distribution(G, k), G).atoms == expected
     assert bracketed == [None] and exact[0] is not None
-
-
-# The bound forced wide at the full mantissa: every row of the window is
-# decided by its own 128-bit bracket, to the same weights.
-@pytest.mark.parametrize("family,d", [("golden", 1), ("sqrt_primes", 2)])
-@pytest.mark.parametrize("k", [1087, 1088, 2001, 4097])
-def test_rows_the_bound_cannot_decide_take_their_own_brackets(monkeypatch, family, d, k):
-    G = builtin_generators(family, 1, d)
-    expected = walk._bracketed_weights(G, k)
-    _undecided(monkeypatch)
-    row_brackets = _spy(monkeypatch, "_row_bracket")
-    found = walk._bracketed_weights(G, k)
-    assert len(row_brackets) >= (len(found[1]) + 1) // 2  # every row of the window
-    assert np.array_equal(found[0], expected[0]) and np.array_equal(found[1], expected[1])
-
-
-def test_window_at_two_to_the_fifteen_needs_no_row_bracket(monkeypatch):
-    times = _spy(monkeypatch, "_times")
-    assert walk._bracketed_weights(GOLDEN, 2**15) is not None
-    assert times == []
 
 
 @given(st.integers(1087, 40000))
@@ -414,7 +396,7 @@ def _no_window(*args):
 def test_unseparated_walk_falls_back_before_its_window(monkeypatch, k):
     expected = _complete_atoms(GOLDEN, k)
     monkeypatch.setattr(walk, "_separated", lambda G, k: False)
-    for name in ("_centre", "_dd_weights", "_row_bracket"):
+    for name in ("_centre", "_dd_weights"):
         monkeypatch.setattr(walk, name, _no_window)
     bracketed = _spy(monkeypatch, "_bracketed_weights")
     assert project_to_torus(exact_walk_distribution(GOLDEN, k), GOLDEN).atoms == expected
